@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a positive verdict (SAT, valid, derivable, accepted,
 holds), 1 for the corresponding negative verdict, 2 for malformed input,
-3 when an internal search limit was exceeded.
+3 when an internal search limit was exceeded, 4 for an internal error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import canonical, decide, models, proof
 from .prokhorov import IncompatibleSupports, load_measure, prokhorov
@@ -250,6 +251,11 @@ def main(argv=None) -> int:
     except canonical.NotFoundWithinBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        # Any other failure is a fault of the program, never a verdict.
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
-"""Exact-rational linear constraint systems and Fourier-Motzkin elimination.
+"""Exact-rational linear constraint systems and their solver.
 
 Constraints are kept in the normalized forms  term >= 0,  term > 0  and
-term = 0;  "<=" and "<" are represented by negating the term.  All
-arithmetic is closed over `fractions.Fraction` -- no floats anywhere.
+term = 0;  "<=" and "<" are represented by negating the term.  `solve`
+(and `feasible`) decide a system with a general simplex under Bland's
+rule, handling strict rows with delta-rationals.  Fourier-Motzkin
+`eliminate` is kept only as the reference the tests compare `solve`
+against.  All arithmetic is closed over `fractions.Fraction` -- no floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -69,11 +73,6 @@ class LinearTerm:
             (c * assignment[v] for v, c in self.coeffs), Fraction(0)
         )
 
-    def __str__(self):
-        parts = [f"{c}*x{v}" for v, c in self.coeffs]
-        parts.append(str(self.constant))
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -89,9 +88,6 @@ class Constraint:
             return self
         return Constraint(self.term.scale(1 / lead), self.relation)
 
-    def __str__(self):
-        return f"{self.term} {self.relation.value}"
-
 
 @dataclass
 class LinearSystem:
@@ -100,12 +96,6 @@ class LinearSystem:
 
     def variables(self) -> set[int]:
         return {v for c in self.constraints for v, _ in c.term.coeffs}
-
-    def dump(self) -> str:
-        """Debug dump; format is non-contractual."""
-        lines = [f"vars: {self.num_vars}"]
-        lines.extend(str(c) for c in self.constraints)
-        return "\n".join(lines)
 
 
 def ge(coeffs: dict[int, Fraction], constant=Fraction(0)) -> Constraint:
@@ -196,86 +186,161 @@ def eliminate(system: LinearSystem, var: int) -> LinearSystem:
     return LinearSystem(_tidy(keep), system.num_vars)
 
 
-def feasible(system: LinearSystem) -> bool:
-    """Decide whether a rational point satisfies every constraint."""
-    sys_ = LinearSystem(_tidy(system.constraints), system.num_vars)
-    while True:
-        for c in sys_.constraints:
-            if c.term.is_constant() and not _constant_holds(c):
-                return False
-        remaining = sys_.variables()
-        if not remaining:
-            return True
-        # cheapest-first heuristic: smallest lower*upper pairing product
-        def cost(v: int) -> int:
-            lo = hi = 0
-            for c in sys_.constraints:
-                a = c.term.coeff(v)
-                if c.relation is Rel.EQ and a != 0:
-                    return -1
-                if a > 0:
-                    lo += 1
-                elif a < 0:
-                    hi += 1
-            return lo * hi
+# ---------------------------------------------------------------------------
+# Exact general simplex, after Dutertre & de Moura, "A Fast Linear-Arithmetic
+# Solver for DPLL(T)", CAV 2006.
+#
+# Values and bounds are delta-rationals: a pair (c, k) reads c + k*delta for
+# an infinitesimal delta > 0, and tuple order is the order of those reals.
+# A strict bound is a weak bound moved by one delta.
 
-        var = min(remaining, key=cost)
-        sys_ = eliminate(sys_, var)
+
+def _tableau(system: LinearSystem):
+    """Bounds and slack rows for `solve`; None when a constant row fails or
+    some variable's bounds cross.
+
+    Every non-constant row, scaled so its leading coefficient is 1, bounds
+    one variable: a single-variable row bounds that variable itself, and a
+    longer row bounds a slack s = sum(a_j x_j).  Rows whose scaled
+    coefficients agree share one slack, so the tableau has one row per
+    distinct multi-variable term.
+    """
+    lower: dict = {}
+    upper: dict = {}
+    rows: dict = {}  # basic variable -> {nonbasic variable: coefficient}
+    slack_of: dict = {}  # scaled coefficients -> slack variable (negative id)
+    originals: set[int] = set()
+    for c in system.constraints:
+        coeffs = c.term.coeffs
+        if not coeffs:
+            if not _constant_holds(c):
+                return None
+            continue
+        lead = coeffs[0][1]
+        if len(coeffs) == 1:
+            var = coeffs[0][0]
+        else:
+            key = tuple((v, a / lead) for v, a in coeffs)
+            var = slack_of.get(key)
+            if var is None:
+                var = slack_of[key] = -1 - len(slack_of)
+                rows[var] = dict(key)
+        originals.update(v for v, _ in coeffs)
+        bound = -c.term.constant / lead
+        strict = 1 if c.relation is Rel.GT else 0
+        if c.relation is Rel.EQ or lead > 0:
+            lo = (bound, strict)
+            if var not in lower or lower[var] < lo:
+                lower[var] = lo
+        if c.relation is Rel.EQ or lead < 0:
+            hi = (bound, -strict)
+            if var not in upper or upper[var] > hi:
+                upper[var] = hi
+    for var in lower.keys() & upper.keys():
+        if lower[var] > upper[var]:
+            return None
+    return lower, upper, rows, originals
+
+
+def _shift(value, step_c, step_k):
+    return (value[0] + step_c, value[1] + step_k)
+
+
+def _pivot(rows: dict, value: dict, s, x, target) -> None:
+    """Move basic `s` onto `target` through nonbasic `x`, then swap the two
+    in the basis."""
+    row = rows.pop(s)
+    a = row.pop(x)
+    step_c = (target[0] - value[s][0]) / a
+    step_k = (target[1] - value[s][1]) / a
+    value[s] = target
+    value[x] = _shift(value[x], step_c, step_k)
+    inv = 1 / a
+    new = {v: -b * inv for v, b in row.items()}
+    new[s] = inv
+    for r, other in rows.items():
+        b = other.pop(x, None)
+        if b is None:
+            continue
+        value[r] = _shift(value[r], b * step_c, b * step_k)
+        for v, d in new.items():
+            t = other.get(v, 0) + b * d
+            if t:
+                other[v] = t
+            else:
+                del other[v]
+    rows[x] = new
 
 
 def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
     """A satisfying rational point, or None when infeasible.
 
-    Variables are eliminated in ascending id order; back-substitution
-    assigns each variable the midpoint of its residual interval (one-sided
-    bounds: bound +- 1; no bounds: 0), which lands strictly inside open
-    intervals so strict constraints are always respected.
+    Bland's rule (smallest variable first, for both the leaving and the
+    entering variable) guarantees termination.  Nonbasic variables stay at
+    0 or at one of their bounds, so the point is a vertex: beyond the
+    variables pinned by their own bounds, at most one nonzero variable per
+    tableau row.  Delta is then fixed to the largest value in (0, 1] that
+    keeps every bound, so the result is exact.
     """
-    order = sorted(system.variables())
-    sys_ = LinearSystem(_tidy(system.constraints), system.num_vars)
-    trace = []
-    for var in order:
-        eq_c = next(
-            (
-                c
-                for c in sys_.constraints
-                if c.relation is Rel.EQ and c.term.coeff(var) != 0
-            ),
-            None,
-        )
-        if eq_c is not None:
-            trace.append(("eq", var, _solve_equality_for(eq_c, var)))
-        else:
-            lowers, uppers = [], []
-            for c in sys_.constraints:
-                a = c.term.coeff(var)
-                if a > 0:
-                    lowers.append((c.term.scale(-1 / a).drop(var), c.relation))
-                elif a < 0:
-                    uppers.append((c.term.scale(-1 / a).drop(var), c.relation))
-            trace.append(("ineq", var, lowers, uppers))
-        sys_ = eliminate(sys_, var)
-    if not feasible(sys_):
+    tableau = _tableau(system)
+    if tableau is None:
         return None
+    lower, upper, rows, originals = tableau
 
-    assignment: dict[int, Fraction] = {}
-    for entry in reversed(trace):
-        if entry[0] == "eq":
-            _, var, expr = entry
-            assignment[var] = expr.evaluate(assignment)
+    zero = (Fraction(0), Fraction(0))
+    value: dict = {}
+    for var in originals:
+        lo, hi = lower.get(var), upper.get(var)
+        if lo is not None and lo > zero:
+            value[var] = lo
+        elif hi is not None and hi < zero:
+            value[var] = hi
         else:
-            _, var, lowers, uppers = entry
-            lo = max((e.evaluate(assignment) for e, _ in lowers), default=None)
-            hi = min((e.evaluate(assignment) for e, _ in uppers), default=None)
-            if lo is not None and hi is not None:
-                assignment[var] = (lo + hi) / 2
-            elif lo is not None:
-                assignment[var] = lo + 1
-            elif hi is not None:
-                assignment[var] = hi - 1
+            value[var] = zero
+    for s, row in rows.items():
+        value[s] = (
+            sum((a * value[x][0] for x, a in row.items()), Fraction(0)),
+            sum((a * value[x][1] for x, a in row.items()), Fraction(0)),
+        )
+
+    while True:
+        for s in sorted(rows):
+            lo, hi = lower.get(s), upper.get(s)
+            if lo is not None and value[s] < lo:
+                target, rise = lo, True
+                break
+            if hi is not None and value[s] > hi:
+                target, rise = hi, False
+                break
+        else:
+            break
+        row = rows[s]
+        for x in sorted(row):
+            if (row[x] > 0) == rise:  # x must increase
+                hi = upper.get(x)
+                if hi is None or value[x] < hi:
+                    break
             else:
-                assignment[var] = Fraction(0)
-    return assignment
+                lo = lower.get(x)
+                if lo is None or value[x] > lo:
+                    break
+        else:
+            return None  # s is stuck short of its bound: the rows conflict
+        _pivot(rows, value, s, x, target)
+
+    delta = Fraction(1)
+    for var, (c, k) in value.items():
+        lo, hi = lower.get(var), upper.get(var)
+        if lo is not None and lo[1] > k:
+            delta = min(delta, (c - lo[0]) / (lo[1] - k))
+        if hi is not None and hi[1] < k:
+            delta = min(delta, (hi[0] - c) / (k - hi[1]))
+    return {var: value[var][0] + value[var][1] * delta for var in originals}
+
+
+def feasible(system: LinearSystem) -> bool:
+    """Decide whether a rational point satisfies every constraint."""
+    return solve(system) is not None
 
 
 def satisfies(system: LinearSystem, assignment: dict[int, Fraction]) -> bool:

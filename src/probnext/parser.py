@@ -137,6 +137,8 @@ class _Parser:
             inner = value[2:-1].replace(" ", "")
             if "/" in inner:
                 num, den = inner.split("/")
+                if int(den) == 0:
+                    raise FormulaSyntaxError(pos, "a nonzero denominator", repr(value))
                 bound = Fraction(int(num), int(den))
             else:
                 bound = Fraction(int(inner))

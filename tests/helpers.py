@@ -75,6 +75,13 @@ def random_linear_system(rng: random.Random) -> LinearSystem:
     return LinearSystem(constraints, num_vars=n_vars)
 
 
+def lp_chain(k: int) -> str:
+    """`L[1/(i+2)] (p_i | p_{i+1})` for i < k, joined with `!L[1/2] p0`: SAT,
+    with one exact LP over up to 2^(k+1) cells."""
+    bounds = [f"L[1/{i + 2}] (p{i} | p{i + 1})" for i in range(k)]
+    return " & ".join(bounds + ["!L[1/2] p0"])
+
+
 SCHEME_NAMES = ("FA1", "FA2", "FA3", "FA4", "Mono", "Func", "Conj")
 
 

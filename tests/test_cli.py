@@ -1,5 +1,6 @@
 import json
 
+from probnext import decide
 from probnext.cli import main
 
 
@@ -19,6 +20,18 @@ def test_malformed_formula_is_an_input_error(capsys):
     assert main(["sat", "p0 &"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["sat", "L[3/2] p0"]) == 2
+    assert main(["sat", "L[1/0] p0"]) == 2
+    assert "nonzero denominator" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
+    def broken(f):
+        raise RuntimeError("broken decision procedure")
+
+    monkeypatch.setattr(decide, "sat", broken)
+    assert main(["sat", "p0"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "broken decision procedure" in err
 
 
 def test_json_output(capsys):

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
-from helpers import random_formula
+import pytest
+
+from helpers import lp_chain, random_formula
+import probnext
 from probnext import (
     And,
     AtLeast,
@@ -121,3 +127,33 @@ def test_duality_of_sat_and_valid():
     for _ in range(60):
         f = random_formula(rng, max_size=10)
         assert (sat(f).status == "SAT") == (not valid(Not(f)))
+
+
+# Inputs on which Fourier-Motzkin elimination blew up: the LP chain at k = 5
+# and four random benchmark formulas that missed every deadline.
+FORMER_LP_CLIFF = [
+    lp_chain(5),
+    "(L[0/1] p2 & (L[2/3] X L[2/3] !(p2 & p2) & (L[2/3] p1 & L[1/1] (p0 & L[0/1] p2))))",
+    "((L[2/3] p0 & L[1/1] (L[1/2] p0 & p1)) & (L[1/2] L[1/1] p1 & L[1/1] !p2))",
+    "(((L[1/1] (!!p1 & p1) & L[1/1] !p0) & (p2 & L[1/3] p2)) & L[1/4] L[1/1] p0)",
+    "(L[0/1] p1 & (L[1/1] p0 & (L[1/3] L[1/1] X p2 & L[0/1] L[1/2] p2)))",
+]
+
+
+@pytest.mark.parametrize(
+    "text", FORMER_LP_CLIFF, ids=["chain5", "mix11768", "mix47157", "mix61233", "mix76050"]
+)
+def test_former_lp_cliff_is_sat_with_checked_witness(text):
+    f = parse(text)
+    model, root = witness(f)
+    assert model.validate() == []
+    assert model.check(root, f)
+    # The command line must answer too; the generous timeout only turns a
+    # hang into a failure.
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "probnext.cli", "sat", text],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "SAT")

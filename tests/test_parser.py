@@ -70,6 +70,9 @@ def test_syntax_error_reports_position():
         parse("p0 p1")
     with pytest.raises(FormulaSyntaxError):
         parse("q0")
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse("L[1/0] p0")
+    assert exc.value.expected == "a nonzero denominator"
 
 
 def test_bound_out_of_range_rejected():
