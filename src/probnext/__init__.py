@@ -1,7 +1,7 @@
 """Exact decision tools for a probability logic with a next-time operator.
 
 Satisfiability and validity are decided by exact rational arithmetic
-(Fourier-Motzkin elimination over `fractions.Fraction`); satisfiable
+(an exact simplex over `fractions.Fraction`); satisfiable
 formulas come with explicit finite-model witnesses, and a canonical-model
 toolkit exposes computable saturated-set prefixes, metrics and kernel
 bounds.

@@ -24,6 +24,7 @@ from typing import Optional
 
 from .decide import sat_status
 from .enumeration import (
+    ExtensionLimitExceeded,
     class_count,
     enum_formula,
     enum_rational,
@@ -36,10 +37,6 @@ from .parser import parse, render
 
 class InconsistentSeed(ValueError):
     pass
-
-
-class ExtensionLimitExceeded(RuntimeError):
-    """Deciding the query needs more construction stages than allowed."""
 
 
 @dataclass(frozen=True)
@@ -129,14 +126,11 @@ class SaturatedPrefix:
         """First bound s (in rational-enumeration order) with s < r whose
         stack is not derivable; exists because the stage set is consistent
         and does not derive the r-stack."""
-        k = 0
-        while True:
+        for k in range(100_001):
             s = enum_rational(k)
             if s < r and not self._entails(_rebuild_stack(steps, outer, s, theta)):
                 return _rebuild_stack(steps, outer, s, theta)
-            k += 1
-            if k > 100_000:
-                raise AssertionError("no witness bound found; stage set broken")
+        raise AssertionError("no witness bound found; stage set broken")
 
     # -- queries ------------------------------------------------------------
 
@@ -157,14 +151,16 @@ class SaturatedPrefix:
             return True
         if self._entails(Not(f)):
             return False
-        # exact path: run the remaining stages up to the formula's index
-        w = weight(f)
-        below = sum(class_count(n) for n in range(1, w))
-        if below - self.budget > self.max_extension:
-            raise ExtensionLimitExceeded(
-                f"index of {render(f)} needs more than "
-                f"{self.max_extension} further stages"
-            )
+        # exact path: run the remaining stages up to the formula's index; stop
+        # counting the classes below it at the cap, as weights can be huge
+        below = 0
+        for n in range(1, weight(f)):
+            below += class_count(n)
+            if below - self.budget > self.max_extension:
+                raise ExtensionLimitExceeded(
+                    f"index of {render(f)} needs more than "
+                    f"{self.max_extension} further stages"
+                )
         idx = formula_index(f)
         if idx - self.budget > self.max_extension:
             raise ExtensionLimitExceeded(

@@ -13,6 +13,7 @@ import sys
 import traceback
 
 from . import canonical, decide, models, proof
+from .enumeration import enum_formula
 from .prokhorov import IncompatibleSupports, load_measure, prokhorov
 from .formula import IndexOutOfRange
 from .parser import FormulaSyntaxError, parse, render
@@ -138,11 +139,8 @@ def _cmd_dist_dc(args) -> int:
     w2 = canonical.lindenbaum(_parse_formula(args.seed2), 0)
     d = canonical.metric_dc(w1, w2, args.budget)
     kind = "exact" if d.exact else "upper bound"
-    _emit(
-        args,
-        {"exact": d.exact, "value": f"{d.value.numerator}/{d.value.denominator}"},
-        f"{kind}: {d.value.numerator}/{d.value.denominator}",
-    )
+    value = models.fraction_to_str(d.value)
+    _emit(args, {"exact": d.exact, "value": value}, f"{kind}: {value}")
     return 0
 
 
@@ -164,14 +162,12 @@ def _cmd_dist_prokhorov(args) -> int:
     except IncompatibleSupports as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, {"value": f"{d.numerator}/{d.denominator}"},
-          f"{d.numerator}/{d.denominator}")
+    value = models.fraction_to_str(d)
+    _emit(args, {"value": value}, value)
     return 0
 
 
 def _cmd_enum(args) -> int:
-    from .enumeration import enum_formula
-
     print(render(enum_formula(args.index)))
     return 0
 
@@ -245,10 +241,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    except canonical.ExtensionLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except canonical.NotFoundWithinBound as exc:
+    except (canonical.ExtensionLimitExceeded, canonical.NotFoundWithinBound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception:

@@ -1,7 +1,7 @@
 """Deterministic enumerations of rationals in [0, 1] and of all formulas.
 
-The rational enumeration walks the Calkin-Wilf sequence and keeps the
-values below 1, with 0 and 1 placed first.  The formula enumeration
+The rational enumeration is 0, 1, then the Calkin-Wilf sequence's values
+below 1, ranked and unranked in closed form.  The formula enumeration
 orders formulas by a weighted symbol count and breaks ties
 lexicographically over the prefix (Polish) spelling with the symbol
 order  not < and < atleast < next < p0 < p1 < ...
@@ -21,43 +21,58 @@ runs and platforms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .formula import And, AtLeast, Formula, Next, Not, Prop
 
-_RATIONALS: list[Fraction] = [Fraction(0), Fraction(1)]
-_RATIONAL_INDEX: dict[Fraction, int] = {Fraction(0): 0, Fraction(1): 1}
-_CW_STATE = [Fraction(1)]  # last emitted Calkin-Wilf value
+
+class ExtensionLimitExceeded(RuntimeError):
+    """A query needs more enumeration or construction work than allowed."""
 
 
-def _extend_rationals() -> None:
-    q = _CW_STATE[0]
-    while True:
-        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
-        if q < 1:
-            break
-    _CW_STATE[0] = q
-    _RATIONAL_INDEX[q] = len(_RATIONALS)
-    _RATIONALS.append(q)
+# Largest weight class materialized; admits every formula index below 586 605.
+MAX_CLASS_SIZE = 10**6
 
 
 def enum_rational(i: int) -> Fraction:
-    """The i-th rational of the fixed enumeration of Q in [0, 1]."""
+    """The i-th rational of the fixed enumeration of Q in [0, 1]; for i >= 2,
+    node 2(i-1) of the Calkin-Wilf tree, whose left children are the values
+    below 1 in breadth-first order."""
     if i < 0:
         raise ValueError("index must be a natural")
-    while len(_RATIONALS) <= i:
-        _extend_rationals()
-    return _RATIONALS[i]
+    if i < 2:
+        return Fraction(i)
+    a = b = 1
+    for bit in bin(2 * (i - 1))[3:]:  # the path from the root 1/1
+        if bit == "0":  # left child a/(a+b), else right child (a+b)/b
+            b += a
+        else:
+            a += b
+    return Fraction(a, b)
 
 
 def rational_index(r) -> int:
-    """Position of r in the fixed enumeration (inverse of enum_rational)."""
+    """Position of r in the fixed enumeration (inverse of enum_rational):
+    climbs the Calkin-Wilf tree to the root in one run of equal steps per
+    continued-fraction term of r, collecting the node's binary digits."""
     r = Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError(f"{r} outside [0, 1]")
-    while r not in _RATIONAL_INDEX:
-        _extend_rationals()
-    return _RATIONAL_INDEX[r]
+    if r.denominator == 1:
+        return r.numerator
+    a, b = r.numerator, r.denominator
+    node, depth = 0, 0
+    while a != b:
+        if a < b:  # a run of left children: zero bits
+            k = (b - 1) // a
+            b -= k * a
+        else:  # a run of right children: one bits
+            k = (a - 1) // b
+            a -= k * b
+            node |= ((1 << k) - 1) << depth
+        depth += k
+    return (node | (1 << depth)) // 2 + 1
 
 
 def weight(f: Formula) -> int:
@@ -137,13 +152,23 @@ def _weight_class(n: int) -> list[Formula]:
     return _CLASSES[n]
 
 
+def _class_size(n: int) -> int:
+    """class_count(n), refused above the materialization cap."""
+    c = class_count(n)
+    if c > MAX_CLASS_SIZE:
+        raise ExtensionLimitExceeded(
+            f"weight class {n} holds {c} formulas, more than {MAX_CLASS_SIZE}"
+        )
+    return c
+
+
 def enum_formula(i: int) -> Formula:
     """The i-th formula of the fixed enumeration."""
     if i < 0:
         raise ValueError("index must be a natural")
     n = 1
     while True:
-        c = class_count(n)
+        c = _class_size(n)
         if i < c:
             return _weight_class(n)[i]
         i -= c
@@ -153,16 +178,10 @@ def enum_formula(i: int) -> Formula:
 def formula_index(f: Formula) -> int:
     """Position of f in the fixed enumeration (inverse of enum_formula)."""
     w = weight(f)
-    base = sum(class_count(n) for n in range(1, w))
+    # the classes grow with the weight: refuse an oversized w on the way to it
+    base = sum(_class_size(n) for n in range(1, w + 1)) - class_count(w)
     cls = _weight_class(w)
-    lo, hi = 0, len(cls)
-    key = sort_key(f)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sort_key(cls[mid]) < key:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect_left(cls, sort_key(f), key=sort_key)
     if lo >= len(cls) or cls[lo] != f:
         raise ValueError(f"formula not found in its weight class: {f!r}")
     return base + lo

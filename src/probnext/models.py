@@ -118,13 +118,18 @@ def random_model(seed: int, n_worlds: int, n_props: int, denom_bound: int) -> Fi
     return FiniteDMM(worlds, valuation, kernel, successor)
 
 
-def _fraction_to_str(x: Fraction) -> str:
+def fraction_to_str(x: Fraction) -> str:
+    """The "num/den" spelling every JSON file of the package uses."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def _fraction_from_str(s: str) -> Fraction:
+def fraction_from_str(s: str) -> Fraction:
+    """Inverse of fraction_to_str (also reads "n"); ValueError if malformed."""
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), den)
 
 
 def model_to_dict(m: FiniteDMM) -> dict:
@@ -134,7 +139,7 @@ def model_to_dict(m: FiniteDMM) -> dict:
             f"p{p}": sorted(ws) for p, ws in sorted(m.valuation.items()) if ws
         },
         "kernel": {
-            w: {u: _fraction_to_str(mass) for u, mass in sorted(row.items())}
+            w: {u: fraction_to_str(mass) for u, mass in sorted(row.items())}
             for w, row in m.kernel.items()
         },
         "successor": dict(m.successor),
@@ -146,7 +151,7 @@ def model_from_dict(data: dict) -> FiniteDMM:
         int(p.lstrip("p")): set(ws) for p, ws in data.get("valuation", {}).items()
     }
     kernel = {
-        w: {u: _fraction_from_str(s) for u, s in row.items()}
+        w: {u: fraction_from_str(s) for u, s in row.items()}
         for w, row in data.get("kernel", {}).items()
     }
     return FiniteDMM(

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
+from .models import fraction_from_str, fraction_to_str
+
 
 class IncompatibleSupports(ValueError):
     """The distance table does not cover the joint support."""
@@ -26,6 +28,15 @@ class IncompatibleSupports(ValueError):
 
 def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _dist(table: dict, a: str, b: str) -> Fraction:
+    if a == b:
+        return Fraction(0)
+    try:
+        return table[_pair(a, b)]
+    except KeyError:
+        raise IncompatibleSupports(f"no distance for {a}|{b}") from None
 
 
 @dataclass
@@ -61,22 +72,14 @@ class FiniteMeasure:
             if len(triple) == 3:
                 x, y, z = sorted(triple)
                 try:
-                    dxy = self._dist(x, y)
-                    dxz = self._dist(x, z)
-                    dyz = self._dist(y, z)
+                    dxy = _dist(self.distance, x, y)
+                    dxz = _dist(self.distance, x, z)
+                    dyz = _dist(self.distance, y, z)
                 except IncompatibleSupports:
                     continue
                 if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
                     problems.append(f"triangle inequality fails on {x},{y},{z}")
         return problems
-
-    def _dist(self, a: str, b: str) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        try:
-            return self.distance[_pair(a, b)]
-        except KeyError:
-            raise IncompatibleSupports(f"no distance for {a}|{b}") from None
 
 
 def _merged_table(mu: FiniteMeasure, nu: FiniteMeasure) -> dict:
@@ -92,17 +95,8 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
     """Exact Prokhorov distance of two measures sharing a distance table."""
     table = _merged_table(mu, nu)
     points = sorted(set(mu.support()) | set(nu.support()))
-
-    def dist(a: str, b: str) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        try:
-            return table[_pair(a, b)]
-        except KeyError:
-            raise IncompatibleSupports(f"no distance for {a}|{b}") from None
-
     breakpoints = sorted(
-        {dist(a, b) for a, b in combinations(points, 2)}
+        {_dist(table, a, b) for a, b in combinations(points, 2)}
     )
     n = len(points)
     subsets = [
@@ -117,7 +111,7 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
         threshold = Fraction(0)
         for subset in subsets:
             enlarged = [
-                x for x in points if min(dist(x, a) for a in subset) <= lo
+                x for x in points if min(_dist(table, x, a) for a in subset) <= lo
             ]
             gap = max(
                 mu.mass(subset) - nu.mass(enlarged),
@@ -132,27 +126,19 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
 def measure_to_dict(m: FiniteMeasure) -> dict:
     return {
         "points": list(m.points),
-        "weights": {
-            x: f"{wt.numerator}/{wt.denominator}" for x, wt in sorted(m.weights.items())
-        },
+        "weights": {x: fraction_to_str(wt) for x, wt in sorted(m.weights.items())},
         "distance": {
-            f"{a}|{b}": f"{d.numerator}/{d.denominator}"
-            for (a, b), d in sorted(m.distance.items())
+            f"{a}|{b}": fraction_to_str(d) for (a, b), d in sorted(m.distance.items())
         },
     }
 
 
-def _parse_fraction(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
-
-
 def measure_from_dict(data: dict) -> FiniteMeasure:
-    weights = {x: _parse_fraction(s) for x, s in data.get("weights", {}).items()}
+    weights = {x: fraction_from_str(s) for x, s in data.get("weights", {}).items()}
     distance = {}
     for key, s in data.get("distance", {}).items():
         a, _, b = key.partition("|")
-        distance[_pair(a, b)] = _parse_fraction(s)
+        distance[_pair(a, b)] = fraction_from_str(s)
     return FiniteMeasure(list(data["points"]), weights, distance)
 
 

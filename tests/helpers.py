@@ -75,6 +75,19 @@ def random_linear_system(rng: random.Random) -> LinearSystem:
     return LinearSystem(constraints, num_vars=n_vars)
 
 
+def calkin_wilf_rationals():
+    """The rational enumeration by Newman's successor q -> 1/(2*floor(q) - q + 1)
+    on the Calkin-Wilf sequence: 0, 1, then every value below 1 in order.
+    The slow oracle for the closed-form enum_rational and rational_index."""
+    yield Fraction(0)
+    yield Fraction(1)
+    q = Fraction(1)
+    while True:
+        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
+        if q < 1:
+            yield q
+
+
 def lp_chain(k: int) -> str:
     """`L[1/(i+2)] (p_i | p_{i+1})` for i < k, joined with `!L[1/2] p0`: SAT,
     with one exact LP over up to 2^(k+1) cells."""

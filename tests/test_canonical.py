@@ -103,6 +103,17 @@ def test_member_raises_beyond_the_extension_cap():
         w.member(heavy)
 
 
+def test_heavy_bounds_hit_the_cap_instead_of_counting_their_classes():
+    # rational_index(1/30) = 2^28 + 1, so L[1/30] p1 has weight 268 435 460;
+    # the count of the classes below it must stop at the cap
+    w = lindenbaum(parse("p0"), 5)
+    heavy = parse("L[1/30] p1")
+    with pytest.raises(ExtensionLimitExceeded):
+        w.member(heavy)
+    iv = kernel_bounds(w, heavy, 4)
+    assert (iv.lower, iv.upper) == (Fraction(0), Fraction(1))
+
+
 def test_member_fast_path_answers_heavy_queries_pinned_by_the_seed():
     w = lindenbaum(parse("L[3/4] p0"), 5, max_extension=50)
     assert w.member(parse("L[1/2] L[0] p0"))  # valid, hence always a member

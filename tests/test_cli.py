@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import probnext
 from probnext import decide
 from probnext.cli import main
 
@@ -32,6 +36,18 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
     assert main(["sat", "p0"]) == 4
     err = capsys.readouterr().err
     assert "internal error" in err and "broken decision procedure" in err
+
+
+def test_heavy_nested_bound_answers():
+    # rational_index(1/30) = 2^28 + 1 must rank without walking to it; the
+    # timeout only turns a hang into a failure
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "probnext.cli", "sat", "L[1/2] L[1/30] p0"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
 def test_json_output(capsys):
@@ -67,6 +83,16 @@ def test_check_rejects_broken_model(tmp_path, capsys):
     bad.write_text(json.dumps({"worlds": ["w0"], "kernel": {"w0": {"w0": "1/2"}}}))
     assert main(["check", str(bad), "p0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_a_model_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(
+        json.dumps({"worlds": ["w0"], "kernel": {"w0": {"w0": "1/0"}},
+                    "successor": {"w0": "w0"}})
+    )
+    assert main(["check", str(bad), "p0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_prove_semantic(capsys):
@@ -131,6 +157,25 @@ def test_dist_prokhorov_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1/4"
 
 
+def test_dist_prokhorov_zero_denominator_is_an_input_error(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": ["a"], "weights": {"a": "1"}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {"points": ["a", "b"], "weights": {"a": "1"}, "distance": {"a|b": "1/0"}}
+        )
+    )
+    assert main(["dist", "prokhorov", str(good), str(bad)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_enum_command(capsys):
     assert main(["enum", "0"]) == 0
     assert capsys.readouterr().out.strip() == "p0"
+
+
+def test_enum_beyond_the_class_cap_is_a_limit(capsys):
+    # index 10^8 lies in weight class 14 (251 982 792 formulas)
+    assert main(["enum", "100000000"]) == 3
+    assert "weight class" in capsys.readouterr().err

@@ -1,11 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_formula
+from helpers import calkin_wilf_rationals, random_formula
 from probnext import enum_formula, enum_rational, formula_index, rational_index
-from probnext.enumeration import class_count, sort_key, weight
+from probnext.enumeration import (
+    ExtensionLimitExceeded,
+    class_count,
+    sort_key,
+    weight,
+)
 from probnext import And, AtLeast, Next, Not, Prop
 
 
@@ -35,6 +42,33 @@ def test_rational_index_inverts_enumeration():
     for i in range(300):
         assert rational_index(enum_rational(i)) == i
     assert rational_index(Fraction(1, 2)) == 2
+
+
+def test_closed_form_agrees_with_the_calkin_wilf_walk():
+    for i, q in enumerate(islice(calkin_wilf_rationals(), 100_000)):
+        assert enum_rational(i) == q
+        assert rational_index(q) == i
+
+
+def _unit_interval_rationals():
+    return st.integers(1, 10**4).flatmap(
+        lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_unit_interval_rationals())
+def test_rational_index_roundtrip(q):
+    assert enum_rational(rational_index(q)) == q
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(2, 1000))
+@example(1000)
+def test_unit_fractions_rank_in_closed_form(d):
+    i = rational_index(Fraction(1, d))
+    assert i == 2 ** (d - 2) + 1
+    assert enum_rational(i) == Fraction(1, d)
 
 
 def test_rational_index_rejects_out_of_range():
@@ -94,6 +128,14 @@ def test_formula_index_on_random_formulas():
             continue
         assert enum_formula(formula_index(f)) == f
         checked += 1
+
+
+def test_oversized_weight_classes_are_refused():
+    # weight class 11 holds 2 197 996 formulas; the classes below end at 586 605
+    with pytest.raises(ExtensionLimitExceeded):
+        enum_formula(586_605)
+    with pytest.raises(ExtensionLimitExceeded):
+        formula_index(AtLeast(Fraction(1, 30), Prop(1)))  # weight 268 435 460
 
 
 def test_enumeration_is_deterministic_across_orderings():
