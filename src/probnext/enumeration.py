@@ -32,7 +32,7 @@ class ExtensionLimitExceeded(RuntimeError):
 
 
 # Largest weight class materialized; admits every formula index below 586 605.
-MAX_CLASS_SIZE = 10**6
+_MAX_CLASS_SIZE = 10**6
 
 
 def enum_rational(i: int) -> Fraction:
@@ -155,9 +155,9 @@ def _weight_class(n: int) -> list[Formula]:
 def _class_size(n: int) -> int:
     """class_count(n), refused above the materialization cap."""
     c = class_count(n)
-    if c > MAX_CLASS_SIZE:
+    if c > _MAX_CLASS_SIZE:
         raise ExtensionLimitExceeded(
-            f"weight class {n} holds {c} formulas, more than {MAX_CLASS_SIZE}"
+            f"weight class {n} holds {c} formulas, more than {_MAX_CLASS_SIZE}"
         )
     return c
 
