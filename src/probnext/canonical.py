@@ -90,8 +90,7 @@ class SaturatedPrefix:
         self.extras: list[Formula] = []
         self.stage_log: list[StageRecord] = []
         self.max_extension = max_extension
-        # running conjunction of the stage set; extended left-nested so the
-        # memoized DNF of each prefix is reused across stages
+        # running conjunction of the stage set
         self._gamma: Formula = seed
 
     # -- staged construction ------------------------------------------------

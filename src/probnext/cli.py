@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive verdict (SAT, valid, derivable, accepted,
 holds), 1 for the corresponding negative verdict, 2 for malformed input,
-3 when an internal search limit was exceeded, 4 for an internal error.
+3 when an internal search limit was exceeded or the input is nested too
+deeply to process, 4 for an internal error.
 """
 
 from __future__ import annotations
@@ -241,7 +242,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    except (canonical.ExtensionLimitExceeded, canonical.NotFoundWithinBound) as exc:
+    except (
+        canonical.ExtensionLimitExceeded,
+        canonical.NotFoundWithinBound,
+        RecursionError,  # input nested deeper than the recursive traversals reach
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception:

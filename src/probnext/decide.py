@@ -1,11 +1,12 @@
 """The decision procedure.
 
-Pipeline:  push next-operators down to atoms, expand into a pruned DNF
-over time-stamped atoms, group each disjunct's literals by time step,
-and decide every step independently.  A step's probability literals are
-decided by carving the state space into cells (one per subset of the
-distinct operator bodies), recursively deciding each cell and solving
-an exact linear system over the satisfiable cells' masses.
+Pipeline:  expand the formula as written into a pruned DNF over
+time-stamped atoms (a next-operator raises the time stamp of the atoms
+below it), group each disjunct's literals by time step, and decide every
+step independently.  A step's probability literals are decided by
+carving the state space into cells (one per subset of the distinct
+operator bodies), recursively deciding each cell and solving an exact
+linear system over the satisfiable cells' masses.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts.
@@ -19,13 +20,14 @@ from functools import lru_cache
 from typing import Optional
 
 from . import linarith
-from .enumeration import sort_key
 from .formula import And, AtLeast, Formula, Next, Not, Prop, conj
 from .models import FiniteDMM
+from .parser import render
 
 
 # ---------------------------------------------------------------------------
-# Next-operator normalization
+# Next-operator normalization (a public helper; the pipeline below reads
+# next-operators as time stamps instead)
 
 
 def push_next(f: Formula) -> Formula:
@@ -63,33 +65,15 @@ def _shift(g: Formula) -> Formula:
 # superset of another disjunct preserves logical equivalence of the
 # disjunction.
 
-Atom = tuple
 Literal = tuple
 Disjunct = frozenset
 
 
-def _strip_next(f: Formula) -> tuple[int, Formula]:
-    steps = 0
-    while isinstance(f, Next):
-        steps += 1
-        f = f.body
-    return steps, f
-
-
-def _atom_of(f: Formula) -> Atom:
-    steps, core = _strip_next(f)
-    if isinstance(core, Prop):
-        return ("p", steps, core.index)
-    if isinstance(core, AtLeast):
-        return ("L", steps, core.bound, core.body)
-    raise ValueError(f"not normalized: {f!r}")
-
-
-def _atom_sort_key(lit: Literal):
+def _literal_key(lit: Literal):
     polarity, atom = lit
     if atom[0] == "p":
-        return (atom[1], 0, atom[2], (), not polarity)
-    return (atom[1], 1, 0, (atom[2],) + sort_key(atom[3]), not polarity)
+        return (atom[1], 0, atom[2], not polarity)
+    return (atom[1], 1, atom[2], render(atom[3]), not polarity)
 
 
 def _antichain(disjuncts) -> list[Disjunct]:
@@ -111,24 +95,32 @@ def _merge(left: list[Disjunct], right: list[Disjunct]) -> list[Disjunct]:
     return _antichain(out)
 
 
-@lru_cache(maxsize=None)
-def _dnf(f: Formula, polarity: bool) -> tuple[Disjunct, ...]:
+def _dnf(f: Formula, polarity: bool, step: int) -> list[Disjunct]:
+    # The successor is a function, so X commutes with ! and &: a
+    # next-operator only raises the time stamp of the atoms below it.
+    if isinstance(f, Next):
+        return _dnf(f.body, polarity, step + 1)
     if isinstance(f, Not):
-        return _dnf(f.body, not polarity)
+        return _dnf(f.body, not polarity, step)
     if isinstance(f, And):
-        if polarity:
-            return tuple(_merge(list(_dnf(f.left, True)), list(_dnf(f.right, True))))
-        return tuple(
-            _antichain(_dnf(f.left, False) + _dnf(f.right, False))
-        )
-    return (frozenset({(polarity, _atom_of(f))}),)
+        left = _dnf(f.left, polarity, step)
+        right = _dnf(f.right, polarity, step)
+        return _merge(left, right) if polarity else _antichain(left + right)
+    if isinstance(f, Prop):
+        return [frozenset({(polarity, ("p", step, f.index))})]
+    if isinstance(f, AtLeast):
+        return [frozenset({(polarity, ("L", step, f.bound, f.body))})]
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def to_disjuncts(f: Formula) -> list[Disjunct]:
-    """Pruned DNF of a normalized formula, in a deterministic order."""
-    disjuncts = _dnf(f, True)
+    """Pruned DNF of f over time-stamped atoms, in a deterministic order.
+
+    Probability atoms keep their bodies as written; every cell formula
+    built from them is decided by its own DNF.
+    """
     return sorted(
-        disjuncts, key=lambda d: sorted(map(_atom_sort_key, d))
+        _dnf(f, True, 0), key=lambda d: sorted(map(_literal_key, d))
     )
 
 
@@ -160,7 +152,7 @@ def group_steps(disjunct: Disjunct) -> list[StepRequirement]:
     out = []
     for step in sorted(buckets):
         b = buckets[step]
-        key = lambda pair: (pair[0], sort_key(pair[1]))
+        key = lambda pair: (pair[0], render(pair[1]))
         out.append(
             StepRequirement(
                 step=step,
@@ -186,13 +178,6 @@ class WorldPlan:
     cells: tuple[tuple[Formula, Fraction], ...]
 
 
-def _requirement_key(req: StepRequirement):
-    return (req.pos_props, req.neg_props, req.pos_bounds, req.neg_bounds)
-
-
-_WORLD_CACHE: dict = {}
-
-
 def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
     """Decide one step requirement; None means unsatisfiable.
 
@@ -200,25 +185,23 @@ def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
     propositional part is a pure clash check.  The probability part is
     decided by the cell construction over the distinct operator bodies.
     """
-    key = _requirement_key(req)
-    if key in _WORLD_CACHE:
-        return _WORLD_CACHE[key]
-    result = _world_sat(req)
-    _WORLD_CACHE[key] = result
-    return result
+    return _world_sat(req.pos_props, req.neg_props, req.pos_bounds, req.neg_bounds)
 
 
-def _world_sat(req: StepRequirement) -> Optional[WorldPlan]:
-    if req.pos_props & req.neg_props:
+# Keyed without the step, so a requirement at one step reuses the plan
+# found for the same literals at another.
+@lru_cache(maxsize=None)
+def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPlan]:
+    if pos_props & neg_props:
         return None
-    if not req.pos_bounds and not req.neg_bounds:
-        return WorldPlan(req.pos_props, ())
+    if not pos_bounds and not neg_bounds:
+        return WorldPlan(pos_props, ())
 
     bodies = []
-    for _, body in req.pos_bounds + req.neg_bounds:
+    for _, body in pos_bounds + neg_bounds:
         if body not in bodies:
             bodies.append(body)
-    bodies.sort(key=sort_key)
+    bodies.sort(key=render)
 
     sat_cells: list[tuple[int, Formula]] = []  # (bitmask over bodies, cell formula)
     for mask in range(1 << len(bodies)):
@@ -235,13 +218,13 @@ def _world_sat(req: StepRequirement) -> Optional[WorldPlan]:
     )
     for i in range(len(sat_cells)):
         system.constraints.append(linarith.ge({i: Fraction(1)}))
-    for bound, body in req.pos_bounds:
+    for bound, body in pos_bounds:
         b = bodies.index(body)
         coeffs = {
             i: Fraction(1) for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)
         }
         system.constraints.append(linarith.ge(coeffs, -bound))
-    for bound, body in req.neg_bounds:
+    for bound, body in neg_bounds:
         b = bodies.index(body)
         coeffs = {
             i: Fraction(-1)
@@ -258,7 +241,7 @@ def _world_sat(req: StepRequirement) -> Optional[WorldPlan]:
         for i, (_, delta) in enumerate(sat_cells)
         if point[i] > 0
     )
-    return WorldPlan(req.pos_props, cells)
+    return WorldPlan(pos_props, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +258,7 @@ class Verdict:
 @lru_cache(maxsize=None)
 def sat_status(f: Formula) -> bool:
     """True iff f is satisfiable in some dynamic Markov model."""
-    for disjunct in to_disjuncts(push_next(f)):
+    for disjunct in to_disjuncts(f):
         if all(world_sat(req) is not None for req in group_steps(disjunct)):
             return True
     return False
@@ -310,7 +293,7 @@ class _ModelBuilder:
 
     def build_for(self, f: Formula) -> str:
         """Add a sub-model satisfying f at the returned world."""
-        for disjunct in to_disjuncts(push_next(f)):
+        for disjunct in to_disjuncts(f):
             reqs = group_steps(disjunct)
             plans = {req.step: world_sat(req) for req in reqs}
             if all(plan is not None for plan in plans.values()):

@@ -125,6 +125,8 @@ def fraction_to_str(x: Fraction) -> str:
 
 def fraction_from_str(s: str) -> Fraction:
     """Inverse of fraction_to_str (also reads "n"); ValueError if malformed."""
+    if not isinstance(s, str):
+        raise ValueError(f"fraction must be a string such as \"1/2\", not {s!r}")
     num, _, den = s.partition("/")
     den = int(den) if den else 1
     if den == 0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from probnext import And, AtLeast, Next, Not, Prop, iff, implies
+from probnext import And, AtLeast, Next, Not, Prop, iff, implies, push_next, render
 from probnext.linarith import LinearSystem, eq, ge, gt
 
 
@@ -93,6 +93,59 @@ def lp_chain(k: int) -> str:
     with one exact LP over up to 2^(k+1) cells."""
     bounds = [f"L[1/{i + 2}] (p{i} | p{i + 1})" for i in range(k)]
     return " & ".join(bounds + ["!L[1/2] p0"])
+
+
+def push_then_dnf(f):
+    """The former DNF of `decide`, kept as the oracle of `to_disjuncts`: move
+    every next-operator down to the atoms with `push_next`, then strip the
+    leading next-operators off each atom to read its time stamp.  Same
+    literals, same pruning and same order as `to_disjuncts(push_next(f))`."""
+
+    def strip_next(g):
+        steps = 0
+        while isinstance(g, Next):
+            steps += 1
+            g = g.body
+        return steps, g
+
+    def atom_of(g):
+        steps, core = strip_next(g)
+        if isinstance(core, Prop):
+            return ("p", steps, core.index)
+        if isinstance(core, AtLeast):
+            return ("L", steps, core.bound, core.body)
+        raise ValueError(f"not normalized: {g!r}")
+
+    def antichain(disjuncts):
+        kept = []
+        for d in sorted(set(disjuncts), key=len):
+            if not any(k <= d for k in kept):
+                kept.append(d)
+        return kept
+
+    def dnf(g, polarity):
+        if isinstance(g, Not):
+            return dnf(g.body, not polarity)
+        if isinstance(g, And):
+            left, right = dnf(g.left, polarity), dnf(g.right, polarity)
+            if not polarity:
+                return antichain(left + right)
+            return antichain(
+                a | b
+                for a in left
+                for b in right
+                if not any((not pol, atom) in a for pol, atom in b)
+            )
+        return [frozenset({(polarity, atom_of(g))})]
+
+    def literal_key(lit):
+        polarity, atom = lit
+        if atom[0] == "p":
+            return (atom[1], 0, atom[2], not polarity)
+        return (atom[1], 1, atom[2], render(atom[3]), not polarity)
+
+    disjuncts = dnf(push_next(f), True)
+    return sorted(disjuncts, key=lambda d: sorted(map(literal_key, d)))
 
 
 SCHEME_NAMES = ("FA1", "FA2", "FA3", "FA4", "Mono", "Func", "Conj")

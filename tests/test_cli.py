@@ -1,10 +1,16 @@
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_formula
 import probnext
-from probnext import decide
+from probnext import decide, render
 from probnext.cli import main
 
 
@@ -50,6 +56,60 @@ def test_heavy_nested_bound_answers():
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_huge_nested_denominator_answers():
+    # Ordering bodies by their enumeration index would spell 1/10^11 as a
+    # 10^11-bit integer; the cap turns that into a failure, not a swap storm.
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "probnext.cli", "sat", "L[1/2] L[1/100000000000] p0"],
+        capture_output=True, text=True, timeout=10, env=env,
+        preexec_fn=_cap_address_space,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "SAT")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "!" * 1200 + "p0",
+        "X " * 1500 + "p0",
+        "(" * 1500 + "p0" + ")" * 1500,
+        " & ".join(["p0"] * 3000),
+    ],
+    ids=["negations", "nexts", "parentheses", "conjunction-chain"],
+)
+def test_too_deeply_nested_input_is_a_limit(text, capsys):
+    assert main(["sat", "--", text]) == 3
+    assert "recursion" in capsys.readouterr().err
+
+
+_TOKENS = ["p0", "p1", "!", "&", "|", "->", "<->", "X", "L[1/2]", "M[2/3]", "(", ")", "T", "F"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+        st.text(max_size=20),
+    )
+)
+def test_any_text_gets_an_exit_code_of_the_contract(text):
+    assert main(["sat", "--", text]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_rendered_formulas_get_a_verdict(seed):
+    text = render(random_formula(random.Random(seed)))
+    assert main(["sat", "--", text]) in (0, 1)
+
+
 def test_json_output(capsys):
     assert main(["--json", "sat", "p0"]) == 0
     assert json.loads(capsys.readouterr().out) == {"status": "SAT"}
@@ -93,6 +153,16 @@ def test_zero_denominator_in_a_model_file_is_an_input_error(tmp_path, capsys):
     )
     assert main(["check", str(bad), "p0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_non_string_fraction_in_a_model_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(
+        json.dumps({"worlds": ["w0"], "kernel": {"w0": {"w0": 1}},
+                    "successor": {"w0": "w0"}})
+    )
+    assert main(["check", str(bad), "p0"]) == 2
+    assert "must be a string" in capsys.readouterr().err
 
 
 def test_prove_semantic(capsys):
@@ -168,6 +238,15 @@ def test_dist_prokhorov_zero_denominator_is_an_input_error(tmp_path, capsys):
     )
     assert main(["dist", "prokhorov", str(good), str(bad)]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_dist_prokhorov_non_string_weight_is_an_input_error(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": ["a"], "weights": {"a": "1"}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": ["a"], "weights": {"a": 1}}))
+    assert main(["dist", "prokhorov", str(good), str(bad)]) == 2
+    assert "must be a string" in capsys.readouterr().err
 
 
 def test_enum_command(capsys):

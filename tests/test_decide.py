@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import lp_chain, random_formula
+from helpers import lp_chain, push_then_dnf, random_formula
 import probnext
 from probnext import (
     And,
@@ -18,9 +18,11 @@ from probnext import (
     push_next,
     random_model,
     sat,
+    sat_status,
     valid,
     witness,
 )
+from probnext.decide import group_steps, to_disjuncts, world_sat
 
 
 def _no_next_above_boolean(f):
@@ -51,6 +53,31 @@ def test_push_next_preserves_semantics_on_random_models():
         assert _no_next_above_boolean(g)
         model = random_model(i, n_worlds=3, n_props=3, denom_bound=4)
         assert model.extension(f) == model.extension(g)
+
+
+def test_disjuncts_of_a_formula_as_written():
+    # next-operators above ! and & become time stamps; bodies stay as written
+    f = parse("X !(p0 & L[1/2] X p1)")
+    assert to_disjuncts(f) == [
+        frozenset({(False, ("p", 1, 0))}),
+        frozenset({(False, ("L", 1, Fraction(1, 2), Next(Prop(1))))}),
+    ]
+
+
+def test_disjuncts_agree_with_the_push_then_dnf_oracle():
+    rng = random.Random(606)
+    sat_count = 0
+    for _ in range(500):
+        f = random_formula(rng)
+        expected = push_then_dnf(f)
+        assert to_disjuncts(push_next(f)) == expected
+        verdict = any(
+            all(world_sat(req) is not None for req in group_steps(d))
+            for d in expected
+        )
+        assert verdict == sat_status(f)
+        sat_count += verdict
+    assert 100 < sat_count < 500
 
 
 def test_basic_verdicts():
