@@ -25,11 +25,9 @@ from typing import Optional
 from .decide import sat_status
 from .enumeration import (
     ExtensionLimitExceeded,
-    class_count,
     enum_formula,
     enum_rational,
     formula_index,
-    weight,
 )
 from .formula import And, AtLeast, Formula, Next, Not
 from .parser import parse, render
@@ -150,16 +148,7 @@ class SaturatedPrefix:
             return True
         if self._entails(Not(f)):
             return False
-        # exact path: run the remaining stages up to the formula's index; stop
-        # counting the classes below it at the cap, as weights can be huge
-        below = 0
-        for n in range(1, weight(f)):
-            below += class_count(n)
-            if below - self.budget > self.max_extension:
-                raise ExtensionLimitExceeded(
-                    f"index of {render(f)} needs more than "
-                    f"{self.max_extension} further stages"
-                )
+        # exact path: run the remaining stages up to the formula's index
         idx = formula_index(f)
         if idx - self.budget > self.max_extension:
             raise ExtensionLimitExceeded(

@@ -20,6 +20,13 @@ from .formula import IndexOutOfRange
 from .parser import FormulaSyntaxError, parse, render
 
 
+def _natural(text: str) -> int:
+    """argparse type of indices and budgets."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
+    return int(text)
+
+
 def _parse_formula(text: str):
     try:
         return parse(text)
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lindenbaum", help="build a saturated-set prefix")
     p.add_argument("seed")
-    p.add_argument("--budget", type=int, default=20)
+    p.add_argument("--budget", type=_natural, default=20)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_lindenbaum)
 
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = dist_sub.add_parser("dc", help="first-disagreement ultrametric")
     q.add_argument("seed1")
     q.add_argument("seed2")
-    q.add_argument("--budget", type=int, default=20)
+    q.add_argument("--budget", type=_natural, default=20)
     q.set_defaults(func=_cmd_dist_dc)
     q = dist_sub.add_parser("prokhorov", help="exact Prokhorov distance")
     q.add_argument("measure1", metavar="MEASURE1.json")
@@ -226,18 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_dist_prokhorov)
 
     p = sub.add_parser("enum", help="print the i-th enumerated formula")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=_natural)
     p.set_defaults(func=_cmd_enum)
 
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "prove" and not args.check and args.formula is None:
-        print("error: prove needs a formula or --check FILE", file=sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)  # malformed arguments exit 2
+        if args.command == "prove" and not args.check and args.formula is None:
+            print("error: prove needs a formula or --check FILE", file=sys.stderr)
+            return 2
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

@@ -16,13 +16,15 @@ would exist):
     weight(L[r] f)       = 1 + rational_index(r) + weight(f)
 
 Both enumerations are total bijections and are deterministic across
-runs and platforms.
+runs and platforms.  Formulas are ranked and unranked by counting the
+spellings that complete each prefix of their own, with no weight class
+built; weights above 64 (indices from about 2*10^44) are refused.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 
 from .formula import And, AtLeast, Formula, Next, Not, Prop
 
@@ -31,8 +33,8 @@ class ExtensionLimitExceeded(RuntimeError):
     """A query needs more enumeration or construction work than allowed."""
 
 
-# Largest weight class materialized; admits every formula index below 586 605.
-_MAX_CLASS_SIZE = 10**6
+# Heaviest formula ranked or unranked; bounds the spelling counts cached below.
+_WEIGHT_LIMIT = 64
 
 
 def enum_rational(i: int) -> Fraction:
@@ -113,75 +115,79 @@ def sort_key(f: Formula) -> tuple[int, ...]:
     return tuple(out)
 
 
-_CLASSES: dict[int, list[Formula]] = {}
-_COUNTS: dict[int, int] = {}
+def _symbols(slots: int, w: int):
+    """The symbols that may come next, in sort_key order, when `slots` formulas
+    of total weight `w` remain, each with the slots and weight left after
+    it; every open slot needs weight at least 1."""
+    rest = w - 1
+    if rest >= slots:
+        yield (0,), slots, rest  # !
+    if rest > slots:
+        yield (1,), slots + 1, rest  # &
+    for j in range(rest - slots + 1):
+        yield (2, j), slots, rest - j  # L[r_j]
+    if rest >= slots:
+        yield (3,), slots, rest  # X
+    for i in range(rest - slots + 2):
+        if slots > 1 or i == rest:  # the last formula takes all the weight left
+            yield (4 + i,), slots - 1, rest - i  # p_i
+
+
+@lru_cache(maxsize=None)  # one entry per (slots, weight) pair up to the limit
+def _spellings(slots: int, w: int) -> int:
+    """Number of spellings of `slots` formulas of total weight `w`."""
+    return sum(_spellings(s, v) for _, s, v in _symbols(slots, w)) if slots else 1
 
 
 def class_count(n: int) -> int:
-    """Number of formulas of weight n, computed without materializing them."""
-    if n < 1:
-        return 0
-    if n not in _COUNTS:
-        total = 1  # the proposition p_{n-1}
-        total += 2 * class_count(n - 1)  # negation and next
-        total += sum(class_count(m) for m in range(1, n))  # probability bounds
-        total += sum(class_count(k) * class_count(n - 1 - k) for k in range(1, n - 1))
-        _COUNTS[n] = total
-    return _COUNTS[n]
-
-
-def _weight_class(n: int) -> list[Formula]:
-    if n < 1:
-        return []
-    if n not in _CLASSES:
-        out: list[Formula] = [Prop(n - 1)]
-        for sub in _weight_class(n - 1):
-            out.append(Not(sub))
-            out.append(Next(sub))
-        for j in range(n - 1):
-            r = enum_rational(j)
-            for sub in _weight_class(n - 1 - j):
-                out.append(AtLeast(r, sub))
-        for k in range(1, n - 1):
-            rights = _weight_class(n - 1 - k)
-            for a in _weight_class(k):
-                for b in rights:
-                    out.append(And(a, b))
-        out.sort(key=sort_key)
-        _CLASSES[n] = out
-    return _CLASSES[n]
-
-
-def _class_size(n: int) -> int:
-    """class_count(n), refused above the materialization cap."""
-    c = class_count(n)
-    if c > _MAX_CLASS_SIZE:
-        raise ExtensionLimitExceeded(
-            f"weight class {n} holds {c} formulas, more than {_MAX_CLASS_SIZE}"
-        )
-    return c
+    """Number of formulas of weight n; refused above the weight limit."""
+    if n > _WEIGHT_LIMIT:
+        raise ExtensionLimitExceeded(f"weight {n} is above the limit {_WEIGHT_LIMIT}")
+    return _spellings(1, n) if n >= 1 else 0
 
 
 def enum_formula(i: int) -> Formula:
-    """The i-th formula of the fixed enumeration."""
+    """The i-th formula of the fixed enumeration: each symbol of its
+    spelling is picked by subtracting the counts of the smaller choices."""
     if i < 0:
         raise ValueError("index must be a natural")
-    n = 1
-    while True:
-        c = _class_size(n)
-        if i < c:
-            return _weight_class(n)[i]
+    spelling, slots, w = [], 1, 1
+    while i >= (c := class_count(w)):
         i -= c
-        n += 1
+        w += 1
+    while slots:
+        for sym, slots_after, w_after in _symbols(slots, w):
+            c = _spellings(slots_after, w_after)
+            if i < c:
+                break
+            i -= c
+        spelling.append(sym)
+        slots, w = slots_after, w_after
+    stack: list[Formula] = []  # build from the right, as in reverse Polish
+    for sym in reversed(spelling):
+        if sym[0] >= 4:
+            stack.append(Prop(sym[0] - 4))
+        elif sym[0] == 1:
+            stack.append(And(stack.pop(), stack.pop()))
+        elif sym[0] == 2:
+            stack.append(AtLeast(enum_rational(sym[1]), stack.pop()))
+        else:
+            stack.append((Not if sym[0] == 0 else Next)(stack.pop()))
+    return stack.pop()
 
 
 def formula_index(f: Formula) -> int:
-    """Position of f in the fixed enumeration (inverse of enum_formula)."""
-    w = weight(f)
-    # the classes grow with the weight: refuse an oversized w on the way to it
-    base = sum(_class_size(n) for n in range(1, w + 1)) - class_count(w)
-    cls = _weight_class(w)
-    lo = bisect_left(cls, sort_key(f), key=sort_key)
-    if lo >= len(cls) or cls[lo] != f:
-        raise ValueError(f"formula not found in its weight class: {f!r}")
-    return base + lo
+    """Position of f in the fixed enumeration (inverse of enum_formula): the
+    lighter classes plus the counts of the smaller choices along sort_key(f)."""
+    n = weight(f)  # class_count(n) refuses a weight above the limit
+    i = sum(class_count(m) for m in range(1, n + 1)) - class_count(n)
+    key, slots, w = iter(sort_key(f)), 1, n
+    while slots:
+        code = next(key)
+        target = (code, next(key)) if code == 2 else (code,)  # L[r_j]: 2, j
+        for sym, slots_after, w_after in _symbols(slots, w):
+            if sym == target:
+                break
+            i += _spellings(slots_after, w_after)
+        slots, w = slots_after, w_after
+    return i

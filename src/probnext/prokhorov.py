@@ -67,18 +67,16 @@ class FiniteMeasure:
                 problems.append(f"self distance listed for {a}")
             elif d <= 0:
                 problems.append(f"non-positive distance {d} for {a}|{b}")
-        for (a, b), (c, e) in combinations(self.distance, 2):
-            triple = {a, b, c, e}
-            if len(triple) == 3:
-                x, y, z = sorted(triple)
-                try:
-                    dxy = _dist(self.distance, x, y)
-                    dxz = _dist(self.distance, x, z)
-                    dyz = _dist(self.distance, y, z)
-                except IncompatibleSupports:
-                    continue
-                if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
-                    problems.append(f"triangle inequality fails on {x},{y},{z}")
+        names = sorted({x for pair in self.distance for x in pair})
+        for x, y, z in combinations(names, 3):
+            try:
+                dxy = _dist(self.distance, x, y)
+                dxz = _dist(self.distance, x, z)
+                dyz = _dist(self.distance, y, z)
+            except IncompatibleSupports:
+                continue
+            if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
+                problems.append(f"triangle inequality fails on {x},{y},{z}")
         return problems
 
 

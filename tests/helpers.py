@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from probnext import And, AtLeast, Next, Not, Prop, iff, implies, push_next, render
+from probnext.enumeration import enum_rational, sort_key
 from probnext.linarith import LinearSystem, eq, ge, gt
 
 
@@ -86,6 +87,26 @@ def calkin_wilf_rationals():
         q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
         if q < 1:
             yield q
+
+
+def weight_classes(top: int) -> list[list]:
+    """Every formula of weight at most `top`, one list per weight (the list
+    of weight 0 is empty), each built in full and sorted by `sort_key`.  The
+    former materializing enumeration, kept as the oracle of the counting
+    `enum_formula` and `formula_index`."""
+    classes: list[list] = [[]]
+    for n in range(1, top + 1):
+        out = [Prop(n - 1)]
+        for sub in classes[n - 1]:
+            out += [Not(sub), Next(sub)]
+        for j in range(n - 1):
+            r = enum_rational(j)
+            out += [AtLeast(r, sub) for sub in classes[n - 1 - j]]
+        for k in range(1, n - 1):
+            out += [And(a, b) for a in classes[k] for b in classes[n - 1 - k]]
+        out.sort(key=sort_key)
+        classes.append(out)
+    return classes
 
 
 def lp_chain(k: int) -> str:

@@ -104,8 +104,8 @@ def test_member_raises_beyond_the_extension_cap():
 
 
 def test_heavy_bounds_hit_the_cap_instead_of_counting_their_classes():
-    # rational_index(1/30) = 2^28 + 1, so L[1/30] p1 has weight 268 435 460;
-    # the count of the classes below it must stop at the cap
+    # rational_index(1/30) = 2^28 + 1, so L[1/30] p1 has weight 268 435 460,
+    # far above the enumeration's weight limit
     w = lindenbaum(parse("p0"), 5)
     heavy = parse("L[1/30] p1")
     with pytest.raises(ExtensionLimitExceeded):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,12 +8,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_formula
 import probnext
-from probnext import decide, render
+from probnext import decide, formula_index, parse, render
 from probnext.cli import main
+from probnext.enumeration import _WEIGHT_LIMIT, class_count
 
 
 def test_sat_exit_codes(capsys):
@@ -254,7 +257,42 @@ def test_enum_command(capsys):
     assert capsys.readouterr().out.strip() == "p0"
 
 
-def test_enum_beyond_the_class_cap_is_a_limit(capsys):
-    # index 10^8 lies in weight class 14 (251 982 792 formulas)
-    assert main(["enum", "100000000"]) == 3
-    assert "weight class" in capsys.readouterr().err
+# the last index served: the heaviest formula of the weight limit
+_LAST_SERVED = sum(class_count(n) for n in range(1, _WEIGHT_LIMIT + 1)) - 1
+
+
+def test_enum_past_the_weight_limit_is_a_limit(capsys):
+    # index 10^8 lies in weight class 14, past the former 10^6-formula class cap
+    assert main(["enum", "100000000"]) == 0
+    assert formula_index(parse(capsys.readouterr().out)) == 100_000_000
+    assert main(["enum", str(_LAST_SERVED + 1)]) == 3
+    assert "above the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "-1"],
+        ["dist", "dc", "p0", "!p0", "--budget", "-1"],
+        ["lindenbaum", "p0", "--budget", "-3"],
+    ],
+    ids=["enum-index", "dist-dc-budget", "lindenbaum-budget"],
+)
+def test_negative_numbers_are_malformed_input(argv, capsys):
+    assert main(argv) == 2
+    assert "not a natural number" in capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(-(10**6), 10**200))
+@example(0)
+@example(-1)
+@example(_LAST_SERVED)
+@example(_LAST_SERVED + 1)
+def test_enum_gets_an_exit_code_of_the_contract(i):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["enum", str(i)])
+    assert code == (2 if i < 0 else 0 if i <= _LAST_SERVED else 3)
+    if code == 0:
+        assert formula_index(parse(out.getvalue())) == i

@@ -5,9 +5,10 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import calkin_wilf_rationals, random_formula
+from helpers import calkin_wilf_rationals, random_formula, weight_classes
 from probnext import enum_formula, enum_rational, formula_index, rational_index
 from probnext.enumeration import (
+    _WEIGHT_LIMIT,
     ExtensionLimitExceeded,
     class_count,
     sort_key,
@@ -87,16 +88,17 @@ def test_weight_definition():
     assert weight(AtLeast(Fraction(1, 2), Prop(0))) == 4
 
 
-def test_class_count_matches_materialized_classes():
-    from probnext.enumeration import _weight_class
-
-    for n in range(1, 8):
-        cls = _weight_class(n)
-        assert len(cls) == class_count(n)
+def test_rank_and_unrank_agree_with_the_materialized_classes():
+    classes = weight_classes(8)
+    for n, cls in enumerate(classes):
+        assert class_count(n) == len(cls)
         assert all(weight(f) == n for f in cls)
-        keys = [sort_key(f) for f in cls]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        assert len({sort_key(f) for f in cls}) == len(cls)
+    oracle = [f for cls in classes for f in cls]
+    assert len(oracle) == 27_205
+    for i, f in enumerate(oracle):
+        assert enum_formula(i) == f
+        assert formula_index(f) == i
 
 
 def test_enumeration_is_a_bijection_on_an_initial_segment():
@@ -121,19 +123,19 @@ def test_enumeration_starts_with_the_lightest_formulas():
 
 def test_formula_index_on_random_formulas():
     rng = random.Random(7)
-    checked = 0
-    while checked < 50:
+    for _ in range(50):
         f = random_formula(rng, max_size=5, denom_bound=2, n_props=2)
-        if weight(f) > 8:  # keep the materialized weight classes small
-            continue
         assert enum_formula(formula_index(f)) == f
-        checked += 1
 
 
-def test_oversized_weight_classes_are_refused():
-    # weight class 11 holds 2 197 996 formulas; the classes below end at 586 605
+def test_weights_up_to_the_limit_are_served_and_heavier_ones_refused():
+    last = sum(class_count(n) for n in range(1, _WEIGHT_LIMIT + 1)) - 1
+    # 586 605 starts weight class 11, past the former 10^6-formula class cap
+    for i in (586_604, 586_605, 10**8, last):
+        assert formula_index(enum_formula(i)) == i
+    assert weight(enum_formula(last)) == _WEIGHT_LIMIT
     with pytest.raises(ExtensionLimitExceeded):
-        enum_formula(586_605)
+        enum_formula(last + 1)
     with pytest.raises(ExtensionLimitExceeded):
         formula_index(AtLeast(Fraction(1, 30), Prop(1)))  # weight 268 435 460
 

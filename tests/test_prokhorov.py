@@ -100,7 +100,8 @@ def test_validate():
 def test_validate_triangle_inequality():
     table = {("a", "b"): F(1), ("a", "c"): F(1), ("b", "c"): F(5)}
     m = FiniteMeasure(["a", "b", "c"], {"a": F(1)}, table)
-    assert any("triangle" in p for p in m.validate())
+    # one line per failing triple, not one per pair of listed distances
+    assert m.validate() == ["triangle inequality fails on a,b,c"]
 
 
 def test_json_roundtrip():
