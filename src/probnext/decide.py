@@ -251,8 +251,6 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
 @dataclass(frozen=True)
 class Verdict:
     status: str  # "SAT" | "UNSAT"
-    model: Optional[FiniteDMM] = None
-    root: Optional[str] = None
 
 
 @lru_cache(maxsize=None)
@@ -264,13 +262,9 @@ def sat_status(f: Formula) -> bool:
     return False
 
 
-def sat(f: Formula, extract_witness: bool = False) -> Verdict:
-    if not sat_status(f):
-        return Verdict("UNSAT")
-    if not extract_witness:
-        return Verdict("SAT")
-    model, root = witness(f)
-    return Verdict("SAT", model, root)
+def sat(f: Formula) -> Verdict:
+    """The verdict on f; `witness(f)` builds a model for a SAT one."""
+    return Verdict("SAT" if sat_status(f) else "UNSAT")
 
 
 def valid(f: Formula) -> bool:

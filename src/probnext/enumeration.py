@@ -63,18 +63,27 @@ def rational_index(r) -> int:
         raise ValueError(f"{r} outside [0, 1]")
     if r.denominator == 1:
         return r.numerator
-    a, b = r.numerator, r.denominator
     node, depth = 0, 0
-    while a != b:
-        if a < b:  # a run of left children: zero bits
-            k = (b - 1) // a
-            b -= k * a
-        else:  # a run of right children: one bits
-            k = (a - 1) // b
-            a -= k * b
+    for k, right in _runs(r):
+        if right:  # right children are one bits, left children zero bits
             node |= ((1 << k) - 1) << depth
         depth += k
     return (node | (1 << depth)) // 2 + 1
+
+
+def _runs(r: Fraction):
+    """The runs of equal steps that climb the Calkin-Wilf tree from r to the
+    root 1/1, one per continued-fraction term: (length, whether right)."""
+    a, b = r.numerator, r.denominator
+    while 0 < a != b:  # 0 is not in the tree
+        if a < b:  # a run of left children
+            k = (b - 1) // a
+            b -= k * a
+            yield k, False
+        else:  # a run of right children
+            k = (a - 1) // b
+            a -= k * b
+            yield k, True
 
 
 def weight(f: Formula) -> int:
@@ -85,6 +94,10 @@ def weight(f: Formula) -> int:
     if isinstance(f, And):
         return 1 + weight(f.left) + weight(f.right)
     if isinstance(f, AtLeast):
+        # a bound at depth d of the tree has an index of at least 2^(d-1):
+        # refuse a deep one before spelling that integer
+        if sum(k for k, _ in _runs(f.bound)) > _WEIGHT_LIMIT:
+            raise ExtensionLimitExceeded(f"bound {f.bound} is past the weight limit")
         return 1 + rational_index(f.bound) + weight(f.body)
     raise TypeError(f"not a formula: {f!r}")
 

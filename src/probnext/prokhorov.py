@@ -9,7 +9,11 @@ where A^eps = { x | d(x, A) < eps } (strict enlargement).  The infimum is
 computed exactly: between consecutive pairwise distances the enlargement
 operator is constant and every condition is linear in eps, so the answer is
 either a pairwise distance or an achievable mass gap, and each candidate is
-verified over all subsets of the joint support.
+verified over all subsets of the joint support.  Only the first of the two
+conditions is scanned: within one interval each worst gap is the total mass
+minus the maximum flow between the measures along the pairs at distance at
+most the interval's lower end (Gale's supply-demand theorem, 1957), and as
+that graph is symmetric the two gaps are equal.
 """
 
 from __future__ import annotations
@@ -46,6 +50,14 @@ class FiniteMeasure:
     points: list[str]
     weights: dict[str, Fraction]
     distance: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # one key per pair, in the order `_dist` looks it up
+        table: dict[tuple[str, str], Fraction] = {}
+        for (a, b), d in self.distance.items():
+            if table.setdefault(_pair(a, b), d) != d:
+                raise IncompatibleSupports(f"conflicting distances for {a}|{b}")
+        self.distance = table
 
     def mass(self, subset) -> Fraction:
         return sum((self.weights.get(x, Fraction(0)) for x in subset), Fraction(0))
@@ -91,6 +103,8 @@ def _merged_table(mu: FiniteMeasure, nu: FiniteMeasure) -> dict:
 
 def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
     """Exact Prokhorov distance of two measures sharing a distance table."""
+    if sum(mu.weights.values()) != sum(nu.weights.values()):  # one-way scan needs it
+        raise ValueError("the measures have different total masses")
     table = _merged_table(mu, nu)
     points = sorted(set(mu.support()) | set(nu.support()))
     breakpoints = sorted(
@@ -111,11 +125,7 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
             enlarged = [
                 x for x in points if min(_dist(table, x, a) for a in subset) <= lo
             ]
-            gap = max(
-                mu.mass(subset) - nu.mass(enlarged),
-                nu.mass(subset) - mu.mass(enlarged),
-            )
-            threshold = max(threshold, gap)
+            threshold = max(threshold, mu.mass(subset) - nu.mass(enlarged))
         if hi is None or threshold <= hi:
             return max(threshold, lo)
     raise AssertionError("unreachable: last interval always admits the infimum")
@@ -136,7 +146,7 @@ def measure_from_dict(data: dict) -> FiniteMeasure:
     distance = {}
     for key, s in data.get("distance", {}).items():
         a, _, b = key.partition("|")
-        distance[_pair(a, b)] = fraction_from_str(s)
+        distance[a, b] = fraction_from_str(s)
     return FiniteMeasure(list(data["points"]), weights, distance)
 
 

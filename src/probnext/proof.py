@@ -1,6 +1,12 @@
 """Axiom-scheme recognition, finitary Hilbert-derivation checking, and the
 semantic derivability oracle.
 
+The axiom schemes are one table of templates: each scheme is written as the
+core-grammar formula the paper states, with p0 and p1 as metavariables, plus
+a side condition on the bounds it carries.  One matcher binds the
+metavariables and collects the bounds; propositional tautologies are
+recognized by truth tables instead.
+
 Derivability from a finite hypothesis set is decided through the decision
 procedure (soundness plus weak completeness make the two coincide), so no
 proof search is ever performed.  The two infinitary rules are not
@@ -16,34 +22,8 @@ from typing import Optional
 
 from .decide import sat_status, valid
 from .enumeration import enum_formula
-from .formula import And, AtLeast, Formula, Next, Not, conj, implies
+from .formula import And, AtLeast, Formula, Next, Not, Prop, conj, implies
 from .parser import parse
-
-
-# ---------------------------------------------------------------------------
-# Pattern helpers over the desugared core grammar
-
-
-def match_implies(f: Formula) -> Optional[tuple[Formula, Formula]]:
-    """a -> b is encoded as !(a & !b)."""
-    if (
-        isinstance(f, Not)
-        and isinstance(f.body, And)
-        and isinstance(f.body.right, Not)
-    ):
-        return f.body.left, f.body.right.body
-    return None
-
-
-def match_iff(f: Formula) -> Optional[tuple[Formula, Formula]]:
-    """a <-> b is encoded as (a -> b) & (b -> a)."""
-    if not isinstance(f, And):
-        return None
-    fwd = match_implies(f.left)
-    bwd = match_implies(f.right)
-    if fwd and bwd and fwd == (bwd[1], bwd[0]):
-        return fwd
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -78,161 +58,70 @@ def is_tautology(f: Formula) -> bool:
     return True
 
 
-def _is_fa1(f: Formula) -> bool:
-    # L_0 applied to the canonical bottom shape (a & !a)
-    return (
-        isinstance(f, AtLeast)
-        and f.bound == 0
-        and isinstance(f.body, And)
-        and isinstance(f.body.right, Not)
-        and f.body.left == f.body.right.body
-    )
-
-
-def _is_fa2(f: Formula) -> bool:
-    m = match_implies(f)
-    if not m:
+def _match(template: Formula, f: Formula, env: dict, bounds: list) -> bool:
+    """Whether f is an instance of the template: each metavariable p_i binds
+    one subformula, the same wherever it occurs, and the bounds of f under
+    the template's probability operators are appended to `bounds` in order."""
+    if isinstance(template, Prop):
+        return env.setdefault(template.index, f) == f
+    if type(template) is not type(f):
         return False
-    left, right = m
-    if not (isinstance(left, AtLeast) and isinstance(left.body, Not)):
-        return False
-    if not (isinstance(right, Not) and isinstance(right.body, AtLeast)):
-        return False
-    return (
-        left.body.body == right.body.body
-        and left.bound + right.body.bound > 1
-    )
+    if isinstance(template, And):
+        return _match(template.left, f.left, env, bounds) and _match(
+            template.right, f.right, env, bounds
+        )
+    if isinstance(template, AtLeast):
+        bounds.append(f.bound)
+    return _match(template.body, f.body, env, bounds)
 
 
-def _split_additivity(f: Formula):
-    """Common shape of the two finite-additivity schemes:
-    (L_r(a & b) & L_s(a & !b), L_{r+s} a)  with r + s <= 1."""
-    m = match_implies(f)
-    if not m:
-        return None
-    left, right = m
-    if not isinstance(left, And):
-        return None
-    return left.left, left.right, right
+def _scheme(template: str, condition):
+    """Recognizer of the scheme: an instance of the template whose bounds,
+    in the order they are written, satisfy the side condition."""
+    shape = parse(template)
+
+    def matches(f: Formula) -> bool:
+        bounds: list[Fraction] = []
+        return _match(shape, f, {}, bounds) and condition(*bounds)
+
+    return matches
 
 
-def _additivity_parts(c1: Formula, c2: Formula, concl: Formula) -> bool:
-    if not (
-        isinstance(c1, AtLeast)
-        and isinstance(c2, AtLeast)
-        and isinstance(concl, AtLeast)
-    ):
-        return False
-    if not (isinstance(c1.body, And) and isinstance(c2.body, And)):
-        return False
-    if not isinstance(c2.body.right, Not):
-        return False
-    same_a = c1.body.left == c2.body.left == concl.body
-    same_b = c1.body.right == c2.body.right.body
-    return (
-        same_a
-        and same_b
-        and c1.bound + c2.bound <= 1
-        and concl.bound == c1.bound + c2.bound
-    )
+def _additive(r, s, t):
+    return r + s <= 1 and t == r + s
 
 
-def _is_fa3(f: Formula) -> bool:
-    parts = _split_additivity(f)
-    return parts is not None and _additivity_parts(*parts)
+# The schemes of H-_DPL in the paper's core grammar, p0 and p1 standing for
+# arbitrary formulas and the L[0] bounds for arbitrary ones, which the side
+# condition then constrains.
+_SCHEMES = {
+    "Taut": is_tautology,
+    "FA1": _scheme("L[0] (p0 & !p0)", lambda r: r == 0),
+    "FA2": _scheme("L[0] !p0 -> !L[0] p0", lambda r, s: r + s > 1),
+    "FA3": _scheme("L[0] (p0 & p1) & L[0] (p0 & !p1) -> L[0] p0", _additive),
+    "FA4": _scheme("!L[0] (p0 & p1) & !L[0] (p0 & !p1) -> !L[0] p0", _additive),
+    "Mono": _scheme(
+        "L[0] (p0 -> p1) -> (L[0] p0 -> L[0] p1)",
+        lambda one, r, s: one == 1 and r == s,
+    ),
+    "Func": _scheme("X !p0 <-> !X p0", lambda: True),
+    "Conj": _scheme("X (p0 & p1) <-> X p0 & X p1", lambda: True),
+}
 
+SCHEME_NAMES = tuple(_SCHEMES)
 
-def _is_fa4(f: Formula) -> bool:
-    parts = _split_additivity(f)
-    if parts is None:
-        return False
-    c1, c2, concl = parts
-    if not (
-        isinstance(c1, Not) and isinstance(c2, Not) and isinstance(concl, Not)
-    ):
-        return False
-    return _additivity_parts(c1.body, c2.body, concl.body)
-
-
-def _is_mono(f: Formula) -> bool:
-    m = match_implies(f)
-    if not m:
-        return False
-    left, right = m
-    if not (isinstance(left, AtLeast) and left.bound == 1):
-        return False
-    inner = match_implies(left.body)
-    outer = match_implies(right)
-    if not (inner and outer):
-        return False
-    a, b = inner
-    la, lb = outer
-    return (
-        isinstance(la, AtLeast)
-        and isinstance(lb, AtLeast)
-        and la.bound == lb.bound
-        and la.body == a
-        and lb.body == b
-    )
-
-
-def _is_func(f: Formula) -> bool:
-    m = match_iff(f)
-    if not m:
-        return False
-    left, right = m
-    return (
-        isinstance(left, Next)
-        and isinstance(left.body, Not)
-        and isinstance(right, Not)
-        and isinstance(right.body, Next)
-        and left.body.body == right.body.body
-    )
-
-
-def _is_conj(f: Formula) -> bool:
-    m = match_iff(f)
-    if not m:
-        return False
-    left, right = m
-    return (
-        isinstance(left, Next)
-        and isinstance(left.body, And)
-        and isinstance(right, And)
-        and isinstance(right.left, Next)
-        and isinstance(right.right, Next)
-        and left.body.left == right.left.body
-        and left.body.right == right.right.body
-    )
-
-
-_SCHEMES = (
-    ("Taut", is_tautology),
-    ("FA1", _is_fa1),
-    ("FA2", _is_fa2),
-    ("FA3", _is_fa3),
-    ("FA4", _is_fa4),
-    ("Mono", _is_mono),
-    ("Func", _is_func),
-    ("Conj", _is_conj),
-)
-
-SCHEME_NAMES = tuple(name for name, _ in _SCHEMES)
+_IMPLIES = parse("p0 -> p1")  # the major premise of modus ponens
 
 
 def axiom_instance(f: Formula) -> Optional[str]:
     """Name of the first axiom scheme matching f, if any."""
-    for name, matcher in _SCHEMES:
-        if matcher(f):
-            return name
-    return None
+    return next((name for name, matches in _SCHEMES.items() if matches(f)), None)
 
 
 def matches_scheme(f: Formula, name: str) -> bool:
-    for scheme, matcher in _SCHEMES:
-        if scheme == name:
-            return matcher(f)
-    raise ValueError(f"unknown axiom scheme {name!r}")
+    if name not in _SCHEMES:
+        raise ValueError(f"unknown axiom scheme {name!r}")
+    return _SCHEMES[name](f)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +165,10 @@ def check_derivation(d: Derivation) -> CheckResult:
             if len(just.refs) != 2:
                 return CheckResult(False, idx, "mp needs two premises")
             i, j = just.refs
-            m = match_implies(earlier[i])
-            if m is None:
+            parts: dict[int, Formula] = {}
+            if not _match(_IMPLIES, earlier[i], parts, []):
                 return CheckResult(False, idx, f"step {i} is not an implication")
-            if m != (earlier[j], formula):
+            if (parts[0], parts[1]) != (earlier[j], formula):
                 return CheckResult(False, idx, "mp premises do not match")
         elif just.kind in ("nec_l1", "nec_next"):
             if from_hypotheses:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import probnext
+from helpers import cap_address_space
 from probnext import (
     ExtensionLimitExceeded,
     InconsistentSeed,
@@ -112,6 +117,29 @@ def test_heavy_bounds_hit_the_cap_instead_of_counting_their_classes():
         w.member(heavy)
     iv = kernel_bounds(w, heavy, 4)
     assert (iv.lower, iv.upper) == (Fraction(0), Fraction(1))
+
+
+def test_huge_bound_is_refused_before_its_index_is_spelled():
+    # rational_index(1/10^11) has about 10^11 bits; the bound's depth in the
+    # Calkin-Wilf tree already puts its weight past the limit
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    code = (
+        "from probnext import formula_index, lindenbaum, parse\n"
+        "from probnext.enumeration import ExtensionLimitExceeded\n"
+        "heavy = parse('L[1/100000000000] p0')\n"
+        "print(lindenbaum(parse('p0'), 3).member_or(heavy, None))\n"
+        "try:\n"
+        "    formula_index(heavy)\n"
+        "except ExtensionLimitExceeded:\n"
+        "    print('refused')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=10, env=env,
+        preexec_fn=cap_address_space,
+    )
+    assert (done.returncode, done.stdout.split()) == (0, ["None", "refused"])
 
 
 def test_member_fast_path_answers_heavy_queries_pinned_by_the_seed():

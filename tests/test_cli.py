@@ -3,14 +3,13 @@ import io
 import json
 import os
 import random
-import resource
 import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_formula
+from helpers import cap_address_space, random_formula
 import probnext
 from probnext import decide, formula_index, parse, render
 from probnext.cli import main
@@ -59,11 +58,6 @@ def test_heavy_nested_bound_answers():
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
-def _cap_address_space():
-    limit = 1 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
 def test_huge_nested_denominator_answers():
     # Ordering bodies by their enumeration index would spell 1/10^11 as a
     # 10^11-bit integer; the cap turns that into a failure, not a swap storm.
@@ -72,7 +66,7 @@ def test_huge_nested_denominator_answers():
     done = subprocess.run(
         [sys.executable, "-m", "probnext.cli", "sat", "L[1/2] L[1/100000000000] p0"],
         capture_output=True, text=True, timeout=10, env=env,
-        preexec_fn=_cap_address_space,
+        preexec_fn=cap_address_space,
     )
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
@@ -250,6 +244,23 @@ def test_dist_prokhorov_non_string_weight_is_an_input_error(tmp_path, capsys):
     bad.write_text(json.dumps({"points": ["a"], "weights": {"a": 1}}))
     assert main(["dist", "prokhorov", str(good), str(bad)]) == 2
     assert "must be a string" in capsys.readouterr().err
+
+
+def test_dist_prokhorov_pair_listed_both_ways_is_an_input_error(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": ["a"], "weights": {"a": "1"}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "points": ["a", "b"],
+                "weights": {"a": "1"},
+                "distance": {"a|b": "1", "b|a": "2"},
+            }
+        )
+    )
+    assert main(["dist", "prokhorov", str(good), str(bad)]) == 2
+    assert "conflicting distances" in capsys.readouterr().err
 
 
 def test_enum_command(capsys):

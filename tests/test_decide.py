@@ -143,10 +143,12 @@ def test_witness_none_for_unsat():
     assert witness(parse("p0 & !p0")) is None
 
 
-def test_sat_with_witness_extraction():
-    verdict = sat(parse("L[1/2] p0 & X p1"), extract_witness=True)
-    assert verdict.status == "SAT"
-    assert verdict.model.check(verdict.root, parse("L[1/2] p0 & X p1"))
+def test_sat_verdict_and_its_witness():
+    f = parse("L[1/2] p0 & X p1")
+    assert sat(f).status == "SAT"
+    model, root = witness(f)
+    assert model.validate() == []
+    assert model.check(root, f)
 
 
 def test_duality_of_sat_and_valid():

@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from helpers import prokhorov_two_way, random_metric_measures
 from probnext import (
     FiniteMeasure,
     IncompatibleSupports,
@@ -88,6 +91,15 @@ def test_missing_distance_rejected():
         prokhorov(mu, nu)
 
 
+def test_measures_of_different_total_mass_rejected():
+    # one direction's worst gap stands for both only when the totals agree
+    table = {("a", "b"): F(2)}
+    mu = FiniteMeasure(["a", "b"], {"a": F(1, 2)}, table)
+    nu = FiniteMeasure(["a", "b"], {"b": F(1)}, table)
+    with pytest.raises(ValueError):
+        prokhorov(mu, nu)
+
+
 def test_validate():
     good = FiniteMeasure(["a", "b"], {"a": F(1, 2), "b": F(1, 2)}, {("a", "b"): F(1)})
     assert good.validate() == []
@@ -114,3 +126,59 @@ def test_json_roundtrip():
     assert back.points == mu.points
     assert back.weights == mu.weights
     assert back.distance == mu.distance
+
+
+def test_keys_are_normalized_whatever_their_order():
+    # "x10" sorts before "x2", so the key below is the reverse of the lookup
+    table = {("x2", "x10"): F(1, 3)}
+    mu = FiniteMeasure(["x2", "x10"], {"x2": F(1)}, table)
+    nu = FiniteMeasure(["x2", "x10"], {"x10": F(1)}, table)
+    assert mu.distance == {("x10", "x2"): F(1, 3)}
+    assert prokhorov(mu, nu) == F(1, 3)
+
+
+def test_validate_sees_a_triangle_listed_in_reverse_order():
+    table = {("a", "b"): F(1), ("a", "c"): F(1), ("c", "b"): F(5)}
+    m = FiniteMeasure(["a", "b", "c"], {"a": F(1)}, table)
+    assert m.validate() == ["triangle inequality fails on a,b,c"]
+
+
+def test_a_pair_listed_both_ways_must_agree():
+    same = FiniteMeasure(["a", "b"], {"a": F(1)}, {("a", "b"): F(1), ("b", "a"): F(1)})
+    assert same.distance == {("a", "b"): F(1)}
+    with pytest.raises(IncompatibleSupports):
+        FiniteMeasure(["a", "b"], {"a": F(1)}, {("a", "b"): F(1), ("b", "a"): F(2)})
+    data = {
+        "points": ["a", "b"],
+        "weights": {"a": "1"},
+        "distance": {"a|b": "1", "b|a": "2"},
+    }
+    with pytest.raises(IncompatibleSupports):
+        measure_from_dict(data)
+
+
+def test_one_direction_scan_agrees_with_the_two_way_oracle():
+    rng = random.Random(10)
+    for k in range(1000):
+        # mostly small supports, every 25th of 6 or 7 points
+        mu, nu = random_metric_measures(rng, 2 + k % 4 if k % 25 else 6 + k % 2)
+        assert mu.validate() == [] and nu.validate() == []
+        assert prokhorov(mu, nu) == prokhorov_two_way(mu, nu), (mu, nu)
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_one_direction_scan_on_the_bench_instances(n):
+    inputs = _bench_inputs()
+    for index in range(8):
+        points, w1, w2, distance = inputs.prokhorov_instance(n, index)
+        mu = FiniteMeasure(points, w1, distance)
+        nu = FiniteMeasure(points, w2, distance)
+        assert prokhorov(mu, nu) == prokhorov_two_way(mu, nu)

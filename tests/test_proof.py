@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import SCHEME_NAMES, random_scheme_instance
+from helpers import (
+    HAND_WRITTEN_SCHEMES,
+    SCHEME_NAMES,
+    random_formula,
+    random_scheme_instance,
+    rewrite_bounds,
+)
 from probnext import (
     axiom_instance,
     check_derivation,
@@ -12,7 +18,9 @@ from probnext import (
     matches_scheme,
     parse,
     parse_derivation,
+    render,
 )
+from probnext.proof import SCHEME_NAMES as SCHEME_NAMES_ALL
 
 
 def test_tautology_recognition():
@@ -154,3 +162,21 @@ def test_computable_index_sets():
     assert is_cons
     # every formula derives itself
     assert computable_sets(5, 5)[2]
+
+
+def test_template_table_agrees_with_the_hand_written_recognizers():
+    rng = random.Random(6)
+    positives = 0
+    for k in range(20_000):
+        if k % 2:
+            f = random_scheme_instance(rng, SCHEME_NAMES[k // 2 % len(SCHEME_NAMES)])
+            if k % 4 == 3:
+                f = rewrite_bounds(rng, f)
+        else:
+            f = random_formula(rng, max_size=12)
+        expected = [name for name, old in HAND_WRITTEN_SCHEMES.items() if old(f)]
+        got = [name for name in SCHEME_NAMES_ALL if matches_scheme(f, name)]
+        assert got == expected, render(f)
+        assert axiom_instance(f) == (expected[0] if expected else None), render(f)
+        positives += len(got)
+    assert positives >= 5_000
