@@ -5,20 +5,21 @@ The distance between two measures over a finite rational metric space is
     inf { eps > 0 | mu(A) <= nu(A^eps) + eps  and  nu(A) <= mu(A^eps) + eps
                     for every subset A }
 
-where A^eps = { x | d(x, A) < eps } (strict enlargement).  The infimum is
-computed exactly: between consecutive pairwise distances the enlargement
-operator is constant and every condition is linear in eps, so the answer is
-either a pairwise distance or an achievable mass gap, and each candidate is
-verified over all subsets of the joint support.  Only the first of the two
-conditions is scanned: within one interval each worst gap is the total mass
-minus the maximum flow between the measures along the pairs at distance at
-most the interval's lower end (Gale's supply-demand theorem, 1957), and as
-that graph is symmetric the two gaps are equal.
+where A^eps = { x | d(x, A) < eps } (strict enlargement).  Between
+consecutive pairwise distances lo < hi, A^eps = { x | d(x, A) <= lo } for
+every eps in (lo, hi], so the answer is a pairwise distance or a mass gap.
+There the worst gap max_A mu(A) - nu(A^eps) is the mass that a maximum flow
+from mu to nu along the pairs at most lo apart cannot move (Gale 1957;
+Strassen 1965), and by symmetry the second condition's worst gap is the
+same.  The gap does not grow from one interval to the next while hi does, so
+a binary search finds the first interval that admits its gap in O(log n)
+exact flows on n support points.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -68,7 +69,10 @@ class FiniteMeasure:
     def validate(self) -> list[str]:
         problems = []
         total = Fraction(0)
+        listed = set(self.points)
         for x, wt in self.weights.items():
+            if x not in listed:
+                problems.append(f"weight on unlisted point {x}")
             if wt < 0:
                 problems.append(f"negative weight {wt} at {x}")
             total += wt
@@ -101,34 +105,73 @@ def _merged_table(mu: FiniteMeasure, nu: FiniteMeasure) -> dict:
     return table
 
 
+def _unsent(supply: list, demand: list, linked: list) -> Fraction:
+    """The supply that a maximum flow leaves unsent, from point i's supply to
+    point j's demand along the uncapped edges i -> j of `linked[i]`: shortest
+    augmenting paths (Edmonds-Karp), searched breadth-first from every point
+    with supply left.  Node i < n is supply i, node n + j is demand j."""
+    n = len(supply)
+    spare, need = list(supply), list(demand)
+    sources = [i for i in range(n) if spare[i] > 0]
+    sinks = {j for j in range(n) if need[j] > 0}
+    carried: list[dict[int, Fraction]] = [{} for _ in range(n)]  # j: {i: flow > 0}
+    while True:
+        parent = dict.fromkeys(sources)
+        queue = list(parent)
+        for v in queue:
+            # forward along an edge, or back along one that carries flow
+            for w in [n + j for j in linked[v]] if v < n else list(carried[v - n]):
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+                    if w - n in sinks:
+                        break
+            if queue[-1] - n in sinks:
+                break
+        else:
+            return sum(spare, Fraction(0))
+        path = [queue[-1]]  # demand, supply, demand, ..., supply
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        ahead = [(i, j - n) for i, j in zip(path[1::2], path[0::2])]
+        back = [(i, j - n) for i, j in zip(path[1::2], path[2::2])]
+        first, last = path[-1], path[0] - n
+        amount = min([spare[first], need[last]] + [carried[j][i] for i, j in back])
+        for i, j in ahead:
+            carried[j][i] = carried[j].get(i, 0) + amount
+        for i, j in back:
+            carried[j][i] -= amount
+            if not carried[j][i]:
+                del carried[j][i]
+        spare[first] -= amount
+        need[last] -= amount
+        if not spare[first]:
+            sources.remove(first)
+        if not need[last]:
+            sinks.remove(last)
+
+
 def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
     """Exact Prokhorov distance of two measures sharing a distance table."""
-    if sum(mu.weights.values()) != sum(nu.weights.values()):  # one-way scan needs it
-        raise ValueError("the measures have different total masses")
     table = _merged_table(mu, nu)
     points = sorted(set(mu.support()) | set(nu.support()))
-    breakpoints = sorted(
-        {_dist(table, a, b) for a, b in combinations(points, 2)}
-    )
-    n = len(points)
-    subsets = [
-        [points[i] for i in range(n) if mask & (1 << i)]
-        for mask in range(1, 1 << n)
-    ]
+    d = [[_dist(table, a, b) for b in points] for a in points]
+    lows = sorted({Fraction(0)}.union(*d))  # 0, then the pairwise distances
+    rank = {lo: k for k, lo in enumerate(lows)}
+    ranks = [[rank[dij] for dij in row] for row in d]
+    supply = [mu.weights.get(x, Fraction(0)) for x in points]
+    demand = [nu.weights.get(x, Fraction(0)) for x in points]
+    if sum(supply) != sum(demand):  # the one-way gap stands for both only then
+        raise ValueError("the measures have different total masses")
 
-    lows = [Fraction(0)] + breakpoints
-    for k, lo in enumerate(lows):
-        hi = breakpoints[k] if k < len(breakpoints) else None
-        # for eps in (lo, hi]:  A^eps = { x | d(x, A) <= lo }
-        threshold = Fraction(0)
-        for subset in subsets:
-            enlarged = [
-                x for x in points if min(_dist(table, x, a) for a in subset) <= lo
-            ]
-            threshold = max(threshold, mu.mass(subset) - nu.mass(enlarged))
-        if hi is None or threshold <= hi:
-            return max(threshold, lo)
-    raise AssertionError("unreachable: last interval always admits the infimum")
+    def gap(k: int) -> Fraction:
+        # for eps in (lows[k], lows[k + 1]]:  A^eps = { x | d(x, A) <= lows[k] }
+        linked = [[j for j, r in enumerate(row) if r <= k] for row in ranks]
+        return _unsent(supply, demand, linked)
+
+    # the first interval that admits its gap; the last one always does
+    k = bisect_left(range(len(lows) - 1), True, key=lambda k: gap(k) <= lows[k + 1])
+    return max(gap(k), lows[k])
 
 
 def measure_to_dict(m: FiniteMeasure) -> dict:

@@ -5,7 +5,7 @@ The axiom schemes are one table of templates: each scheme is written as the
 core-grammar formula the paper states, with p0 and p1 as metavariables, plus
 a side condition on the bounds it carries.  One matcher binds the
 metavariables and collects the bounds; propositional tautologies are
-recognized by truth tables instead.
+recognized by a bounded case split instead.
 
 Derivability from a finite hypothesis set is decided through the decision
 procedure (soundness plus weak completeness make the two coincide), so no
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .decide import sat_status, valid
-from .enumeration import enum_formula
+from .enumeration import ExtensionLimitExceeded, enum_formula
 from .formula import And, AtLeast, Formula, Next, Not, Prop, conj, implies
 from .parser import parse
 
@@ -30,32 +29,51 @@ from .parser import parse
 # Axiom schemes
 
 
-def _boolean_atoms(f: Formula, acc: list[Formula]) -> None:
-    # maximal subformulas that are not boolean combinations
-    if isinstance(f, Not):
-        _boolean_atoms(f.body, acc)
-    elif isinstance(f, And):
-        _boolean_atoms(f.left, acc)
-        _boolean_atoms(f.right, acc)
-    elif f not in acc:
-        acc.append(f)
+# Case splits a tautology check may make before it gives up: splitting on
+# every assignment of 14 Boolean atoms takes 2^14 - 1.
+_TAUT_SPLITS = 1 << 14
 
 
-def _eval_boolean(f: Formula, env: dict[Formula, bool]) -> bool:
+def _assign(f: Formula, atom: Formula, value: bool):
+    """f with the Boolean atom fixed to value, simplified: True, False, or
+    the formula that is left."""
     if isinstance(f, Not):
-        return not _eval_boolean(f.body, env)
+        body = _assign(f.body, atom, value)
+        return not body if isinstance(body, bool) else Not(body)
     if isinstance(f, And):
-        return _eval_boolean(f.left, env) and _eval_boolean(f.right, env)
-    return env[f]
+        left = _assign(f.left, atom, value)
+        right = False if left is False else _assign(f.right, atom, value)
+        if left is True or right is False:
+            return right
+        return left if right is True else And(left, right)
+    return value if f == atom else f
 
 
 def is_tautology(f: Formula) -> bool:
-    atoms: list[Formula] = []
-    _boolean_atoms(f, atoms)
-    for values in product((False, True), repeat=len(atoms)):
-        if not _eval_boolean(f, dict(zip(atoms, values))):
-            return False
-    return True
+    """Whether f holds under every truth assignment to its maximal
+    non-Boolean subformulas: a conjunction when both halves do, anything
+    else by a case split on its leftmost such atom, which stops on a branch
+    as soon as its value is fixed.  Raises ExtensionLimitExceeded after
+    _TAUT_SPLITS splits."""
+    splits = 0
+
+    def holds(g) -> bool:
+        nonlocal splits
+        if isinstance(g, bool):
+            return g
+        if isinstance(g, And):
+            return holds(g.left) and holds(g.right)
+        splits += 1
+        if splits > _TAUT_SPLITS:
+            raise ExtensionLimitExceeded(
+                f"tautology check past {_TAUT_SPLITS} case splits"
+            )
+        atom = g
+        while isinstance(atom, (Not, And)):
+            atom = atom.body if isinstance(atom, Not) else atom.left
+        return holds(_assign(g, atom, False)) and holds(_assign(g, atom, True))
+
+    return holds(f)
 
 
 def _match(template: Formula, f: Formula, env: dict, bounds: list) -> bool:

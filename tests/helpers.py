@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import resource
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from probnext import (
     And,
@@ -389,8 +389,39 @@ def _is_conj(f) -> bool:
     )
 
 
+def _boolean_atoms(f, acc: list) -> None:
+    # maximal subformulas that are not boolean combinations
+    if isinstance(f, Not):
+        _boolean_atoms(f.body, acc)
+    elif isinstance(f, And):
+        _boolean_atoms(f.left, acc)
+        _boolean_atoms(f.right, acc)
+    elif f not in acc:
+        acc.append(f)
+
+
+def _eval_boolean(f, env: dict) -> bool:
+    if isinstance(f, Not):
+        return not _eval_boolean(f.body, env)
+    if isinstance(f, And):
+        return _eval_boolean(f.left, env) and _eval_boolean(f.right, env)
+    return env[f]
+
+
+def truth_table_tautology(f) -> bool:
+    """The former Taut recognizer, which evaluates f under all 2^k truth
+    assignments of its k Boolean atoms, kept as the oracle of the bounded
+    case split `proof.is_tautology`."""
+    atoms: list = []
+    _boolean_atoms(f, atoms)
+    for values in product((False, True), repeat=len(atoms)):
+        if not _eval_boolean(f, dict(zip(atoms, values))):
+            return False
+    return True
+
+
 HAND_WRITTEN_SCHEMES = {
-    "Taut": proof.is_tautology,
+    "Taut": truth_table_tautology,
     "FA1": _is_fa1,
     "FA2": _is_fa2,
     "FA3": _is_fa3,
@@ -430,12 +461,41 @@ def prokhorov_two_way(mu, nu) -> Fraction:
     raise AssertionError("unreachable: last interval always admits the infimum")
 
 
-def random_metric_measures(rng: random.Random, n: int):
+def prokhorov_subset_scan(mu, nu) -> Fraction:
+    """The former one-direction Prokhorov scan, which takes the worst gap
+    `mu(A) - nu(A^lo)` over every subset A at every breakpoint, kept as the
+    oracle of the max-flow `prokhorov`."""
+    table = _merged_table(mu, nu)
+    points = sorted(set(mu.support()) | set(nu.support()))
+    breakpoints = sorted({_dist(table, a, b) for a, b in combinations(points, 2)})
+    n = len(points)
+    subsets = [
+        [points[i] for i in range(n) if mask & (1 << i)] for mask in range(1, 1 << n)
+    ]
+    lows = [Fraction(0)] + breakpoints
+    for k, lo in enumerate(lows):
+        hi = breakpoints[k] if k < len(breakpoints) else None
+        # for eps in (lo, hi]:  A^eps = { x | d(x, A) <= lo }
+        threshold = Fraction(0)
+        for subset in subsets:
+            enlarged = [
+                x for x in points if min(_dist(table, x, a) for a in subset) <= lo
+            ]
+            threshold = max(threshold, mu.mass(subset) - nu.mass(enlarged))
+        if hi is None or threshold <= hi:
+            return max(threshold, lo)
+    raise AssertionError("unreachable: last interval always admits the infimum")
+
+
+def random_metric_measures(rng: random.Random, n: int, line=None):
     """Two random probability measures on n named points of a random metric:
     the positions of points on a line, or the shortest paths of a random
-    complete graph with rational edge lengths.  Some weights are zero."""
+    complete graph with rational edge lengths, as `line` is True or False,
+    or by a coin flip when it is None.  Some weights are zero."""
     points = [f"x{i}" for i in range(n)]
-    if rng.random() < 0.5:
+    if line is None:
+        line = rng.random() < 0.5
+    if line:
         xs = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(n)]
         xs = [x + Fraction(i, 100) for i, x in enumerate(xs)]  # distinct points
         d = [[abs(x - y) for y in xs] for x in xs]

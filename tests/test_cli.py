@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import cap_address_space, random_formula
 import probnext
-from probnext import decide, formula_index, parse, render
+from probnext import decide, formula_index, parse, proof, render
 from probnext.cli import main
 from probnext.enumeration import _WEIGHT_LIMIT, class_count
 
@@ -182,6 +182,29 @@ def test_prove_checks_derivation_files(tmp_path, capsys):
     assert "rejected at step 0" in capsys.readouterr().out
 
 
+def test_thirty_atom_tautology_answers_or_hits_the_limit(tmp_path):
+    # a truth table over 30 atoms would hang, where two case splits decide
+    # it; the timeout only turns a hang into a failure
+    line = "(" + " & ".join(f"p{i}" for i in range(30)) + ") -> p0 ; axiom:Taut\n"
+    path = tmp_path / "taut.txt"
+    path.write_text(line)
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "probnext.cli", "prove", "--check", str(path)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "derivation accepted")
+
+
+def test_tautology_check_past_its_cap_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "taut.txt"
+    path.write_text("(p0 <-> p1) | !(p1 <-> p0) ; axiom:Taut\n")
+    monkeypatch.setattr(proof, "_TAUT_SPLITS", 2)
+    assert main(["prove", "--check", str(path)]) == 3
+    assert "case splits" in capsys.readouterr().err
+
+
 def test_lindenbaum_command(tmp_path, capsys):
     out = tmp_path / "prefix.json"
     assert main(["lindenbaum", "L[1/2] p0", "--budget", "10", "--out", str(out)]) == 0
@@ -261,6 +284,30 @@ def test_dist_prokhorov_pair_listed_both_ways_is_an_input_error(tmp_path, capsys
     )
     assert main(["dist", "prokhorov", str(good), str(bad)]) == 2
     assert "conflicting distances" in capsys.readouterr().err
+
+
+def test_dist_prokhorov_weight_on_unlisted_point_is_an_input_error(tmp_path, capsys):
+    # z is not among the points: support() would drop its mass and the two
+    # argument orders would disagree
+    odd = tmp_path / "odd.json"
+    odd.write_text(
+        json.dumps(
+            {
+                "points": ["a", "b"],
+                "weights": {"a": "1/2", "z": "1/2"},
+                "distance": {"a|b": "1"},
+            }
+        )
+    )
+    dirac = tmp_path / "dirac.json"
+    dirac.write_text(
+        json.dumps(
+            {"points": ["a", "b"], "weights": {"a": "1"}, "distance": {"a|b": "1"}}
+        )
+    )
+    for pair in ((odd, dirac), (dirac, odd)):
+        assert main(["dist", "prokhorov", *map(str, pair)]) == 2
+        assert "unlisted point z" in capsys.readouterr().err
 
 
 def test_enum_command(capsys):

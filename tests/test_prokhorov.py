@@ -1,12 +1,17 @@
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import prokhorov_two_way, random_metric_measures
+from helpers import prokhorov_subset_scan, prokhorov_two_way, random_metric_measures
+import probnext
 from probnext import (
     FiniteMeasure,
     IncompatibleSupports,
@@ -14,6 +19,7 @@ from probnext import (
     measure_to_dict,
     prokhorov,
 )
+from probnext.models import fraction_to_str
 
 
 def F(a, b=1):
@@ -116,6 +122,16 @@ def test_validate_triangle_inequality():
     assert m.validate() == ["triangle inequality fails on a,b,c"]
 
 
+def test_validate_reports_weights_on_unlisted_points():
+    # support() drops an unlisted point, so its mass would vanish from one side
+    m = FiniteMeasure(["a", "b"], {"a": F(1, 2), "z": F(1, 2)}, {("a", "b"): F(1)})
+    assert m.validate() == ["weight on unlisted point z"]
+    dirac = FiniteMeasure(["a", "b"], {"a": F(1)}, {("a", "b"): F(1)})
+    for pair in ((m, dirac), (dirac, m)):
+        with pytest.raises(ValueError):
+            prokhorov(*pair)
+
+
 def test_json_roundtrip():
     mu = FiniteMeasure(
         ["a", "b"], {"a": F(1, 3), "b": F(2, 3)}, {("a", "b"): F(5, 7)}
@@ -182,3 +198,71 @@ def test_one_direction_scan_on_the_bench_instances(n):
         mu = FiniteMeasure(points, w1, distance)
         nu = FiniteMeasure(points, w2, distance)
         assert prokhorov(mu, nu) == prokhorov_two_way(mu, nu)
+
+
+@pytest.mark.parametrize("line", [True, False], ids=["line", "shortest-paths"])
+def test_max_flow_agrees_with_the_subset_scan(line):
+    rng = random.Random(11 if line else 12)
+    for k in range(500):
+        # supports of 2 to 6 points, every 20th of 7 or 8
+        n = 2 + k % 5 if k % 20 else 7 + k // 20 % 2
+        mu, nu = random_metric_measures(rng, n, line)
+        assert prokhorov(mu, nu) == prokhorov_subset_scan(mu, nu), (mu, nu)
+
+
+def test_bench_expected_values_are_reproduced():
+    inputs = _bench_inputs()
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    expected = json.loads((bench / "expected" / "prokhorov.json").read_text())["values"]
+    assert sum(map(len, expected.values())) == 24
+    for n, values in expected.items():
+        for index, value in enumerate(values):
+            points, w1, w2, distance = inputs.prokhorov_instance(int(n), index)
+            mu = FiniteMeasure(points, w1, distance)
+            nu = FiniteMeasure(points, w2, distance)
+            assert prokhorov(mu, nu) == Fraction(value), (n, index)
+
+
+def _shifted_grid(n: int, step: Fraction) -> tuple[dict, dict]:
+    """Uniform measures on points 0..n-2 and 1..n-1 of a grid with the step:
+    below the step nothing is enlarged and the gap is 1/(n-1); past it every
+    point reaches its neighbour, so the distance is min(step, 1/(n-1))."""
+    points = [f"x{i}" for i in range(n)]
+    distance = {
+        f"{points[i]}|{points[j]}": str((j - i) * step)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    w = str(Fraction(1, n - 1))
+    return tuple(
+        {"points": points, "weights": dict.fromkeys(side, w), "distance": distance}
+        for side in (points[:-1], points[1:])
+    )
+
+
+@pytest.mark.parametrize("step", [F(1, 100), F(1, 20)])
+def test_fifty_points_answer_through_the_cli(tmp_path, step):
+    # 2^50 subsets at the subset scan; the timeout only turns a hang into a failure
+    mu, nu = _shifted_grid(50, step)
+    m1, m2 = tmp_path / "mu.json", tmp_path / "nu.json"
+    m1.write_text(json.dumps(mu))
+    m2.write_text(json.dumps(nu))
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "probnext.cli", "dist", "prokhorov", str(m1), str(m2)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    want = min(step, F(1, 49))
+    assert (done.returncode, done.stdout.strip()) == (0, fraction_to_str(want))
+    assert prokhorov(measure_from_dict(mu), measure_from_dict(nu)) == want
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.integers(1, 12))
+def test_distance_laws_on_random_metrics(seed, n):
+    mu, nu = random_metric_measures(random.Random(seed), n)
+    d = prokhorov(mu, nu)
+    assert 0 <= d <= 1
+    assert d == prokhorov(nu, mu)
+    assert prokhorov(mu, mu) == 0

@@ -9,8 +9,12 @@ from helpers import (
     random_formula,
     random_scheme_instance,
     rewrite_bounds,
+    truth_table_tautology,
 )
 from probnext import (
+    ExtensionLimitExceeded,
+    Not,
+    implies,
     axiom_instance,
     check_derivation,
     computable_sets,
@@ -18,6 +22,7 @@ from probnext import (
     matches_scheme,
     parse,
     parse_derivation,
+    proof,
     render,
 )
 from probnext.proof import SCHEME_NAMES as SCHEME_NAMES_ALL
@@ -27,6 +32,29 @@ def test_tautology_recognition():
     assert axiom_instance(parse("p0 -> p0")) == "Taut"
     assert axiom_instance(parse("L[1/2] p0 | !L[1/2] p0")) == "Taut"
     assert axiom_instance(parse("p0 -> p1")) is None
+
+
+def test_case_split_agrees_with_the_truth_table():
+    rng = random.Random(7)
+    tautologies = 0
+    for k in range(3000):
+        f = random_formula(rng, max_size=14, n_props=2 + k % 4)
+        g = random_formula(rng, max_size=8, n_props=2 + k % 4)
+        # !f -> !f and f -> f | g are tautologies; f -> g mostly is not
+        or_g = implies(Not(f), g)
+        for h in (f, implies(Not(f), Not(f)), implies(f, or_g), implies(f, g)):
+            expected = truth_table_tautology(h)
+            assert proof.is_tautology(h) == expected, render(h)
+            tautologies += expected
+    assert tautologies >= 6000
+
+
+def test_tautology_check_past_its_split_cap_is_a_limit(monkeypatch):
+    f = parse("(p0 <-> p1) | !(p1 <-> p0)")  # splits on p0, then on p1 twice
+    assert proof.is_tautology(f)
+    monkeypatch.setattr(proof, "_TAUT_SPLITS", 2)
+    with pytest.raises(ExtensionLimitExceeded):
+        proof.is_tautology(f)
 
 
 def test_each_scheme_is_recognized():
