@@ -107,7 +107,7 @@ def _cmd_witness(args) -> int:
 def _cmd_check(args) -> int:
     try:
         model = models.load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load model: {exc}", file=sys.stderr)
         return 2
     problems = model.validate()
@@ -156,7 +156,7 @@ def _cmd_dist_prokhorov(args) -> int:
     try:
         mu = load_measure(args.measure1)
         nu = load_measure(args.measure2)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load measure: {exc}", file=sys.stderr)
         return 2
     for m, name in ((mu, args.measure1), (nu, args.measure2)):

@@ -5,8 +5,9 @@ time-stamped atoms (a next-operator raises the time stamp of the atoms
 below it), group each disjunct's literals by time step, and decide every
 step independently.  A step's probability literals are decided by
 carving the state space into cells (one per subset of the distinct
-operator bodies), recursively deciding each cell and solving an exact
-linear system over the satisfiable cells' masses.
+operator bodies, each in `push_next` normal form), recursively deciding
+each cell and solving an exact linear system over the satisfiable cells'
+masses.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts.
@@ -26,24 +27,35 @@ from .parser import render
 
 
 # ---------------------------------------------------------------------------
-# Next-operator normalization (a public helper; the pipeline below reads
-# next-operators as time stamps instead)
+# Next-operator normalization.  The DNF below reads next-operators as time
+# stamps; `_world_sat` normalizes the probability bodies with `push_next`, so
+# bodies that are equal up to moving next-operators through ! and & share
+# one cell column.
 
 
 def push_next(f: Formula) -> Formula:
     """Equivalent formula in which every next-operator sits directly above a
     proposition, another next, or a probability atom (whose body is itself
-    normalized)."""
+    normalized).  Formulas equal by the laws  X !a = !X a  and
+    X (a & b) = X a & X b,  such as X !p0 and !X p0, share one normal form.
+    Subformulas that are already normal are returned as they are, not
+    copied, so the caches keyed by formulas keep sharing them."""
     if isinstance(f, Prop):
         return f
     if isinstance(f, Not):
-        return Not(push_next(f.body))
+        body = push_next(f.body)
+        return f if body is f.body else Not(body)
     if isinstance(f, And):
-        return And(push_next(f.left), push_next(f.right))
+        left, right = push_next(f.left), push_next(f.right)
+        return f if left is f.left and right is f.right else And(left, right)
     if isinstance(f, AtLeast):
-        return AtLeast(f.bound, push_next(f.body))
+        body = push_next(f.body)
+        return f if body is f.body else AtLeast(f.bound, body)
     if isinstance(f, Next):
-        return _shift(push_next(f.body))
+        body = push_next(f.body)
+        if body is f.body and not isinstance(body, (Not, And)):
+            return f
+        return _shift(body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -197,8 +209,11 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     if not pos_bounds and not neg_bounds:
         return WorldPlan(pos_props, ())
 
+    # One column per body in normal form: X !p0 and !X p0 bound the same
+    # set of worlds.  (Lists, not sets: hashing a formula walks all of it.)
+    columns = [push_next(body) for _, body in pos_bounds + neg_bounds]
     bodies = []
-    for _, body in pos_bounds + neg_bounds:
+    for body in columns:
         if body not in bodies:
             bodies.append(body)
     bodies.sort(key=render)
@@ -218,13 +233,13 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     )
     for i in range(len(sat_cells)):
         system.constraints.append(linarith.ge({i: Fraction(1)}))
-    for bound, body in pos_bounds:
+    for (bound, _), body in zip(pos_bounds, columns):
         b = bodies.index(body)
         coeffs = {
             i: Fraction(1) for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)
         }
         system.constraints.append(linarith.ge(coeffs, -bound))
-    for bound, body in neg_bounds:
+    for (bound, _), body in zip(neg_bounds, columns[len(pos_bounds) :]):
         b = bodies.index(body)
         coeffs = {
             i: Fraction(-1)

@@ -1,12 +1,12 @@
 """Exact-rational linear constraint systems and their solver.
 
-Constraints are kept in the normalized forms  term >= 0,  term > 0  and
-term = 0;  "<=" and "<" are represented by negating the term.  `solve`
-(and `feasible`) decide a system with a general simplex under Bland's
-rule, handling strict rows with delta-rationals.  Fourier-Motzkin
-`eliminate` is kept only as the reference the tests compare `solve`
-against.  All arithmetic is closed over `fractions.Fraction` -- no floats
-anywhere.
+A constraint reads  sum(coeff * var) + constant  R  0  with R one of
+>=, > and =;  "<=" and "<" are represented by negating the coefficients
+and the constant.  `solve` (and `feasible`) decide a system with a general
+simplex under Bland's rule, handling strict rows with delta-rationals.
+All arithmetic is closed over `fractions.Fraction` -- no floats anywhere.
+(Fourier-Motzkin elimination, which this simplex replaced, is the oracle
+the tests compare `solve` against.)
 """
 
 from __future__ import annotations
@@ -24,69 +24,13 @@ class Rel(Enum):
 
 
 @dataclass(frozen=True)
-class LinearTerm:
-    """Sum of coeff * var plus a constant; zero coefficients are not stored."""
+class Constraint:
+    """sum(coeff * var) + constant  relation  0; zero coefficients are not
+    stored, and the others are sorted by variable."""
 
     coeffs: tuple[tuple[int, Fraction], ...]
     constant: Fraction
-
-    @staticmethod
-    def make(coeffs: dict[int, Fraction], constant=Fraction(0)) -> "LinearTerm":
-        items = tuple(
-            sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0)
-        )
-        return LinearTerm(items, Fraction(constant))
-
-    def coeff(self, var: int) -> Fraction:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return Fraction(0)
-
-    def scale(self, k: Fraction) -> "LinearTerm":
-        if k == 0:
-            return LinearTerm((), Fraction(0))
-        return LinearTerm(
-            tuple((v, c * k) for v, c in self.coeffs), self.constant * k
-        )
-
-    def add(self, other: "LinearTerm") -> "LinearTerm":
-        acc = dict(self.coeffs)
-        for v, c in other.coeffs:
-            s = acc.get(v, Fraction(0)) + c
-            if s == 0:
-                acc.pop(v, None)
-            else:
-                acc[v] = s
-        return LinearTerm(tuple(sorted(acc.items())), self.constant + other.constant)
-
-    def drop(self, var: int) -> "LinearTerm":
-        return LinearTerm(
-            tuple((v, c) for v, c in self.coeffs if v != var), self.constant
-        )
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def evaluate(self, assignment: dict[int, Fraction]) -> Fraction:
-        return self.constant + sum(
-            (c * assignment[v] for v, c in self.coeffs), Fraction(0)
-        )
-
-
-@dataclass(frozen=True)
-class Constraint:
-    term: LinearTerm
     relation: Rel
-
-    def canonical(self) -> "Constraint":
-        """Scale so the leading coefficient has absolute value 1 (for dedup)."""
-        if not self.term.coeffs:
-            return self
-        lead = abs(self.term.coeffs[0][1])
-        if lead == 1:
-            return self
-        return Constraint(self.term.scale(1 / lead), self.relation)
 
 
 @dataclass
@@ -94,96 +38,31 @@ class LinearSystem:
     constraints: list[Constraint] = field(default_factory=list)
     num_vars: int = 0
 
-    def variables(self) -> set[int]:
-        return {v for c in self.constraints for v, _ in c.term.coeffs}
+
+def _constraint(coeffs: dict[int, Fraction], constant, relation: Rel) -> Constraint:
+    items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
+    return Constraint(items, Fraction(constant), relation)
 
 
 def ge(coeffs: dict[int, Fraction], constant=Fraction(0)) -> Constraint:
-    return Constraint(LinearTerm.make(coeffs, constant), Rel.GE)
+    return _constraint(coeffs, constant, Rel.GE)
 
 
 def gt(coeffs: dict[int, Fraction], constant=Fraction(0)) -> Constraint:
-    return Constraint(LinearTerm.make(coeffs, constant), Rel.GT)
+    return _constraint(coeffs, constant, Rel.GT)
 
 
 def eq(coeffs: dict[int, Fraction], constant=Fraction(0)) -> Constraint:
-    return Constraint(LinearTerm.make(coeffs, constant), Rel.EQ)
+    return _constraint(coeffs, constant, Rel.EQ)
 
 
-def _constant_holds(c: Constraint) -> bool:
-    k = c.term.constant
-    if c.relation is Rel.GE:
-        return k >= 0
-    if c.relation is Rel.GT:
-        return k > 0
-    return k == 0
-
-
-def _tidy(constraints) -> list[Constraint]:
-    """Drop constant-true constraints and exact duplicates."""
-    out = []
-    seen = set()
-    for c in constraints:
-        if c.term.is_constant() and _constant_holds(c):
-            continue
-        canon = c.canonical()
-        key = (canon.term, canon.relation)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(c)
-    return out
-
-
-def _substitute(constraints, var: int, expr: LinearTerm) -> list[Constraint]:
-    out = []
-    for c in constraints:
-        a = c.term.coeff(var)
-        if a == 0:
-            out.append(c)
-        else:
-            out.append(Constraint(c.term.drop(var).add(expr.scale(a)), c.relation))
-    return out
-
-
-def _solve_equality_for(c: Constraint, var: int) -> LinearTerm:
-    """From term = 0 containing var, return the expression equal to var."""
-    a = c.term.coeff(var)
-    return c.term.drop(var).scale(-1 / a)
-
-
-def eliminate(system: LinearSystem, var: int) -> LinearSystem:
-    """Project `var` out; the result is feasible iff the input is."""
-    rest, eqs_with_var = [], []
-    for c in system.constraints:
-        if c.relation is Rel.EQ and c.term.coeff(var) != 0:
-            eqs_with_var.append(c)
-        else:
-            rest.append(c)
-
-    if eqs_with_var:
-        expr = _solve_equality_for(eqs_with_var[0], var)
-        new = _substitute(rest + eqs_with_var[1:], var, expr)
-        return LinearSystem(_tidy(new), system.num_vars)
-
-    keep, lowers, uppers = [], [], []
-    for c in system.constraints:
-        a = c.term.coeff(var)
-        if a == 0:
-            keep.append(c)
-        elif a > 0:
-            lowers.append(c)  # var >= -(rest)/a  (or strict)
-        else:
-            uppers.append(c)
-    for lo in lowers:
-        a = lo.term.coeff(var)
-        lo_scaled = lo.term.scale(1 / a)
-        for up in uppers:
-            b = up.term.coeff(var)
-            combined = lo_scaled.add(up.term.scale(-1 / b)).drop(var)
-            strict = lo.relation is Rel.GT or up.relation is Rel.GT
-            keep.append(Constraint(combined, Rel.GT if strict else Rel.GE))
-    return LinearSystem(_tidy(keep), system.num_vars)
+def _constant_holds(value: Fraction, relation: Rel) -> bool:
+    """Whether `value relation 0` holds."""
+    if relation is Rel.GE:
+        return value >= 0
+    if relation is Rel.GT:
+        return value > 0
+    return value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +90,9 @@ def _tableau(system: LinearSystem):
     slack_of: dict = {}  # scaled coefficients -> slack variable (negative id)
     originals: set[int] = set()
     for c in system.constraints:
-        coeffs = c.term.coeffs
+        coeffs = c.coeffs
         if not coeffs:
-            if not _constant_holds(c):
+            if not _constant_holds(c.constant, c.relation):
                 return None
             continue
         lead = coeffs[0][1]
@@ -226,7 +105,7 @@ def _tableau(system: LinearSystem):
                 var = slack_of[key] = -1 - len(slack_of)
                 rows[var] = dict(key)
         originals.update(v for v, _ in coeffs)
-        bound = -c.term.constant / lead
+        bound = -c.constant / lead
         strict = 1 if c.relation is Rel.GT else 0
         if c.relation is Rel.EQ or lead > 0:
             lo = (bound, strict)
@@ -345,12 +224,10 @@ def feasible(system: LinearSystem) -> bool:
 
 def satisfies(system: LinearSystem, assignment: dict[int, Fraction]) -> bool:
     """Exact substitution check."""
-    for c in system.constraints:
-        value = c.term.evaluate(assignment)
-        if c.relation is Rel.GE and not value >= 0:
-            return False
-        if c.relation is Rel.GT and not value > 0:
-            return False
-        if c.relation is Rel.EQ and value != 0:
-            return False
-    return True
+    return all(
+        _constant_holds(
+            c.constant + sum((a * assignment[v] for v, a in c.coeffs), Fraction(0)),
+            c.relation,
+        )
+        for c in system.constraints
+    )

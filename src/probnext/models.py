@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -148,19 +149,47 @@ def model_to_dict(m: FiniteDMM) -> dict:
     }
 
 
-def model_from_dict(data: dict) -> FiniteDMM:
-    valuation = {
-        int(p.lstrip("p")): set(ws) for p, ws in data.get("valuation", {}).items()
-    }
+def json_object(value, what: str) -> dict:
+    """`value` when it is a JSON object; ValueError otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def json_strings(value, what: str) -> list[str]:
+    """`value` when it is a JSON list of strings; ValueError otherwise."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
+
+
+def model_from_dict(data) -> FiniteDMM:
+    """The model a JSON value spells; ValueError when its shape is wrong."""
+    data = json_object(data, "a model")
+    valuation: dict[int, set[str]] = {}
+    for key, ws in json_object(data.get("valuation", {}), "valuation").items():
+        if not re.fullmatch("p[0-9]+", key):
+            raise ValueError(f"valuation key {key!r} is not p<digits>")
+        p = int(key[1:])
+        if p in valuation:
+            raise ValueError(f"valuation lists p{p} twice")
+        valuation[p] = set(json_strings(ws, f"valuation of {key}"))
     kernel = {
-        w: {u: fraction_from_str(s) for u, s in row.items()}
-        for w, row in data.get("kernel", {}).items()
+        w: {
+            u: fraction_from_str(s)
+            for u, s in json_object(row, f"kernel row {w}").items()
+        }
+        for w, row in json_object(data.get("kernel", {}), "kernel").items()
     }
+    successor = json_object(data.get("successor", {}), "successor")
+    for w, u in successor.items():
+        if not isinstance(u, str):
+            raise ValueError(f"successor of {w} must be a string")
     return FiniteDMM(
-        worlds=list(data["worlds"]),
+        worlds=list(json_strings(data.get("worlds"), "worlds")),
         valuation=valuation,
         kernel=kernel,
-        successor=dict(data.get("successor", {})),
+        successor=dict(successor),
     )
 
 

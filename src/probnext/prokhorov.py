@@ -23,8 +23,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .models import fraction_from_str, fraction_to_str
+from .models import fraction_from_str, fraction_to_str, json_object, json_strings
 
 
 class IncompatibleSupports(ValueError):
@@ -83,17 +84,34 @@ class FiniteMeasure:
                 problems.append(f"self distance listed for {a}")
             elif d <= 0:
                 problems.append(f"non-positive distance {d} for {a}|{b}")
-        names = sorted({x for pair in self.distance for x in pair})
-        for x, y, z in combinations(names, 3):
-            try:
-                dxy = _dist(self.distance, x, y)
-                dxz = _dist(self.distance, x, z)
-                dyz = _dist(self.distance, y, z)
-            except IncompatibleSupports:
+        return problems + _triangle_failures(self.distance)
+
+
+def _triangle_failures(table: dict) -> list[str]:
+    """One problem per triple of named points, in lexicographic order, whose
+    three distances break the triangle inequality; a triple that lacks a
+    distance is skipped.  The distances are scaled once to integers by the
+    lcm of their denominators, which keeps the comparisons exact."""
+    names = sorted({x for pair in table for x in pair})
+    at = {x: i for i, x in enumerate(names)}
+    scale = lcm(*(d.denominator for d in table.values()))
+    n = len(names)
+    d = [[None] * n for _ in range(n)]
+    for (a, b), dab in table.items():
+        d[at[a]][at[b]] = d[at[b]][at[a]] = dab.numerator * (scale // dab.denominator)
+    problems = []
+    for i, j in combinations(range(n), 2):
+        dij = d[i][j]
+        if dij is None:
+            continue
+        for k, dik, djk in zip(range(j + 1, n), d[i][j + 1 :], d[j][j + 1 :]):
+            if dik is None or djk is None:
                 continue
-            if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
-                problems.append(f"triangle inequality fails on {x},{y},{z}")
-        return problems
+            if dij > dik + djk or dik > dij + djk or djk > dij + dik:
+                problems.append(
+                    f"triangle inequality fails on {names[i]},{names[j]},{names[k]}"
+                )
+    return problems
 
 
 def _merged_table(mu: FiniteMeasure, nu: FiniteMeasure) -> dict:
@@ -184,13 +202,21 @@ def measure_to_dict(m: FiniteMeasure) -> dict:
     }
 
 
-def measure_from_dict(data: dict) -> FiniteMeasure:
-    weights = {x: fraction_from_str(s) for x, s in data.get("weights", {}).items()}
+def measure_from_dict(data) -> FiniteMeasure:
+    """The measure a JSON value spells; ValueError when its shape is wrong."""
+    data = json_object(data, "a measure")
+    weights = {
+        x: fraction_from_str(s)
+        for x, s in json_object(data.get("weights", {}), "weights").items()
+    }
     distance = {}
-    for key, s in data.get("distance", {}).items():
-        a, _, b = key.partition("|")
+    for key, s in json_object(data.get("distance", {}), "distance").items():
+        a, sep, b = key.partition("|")
+        if not sep or "|" in b:
+            raise ValueError(f"distance key {key!r} is not a|b")
         distance[a, b] = fraction_from_str(s)
-    return FiniteMeasure(list(data["points"]), weights, distance)
+    points = json_strings(data.get("points"), "points")
+    return FiniteMeasure(list(points), weights, distance)
 
 
 def load_measure(path: str) -> FiniteMeasure:

@@ -172,6 +172,8 @@ def check_derivation(d: Derivation) -> CheckResult:
         earlier = [f for f, _ in d.steps[:idx]]
         if any(r >= idx for r in just.refs):
             return CheckResult(False, idx, "reference to a later step")
+        if any(r < 0 for r in just.refs):
+            return CheckResult(False, idx, "negative step reference")
         if just.kind == "axiom":
             if just.scheme not in SCHEME_NAMES:
                 return CheckResult(False, idx, f"unknown scheme {just.scheme}")
@@ -210,6 +212,15 @@ def check_derivation(d: Derivation) -> CheckResult:
     return CheckResult(True)
 
 
+def _reference(text: str, lineno: int) -> int:
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(
+            f"line {lineno}: step reference {text!r} is not a natural number"
+        )
+    return int(text)
+
+
 def parse_derivation(text: str, hypotheses=None) -> Derivation:
     """Line-oriented format: one "formula ; justification" per line, with
     justifications  axiom:<name>  mp:<i>,<j>  nec_l1:<i>  nec_next:<i>  hyp."""
@@ -228,10 +239,12 @@ def parse_derivation(text: str, hypotheses=None) -> Derivation:
         if kind == "axiom":
             just = Justification("axiom", scheme=arg.strip())
         elif kind == "mp":
-            i, j = (int(x) for x in arg.split(","))
-            just = Justification("mp", refs=(i, j))
+            refs = tuple(_reference(x, lineno) for x in arg.split(","))
+            if len(refs) != 2:
+                raise ValueError(f"line {lineno}: mp needs two step references")
+            just = Justification("mp", refs=refs)
         elif kind in ("nec_l1", "nec_next"):
-            just = Justification(kind, refs=(int(arg),))
+            just = Justification(kind, refs=(_reference(arg, lineno),))
         elif kind == "hyp":
             just = Justification("hyp")
         else:

@@ -21,8 +21,8 @@ from probnext import (
     render,
 )
 from probnext.enumeration import enum_rational, sort_key
-from probnext.linarith import LinearSystem, eq, ge, gt
-from probnext.prokhorov import FiniteMeasure, _dist, _merged_table
+from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies
+from probnext.prokhorov import FiniteMeasure, IncompatibleSupports, _dist, _merged_table
 
 
 def cap_address_space():
@@ -95,6 +95,77 @@ def random_linear_system(rng: random.Random) -> LinearSystem:
             build(coeffs, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         )
     return LinearSystem(constraints, num_vars=n_vars)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin elimination, the replaced decision path of `linarith`, kept
+# as the oracle of `linarith.solve`.
+
+_BUILD = {Rel.GE: ge, Rel.GT: gt, Rel.EQ: eq}
+
+
+def _combination(parts, relation):
+    """The constraint  sum(k * c) relation 0  over the pairs (k, c) in parts."""
+    coeffs: dict = {}
+    constant = Fraction(0)
+    for k, c in parts:
+        for v, a in c.coeffs:
+            coeffs[v] = coeffs.get(v, 0) + k * a
+        constant += k * c.constant
+    return _BUILD[relation](coeffs, constant)
+
+
+def system_variables(system: LinearSystem) -> set[int]:
+    return {v for c in system.constraints for v, _ in c.coeffs}
+
+
+def canonical(c):
+    """c scaled so its leading coefficient has absolute value 1 (for dedup)."""
+    if not c.coeffs:
+        return c
+    return _combination([(1 / abs(c.coeffs[0][1]), c)], c.relation)
+
+
+def tidy(constraints) -> list:
+    """Drop constant-true constraints and duplicates up to positive scaling."""
+    out, seen = [], set()
+    for c in constraints:
+        if not c.coeffs and satisfies(LinearSystem([c]), {}):
+            continue
+        key = canonical(c)
+        if key not in seen:
+            seen.add(key)
+            out.append(c)
+    return out
+
+
+def eliminate(system: LinearSystem, var: int) -> LinearSystem:
+    """Project `var` out; the result is feasible iff the input is."""
+    with_var = [(dict(c.coeffs).get(var, 0), c) for c in system.constraints]
+    for i, (a, e) in enumerate(with_var):
+        if a and e.relation is Rel.EQ:  # substitute the equality's solution
+            keep = [
+                _combination([(1, c), (-b / a, e)], c.relation) if b else c
+                for b, c in with_var[:i] + with_var[i + 1 :]
+            ]
+            return LinearSystem(tidy(keep), system.num_vars)
+    keep = [c for a, c in with_var if not a]
+    for a, lo in with_var:  # var >= -(rest of lo) / a, or strictly
+        if a <= 0:
+            continue
+        for b, up in with_var:  # var <= (rest of up) / -b, or strictly
+            if b < 0:
+                strict = Rel.GT in (lo.relation, up.relation)
+                relation = Rel.GT if strict else Rel.GE
+                keep.append(_combination([(1 / a, lo), (-1 / b, up)], relation))
+    return LinearSystem(tidy(keep), system.num_vars)
+
+
+def fm_feasible(system: LinearSystem) -> bool:
+    """Eliminate every variable, then check the constant rows that remain."""
+    for v in sorted(system_variables(system)):
+        system = eliminate(system, v)
+    return satisfies(system, {})
 
 
 def calkin_wilf_rationals():
@@ -432,6 +503,32 @@ HAND_WRITTEN_SCHEMES = {
 }
 
 
+ONE_WORLD = {"worlds": ["w0"], "kernel": {"w0": {"w0": "1"}}, "successor": {"w0": "w0"}}
+TWO_POINTS = {"points": ["a", "b"], "weights": {"a": "1"}, "distance": {"a|b": "1"}}
+
+# Model and measure files that once gave an internal error or were read as
+# a different model or measure.
+MALFORMED_MODELS = {
+    "worlds-not-a-list": {"worlds": 5},
+    "top-level-array": [ONE_WORLD],
+    "kernel-row-a-list": dict(ONE_WORLD, kernel={"w0": ["w0"]}),
+    "valuation-a-string": dict(ONE_WORLD, valuation={"p0": "w0"}),
+    "valuation-key-pp1": dict(ONE_WORLD, valuation={"pp1": ["w0"]}),
+    "valuation-key-p01-beside-p1": dict(ONE_WORLD, valuation={"p1": [], "p01": ["w0"]}),
+    "successor-a-list": dict(ONE_WORLD, successor={"w0": ["w0"]}),
+    "no-worlds": {"kernel": {}},
+}
+MALFORMED_MEASURES = {
+    "points-a-string": dict(TWO_POINTS, points="ab"),
+    "distance-key-without-bar": dict(TWO_POINTS, distance={"ab": "1"}),
+    "distance-key-with-two-bars": dict(TWO_POINTS, distance={"a|b|c": "1"}),
+    "weights-a-list": dict(TWO_POINTS, weights=["a"]),
+    "distance-a-list": dict(TWO_POINTS, distance=[["a", "b", "1"]]),
+    "top-level-array": [TWO_POINTS],
+    "no-points": {"weights": {"a": "1"}},
+}
+
+
 def prokhorov_two_way(mu, nu) -> Fraction:
     """The former Prokhorov scan, which checks both conditions on every
     subset at every breakpoint, kept as the oracle of the one-direction
@@ -485,6 +582,39 @@ def prokhorov_subset_scan(mu, nu) -> Fraction:
         if hi is None or threshold <= hi:
             return max(threshold, lo)
     raise AssertionError("unreachable: last interval always admits the infimum")
+
+
+def triangle_scan(table: dict) -> list[str]:
+    """The former triangle check of `FiniteMeasure.validate`, with three
+    `Fraction` lookups per triple of named points, kept as the oracle of the
+    integer index-matrix scan."""
+    problems = []
+    names = sorted({x for pair in table for x in pair})
+    for x, y, z in combinations(names, 3):
+        try:
+            dxy = _dist(table, x, y)
+            dxz = _dist(table, x, z)
+            dyz = _dist(table, y, z)
+        except IncompatibleSupports:
+            continue
+        if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
+            problems.append(f"triangle inequality fails on {x},{y},{z}")
+    return problems
+
+
+def random_distance_table(rng: random.Random) -> dict:
+    """A random distance table over up to 12 names: some pairs missing, some
+    keys reversed, some distances zero or negative, now and then a self
+    distance, and triangle violations common."""
+    names = [f"x{i}" for i in range(rng.randint(0, 12))]
+    table = {}
+    for a, b in combinations(names, 2):
+        if rng.random() < 0.85:
+            key = (a, b) if rng.random() < 0.5 else (b, a)
+            table[key] = Fraction(rng.randint(-1, 9), rng.randint(1, 5))
+    if names and rng.random() < 0.2:
+        table[names[0], names[0]] = Fraction(1)
+    return table
 
 
 def random_metric_measures(rng: random.Random, n: int, line=None):

@@ -9,7 +9,14 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import cap_address_space, random_formula
+from helpers import (
+    MALFORMED_MEASURES,
+    MALFORMED_MODELS,
+    ONE_WORLD,
+    TWO_POINTS,
+    cap_address_space,
+    random_formula,
+)
 import probnext
 from probnext import decide, formula_index, parse, proof, render
 from probnext.cli import main
@@ -162,6 +169,83 @@ def test_non_string_fraction_in_a_model_file_is_an_input_error(tmp_path, capsys)
     assert "must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+def test_malformed_model_file_is_an_input_error(data, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "p1"]) == 2
+    assert "cannot load model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", MALFORMED_MEASURES.values(), ids=MALFORMED_MEASURES)
+def test_malformed_measure_file_is_an_input_error(data, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(TWO_POINTS))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["dist", "prokhorov", str(bad), str(good)]) == 2
+    assert "cannot load measure" in capsys.readouterr().err
+
+
+_NAMES = st.sampled_from(["w0", "w1", "a", "b", ""])
+_WORDS = st.sampled_from(
+    ["worlds", "valuation", "kernel", "successor", "points", "weights", "distance",
+     "p0", "p1", "pp1", "a|b", "b|a", "ab", "1", "1/2", "-1/2", "0", "1/0"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _WORDS | _NAMES
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_WORDS | _NAMES | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+_MASS = st.sampled_from(["1", "1/2", "0", "-1/2", "1/0", "x"]) | _JSON
+_MODELS = st.fixed_dictionaries(
+    {},
+    optional={
+        "worlds": st.lists(_NAMES, max_size=3) | _JSON,
+        "valuation": st.dictionaries(
+            st.sampled_from(["p0", "p1", "p01", "pp1", "0"]), st.lists(_NAMES) | _JSON
+        ) | _JSON,
+        "kernel": st.dictionaries(_NAMES, st.dictionaries(_NAMES, _MASS) | _JSON)
+        | _JSON,
+        "successor": st.dictionaries(_NAMES, _NAMES | _JSON) | _JSON,
+    },
+)
+_MEASURES = st.fixed_dictionaries(
+    {},
+    optional={
+        "points": st.lists(_NAMES, max_size=3) | _JSON,
+        "weights": st.dictionaries(_NAMES, _MASS) | _JSON,
+        "distance": st.dictionaries(
+            st.sampled_from(["a|b", "b|a", "a|a", "a|w0", "ab", "a|b|c", "|"]), _MASS
+        ) | _JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_MODELS | _JSON)
+@example(data=ONE_WORLD)
+def test_any_json_model_file_gets_an_exit_code_of_the_contract(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "L[1/2] X p0 & !p1"]) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_MEASURES | _JSON, _MEASURES | _JSON)
+@example(first=TWO_POINTS, second=TWO_POINTS)
+def test_any_json_measure_file_gets_an_exit_code_of_the_contract(
+    tmp_path_factory, first, second
+):
+    folder = tmp_path_factory.mktemp("measures")
+    paths = [folder / "mu.json", folder / "nu.json"]
+    for path, data in zip(paths, (first, second)):
+        path.write_text(json.dumps(data))
+    assert main(["dist", "prokhorov", *map(str, paths)]) in (0, 1, 2)
+
+
 def test_prove_semantic(capsys):
     assert main(["prove", "L[1/2] p0", "--hyp", "L[2/3] p0"]) == 0
     assert main(["prove", "L[2/3] p0", "--hyp", "L[1/2] p0"]) == 1
@@ -180,6 +264,20 @@ def test_prove_checks_derivation_files(tmp_path, capsys):
     bad.write_text("p0 -> p1 ; axiom:Taut\n")
     assert main(["prove", "--check", str(bad)]) == 1
     assert "rejected at step 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p0 -> p0 ; mp:-1,-1\n",
+        "p0 | !p0 ; axiom:Taut\nL[1] (p0 | !p0) ; nec_l1:-1\n",
+    ],
+)
+def test_negative_step_reference_is_malformed_input(text, tmp_path, capsys):
+    path = tmp_path / "derivation.txt"
+    path.write_text(text)
+    assert main(["prove", "--check", str(path)]) == 2
+    assert "not a natural number" in capsys.readouterr().err
 
 
 def test_thirty_atom_tautology_answers_or_hits_the_limit(tmp_path):

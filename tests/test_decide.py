@@ -22,7 +22,7 @@ from probnext import (
     valid,
     witness,
 )
-from probnext.decide import group_steps, to_disjuncts, world_sat
+from probnext.decide import _world_sat, group_steps, to_disjuncts, world_sat
 
 
 def _no_next_above_boolean(f):
@@ -186,3 +186,23 @@ def test_former_lp_cliff_is_sat_with_checked_witness(text):
         capture_output=True, text=True, timeout=10, env=env,
     )
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
+
+
+# Bodies that differ only in where a next-operator sits bound the same
+# worlds, so they share one cell column: k such columns give 2^k cells.
+@pytest.mark.parametrize(
+    "text, cells",
+    [
+        ("L[1/2] X !p0 & L[1/2] !X p0", 2),
+        ("L[1/2] X (p0 & p1) & L[1/3] (X p0 & X p1) & !L[2/3] X !p0", 4),
+    ],
+)
+def test_bodies_equal_up_to_next_share_a_cell_column(text, cells):
+    f = parse(text)
+    _world_sat.cache_clear()
+    sat_status.cache_clear()
+    assert sat(f).status == "SAT"
+    assert sat_status.cache_info().misses == 1 + cells  # f, then each cell
+    model, root = witness(f)
+    assert model.validate() == []
+    assert model.check(root, f)

@@ -3,18 +3,19 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from probnext import linarith, parse, push_next
+from probnext import parse, push_next
 from probnext.decide import group_steps, to_disjuncts, world_sat
-from probnext.linarith import (
-    LinearSystem,
-    Rel,
+from probnext.linarith import LinearSystem, eq, feasible, ge, gt, satisfies, solve
+
+from helpers import (
+    canonical,
     eliminate,
-    eq,
-    feasible,
-    ge,
-    gt,
-    satisfies,
-    solve,
+    fm_feasible,
+    lp_chain,
+    random_formula,
+    random_linear_system as _random_system,
+    system_variables,
+    tidy,
 )
 
 
@@ -70,7 +71,7 @@ def test_elimination_preserves_feasibility():
     )
     assert feasible(system)
     reduced = eliminate(system, 0)
-    assert 0 not in reduced.variables()
+    assert 0 not in system_variables(reduced)
     assert feasible(reduced)
     point = solve(system)
     assert satisfies(system, point)
@@ -96,25 +97,13 @@ def test_exact_rational_arithmetic():
     assert solve(system) == {0: F(1, 3)}
 
 
-from helpers import lp_chain, random_formula, random_linear_system as _random_system
-
-
-def _fm_feasible(system):
-    """Reference oracle: eliminate every variable by Fourier-Motzkin, then
-    check the constant rows that remain."""
-    reduced = system
-    for v in sorted(system.variables()):
-        reduced = eliminate(reduced, v)
-    return satisfies(reduced, {})
-
-
 def test_solutions_satisfy_on_random_systems():
     rng = random.Random(99)
     solved = 0
     for _ in range(2000):
         system = _random_system(rng)
         point = solve(system)
-        assert (point is not None) == _fm_feasible(system)
+        assert (point is not None) == fm_feasible(system)
         if point is not None:
             full = {v: point.get(v, Fraction(0)) for v in range(system.num_vars)}
             assert satisfies(system, full)
@@ -146,7 +135,7 @@ def _systems(draw):
 @given(_systems())
 def test_solve_agrees_with_elimination_oracle(system):
     point = solve(system)
-    assert (point is None) == (not _fm_feasible(system))
+    assert (point is None) == (not fm_feasible(system))
     if point is not None:
         assert satisfies(system, point)
 
@@ -165,9 +154,9 @@ def test_degenerate_cycling_prone_system():
     beyond = LinearSystem(rows + [gt(objective, F(-1, 20))], num_vars=4)
     point = solve(at_optimum)
     assert point is not None and satisfies(at_optimum, point)
-    assert _fm_feasible(at_optimum)
+    assert fm_feasible(at_optimum)
     assert solve(beyond) is None
-    assert not _fm_feasible(beyond)
+    assert not fm_feasible(beyond)
 
 
 def test_world_plans_are_vertices():
@@ -193,18 +182,17 @@ def test_elimination_order_does_not_change_feasibility():
     for _ in range(60):
         system = _random_system(rng)
         expected = feasible(system)
-        order = sorted(system.variables())
+        order = sorted(system_variables(system))
         rng.shuffle(order)
         reduced = system
         for v in order:
             reduced = eliminate(reduced, v)
-        assert not reduced.variables()
+        assert not system_variables(reduced)
         assert feasible(reduced) == expected
 
 
 def test_canonical_dedup():
     c1 = ge({0: F(2)}, F(2))
     c2 = ge({0: F(1)}, F(1))
-    assert c1.canonical().term == c2.canonical().term
-    system = LinearSystem([c1, c2, gt({}, F(5))])
-    assert len(linarith._tidy(system.constraints)) == 1
+    assert canonical(c1) == canonical(c2)
+    assert len(tidy([c1, c2, gt({}, F(5))])) == 1

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import MALFORMED_MODELS, ONE_WORLD
+
 from probnext import (
     FiniteDMM,
     UnknownWorld,
@@ -104,3 +106,15 @@ def test_json_roundtrip(two_world_model):
     assert back.kernel == two_world_model.kernel
     assert back.successor == two_world_model.successor
     assert back.valuation == two_world_model.valuation
+
+
+@pytest.mark.parametrize("data", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+def test_malformed_model_dicts_are_refused(data):
+    with pytest.raises(ValueError):
+        model_from_dict(data)
+
+
+def test_well_formed_one_world_model_reads_back():
+    model = model_from_dict(dict(ONE_WORLD, valuation={"p0": ["w0"], "p12": []}))
+    assert model.valuation == {0: {"w0"}, 12: set()}
+    assert not model.validate()

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import prokhorov_subset_scan, prokhorov_two_way, random_metric_measures
+from helpers import (
+    MALFORMED_MEASURES,
+    prokhorov_subset_scan,
+    prokhorov_two_way,
+    random_distance_table,
+    random_metric_measures,
+    triangle_scan,
+)
 import probnext
 from probnext import (
     FiniteMeasure,
@@ -20,6 +27,7 @@ from probnext import (
     prokhorov,
 )
 from probnext.models import fraction_to_str
+from probnext.prokhorov import _triangle_failures
 
 
 def F(a, b=1):
@@ -142,6 +150,28 @@ def test_json_roundtrip():
     assert back.points == mu.points
     assert back.weights == mu.weights
     assert back.distance == mu.distance
+
+
+@pytest.mark.parametrize("data", MALFORMED_MEASURES.values(), ids=MALFORMED_MEASURES)
+def test_malformed_measure_dicts_are_refused(data):
+    with pytest.raises(ValueError):
+        measure_from_dict(data)
+
+
+def test_triangle_check_agrees_with_the_triple_scan():
+    rng = random.Random(12)
+    failures = incomplete = 0
+    for _ in range(400):
+        m = FiniteMeasure([], {}, random_distance_table(rng))
+        expected = triangle_scan(m.distance)
+        problems = m.validate()
+        assert problems[len(problems) - len(expected) :] == expected
+        assert _triangle_failures(m.distance) == expected
+        failures += len(expected)
+        names = {x for pair in m.distance for x in pair}
+        pairs = [(a, b) for a, b in m.distance if a != b]
+        incomplete += len(names) >= 3 and len(pairs) < len(names) * (len(names) - 1) // 2
+    assert failures > 1000 and incomplete > 100
 
 
 def test_keys_are_normalized_whatever_their_order():

@@ -12,6 +12,7 @@ from helpers import (
     truth_table_tautology,
 )
 from probnext import (
+    AtLeast,
     ExtensionLimitExceeded,
     Not,
     implies,
@@ -26,6 +27,7 @@ from probnext import (
     render,
 )
 from probnext.proof import SCHEME_NAMES as SCHEME_NAMES_ALL
+from probnext.proof import CheckResult, Derivation, Justification
 
 
 def test_tautology_recognition():
@@ -132,6 +134,41 @@ p0 | !p0 ; axiom:Taut
     result = check_derivation(parse_derivation(text))
     assert not result.accepted
     assert "later step" in result.reason
+
+
+# Python reads index -1 as the last earlier step, which once let a negative
+# reference through as if it named a real premise.
+NEGATIVE_REFERENCES = [
+    "p0 -> p0 ; mp:-1,-1",
+    "p0 | !p0 ; axiom:Taut\nL[1] (p0 | !p0) ; nec_l1:-1",
+]
+
+
+@pytest.mark.parametrize("text", NEGATIVE_REFERENCES)
+def test_parser_refuses_negative_references(text):
+    with pytest.raises(ValueError, match="not a natural number"):
+        parse_derivation(text)
+
+
+@pytest.mark.parametrize("arg", ["1", "0,1,2", "0,x", "+1,0", "0, "])
+def test_parser_refuses_malformed_mp_references(arg):
+    with pytest.raises(ValueError):
+        parse_derivation(f"p0 ; mp:{arg}")
+
+
+def test_checker_rejects_negative_references_built_through_the_api():
+    taut = parse("p0 | !p0")
+    d = Derivation(
+        (
+            (taut, Justification("axiom", scheme="Taut")),
+            (AtLeast(Fraction(1), taut), Justification("nec_l1", refs=(-1,))),
+        )
+    )
+    result = check_derivation(d)
+    assert (result.accepted, result.step) == (False, 1)
+    assert "negative" in result.reason
+    mp = Derivation(((parse("p0 -> p0"), Justification("mp", refs=(-1, -1))),))
+    assert check_derivation(mp) == CheckResult(False, 0, "negative step reference")
 
 
 def test_necessitation_forbidden_under_hypotheses():
