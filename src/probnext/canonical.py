@@ -94,29 +94,37 @@ class SaturatedPrefix:
     # -- staged construction ------------------------------------------------
 
     def _entails(self, f: Formula) -> bool:
-        return not sat_status(And(self._gamma, Not(f)))
+        try:
+            return not sat_status(And(self._gamma, Not(f)))
+        except RecursionError:
+            # The stage set is one left-nested conjunction, which the
+            # recursive traversals (hashing included) walk to its bottom.
+            raise ExtensionLimitExceeded(
+                f"the query on the stage set after {self.budget} stages is nested too deep"
+            ) from None
 
     def extend(self, budget: int) -> "SaturatedPrefix":
+        """Run the stages below `budget` that are not built yet.  A stage is
+        recorded only once it is decided, so a stage that raises leaves the
+        prefix as it was after the one before."""
         for l in range(self.budget, budget):
             f = enum_formula(l)
             if self._entails(f):
-                self.decided.append(True)
-                self.stage_log.append(StageRecord(l, 1, f))
-                self._gamma = And(self._gamma, f)
+                record = StageRecord(l, 1, f)
             else:
                 pattern = _bound_stack_pattern(f)
-                if pattern is not None:
-                    steps, outer, r, theta = pattern
-                    extra = Not(self._witness_refutation(steps, outer, r, theta))
-                    self.decided.append(False)
-                    self.extras.append(extra)
-                    self.stage_log.append(StageRecord(l, 3, f, extra))
-                    self._gamma = And(And(self._gamma, Not(f)), extra)
+                if pattern is None:
+                    record = StageRecord(l, 2, f)
                 else:
-                    self.decided.append(False)
-                    self.stage_log.append(StageRecord(l, 2, f))
-                    self._gamma = And(self._gamma, Not(f))
-        self.budget = max(self.budget, budget)
+                    extra = Not(self._witness_refutation(*pattern))
+                    record = StageRecord(l, 3, f, extra)
+            self.decided.append(record.case == 1)
+            self.stage_log.append(record)
+            self._gamma = And(self._gamma, f if record.case == 1 else Not(f))
+            if record.extra is not None:
+                self.extras.append(record.extra)
+                self._gamma = And(self._gamma, record.extra)
+            self.budget = l + 1
         return self
 
     def _witness_refutation(self, steps, outer, r, theta) -> Formula:

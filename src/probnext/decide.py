@@ -4,10 +4,13 @@ Pipeline:  expand the formula as written into a pruned DNF over
 time-stamped atoms (a next-operator raises the time stamp of the atoms
 below it), group each disjunct's literals by time step, and decide every
 step independently.  A step's probability literals are decided by
-carving the state space into cells (one per subset of the distinct
-operator bodies, each in `push_next` normal form), recursively deciding
-each cell and solving an exact linear system over the satisfiable cells'
-masses.
+carving the state space into cells and solving an exact linear system
+over the satisfiable cells' masses.  A vacuous bound L[0] b is dropped,
+and !L[0] b fails the step.  The columns are the distinct operator
+bodies in `push_next` normal form up to one leading negation (L[r] !c
+bounds 1 - m(c)).  A valid body fixes its column's bit to 1 and an
+unsatisfiable one to 0, so only the cells over the contingent bodies are
+built and recursively decided.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts.
@@ -206,24 +209,45 @@ def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
 def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPlan]:
     if pos_props & neg_props:
         return None
+    # L[0] b holds at every world and !L[0] b at none.
+    if any(bound == 0 for bound, _ in neg_bounds):
+        return None
+    pos_bounds = tuple(lit for lit in pos_bounds if lit[0] > 0)
     if not pos_bounds and not neg_bounds:
         return WorldPlan(pos_props, ())
 
-    # One column per body in normal form: X !p0 and !X p0 bound the same
-    # set of worlds.  (Lists, not sets: hashing a formula walks all of it.)
-    columns = [push_next(body) for _, body in pos_bounds + neg_bounds]
+    # One column per body in normal form up to one leading negation:
+    # X !p0, !X p0 and X p0 bound the same column, L[r] !c reading
+    # 1 - m(c) >= r.  (Lists, not sets: hashing a formula walks all of it.)
+    columns = []  # (body, complemented?) per literal
     bodies = []
-    for body in columns:
+    for _, body in pos_bounds + neg_bounds:
+        body = push_next(body)
+        complemented = isinstance(body, Not)
+        if complemented:
+            body = body.body
+        columns.append((body, complemented))
         if body not in bodies:
             bodies.append(body)
     bodies.sort(key=render)
 
+    # A valid body fixes its bit to 1 and an unsatisfiable one to 0; only
+    # the cells over the contingent bodies are tried.
+    fixed = 0
+    free = []
+    for i, b in enumerate(bodies):
+        if not sat_status(Not(b)):
+            fixed |= 1 << i
+        elif sat_status(b):
+            free.append(i)
+
     sat_cells: list[tuple[int, Formula]] = []  # (bitmask over bodies, cell formula)
-    for mask in range(1 << len(bodies)):
-        parts = [
-            b if mask & (1 << i) else Not(b) for i, b in enumerate(bodies)
-        ]
-        delta = conj(parts)
+    for choice in range(1 << len(free)):
+        mask = fixed
+        for j, i in enumerate(free):
+            if choice & (1 << j):
+                mask |= 1 << i
+        delta = conj(b if mask & (1 << i) else Not(b) for i, b in enumerate(bodies))
         if sat_status(delta):
             sat_cells.append((mask, delta))
 
@@ -233,20 +257,19 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     )
     for i in range(len(sat_cells)):
         system.constraints.append(linarith.ge({i: Fraction(1)}))
-    for (bound, _), body in zip(pos_bounds, columns):
+    # L[r] reads  e - r >= 0  and  !L[r] reads  -(e - r) > 0,  where e is
+    # m(c), or 1 - m(c) for a complemented body.
+    literals = [(bound, 1, linarith.ge) for bound, _ in pos_bounds]
+    literals += [(bound, -1, linarith.gt) for bound, _ in neg_bounds]
+    for (bound, polarity, relation), (body, complemented) in zip(literals, columns):
+        sign, constant = (-1, 1 - bound) if complemented else (1, -bound)
         b = bodies.index(body)
         coeffs = {
-            i: Fraction(1) for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)
-        }
-        system.constraints.append(linarith.ge(coeffs, -bound))
-    for (bound, _), body in zip(neg_bounds, columns[len(pos_bounds) :]):
-        b = bodies.index(body)
-        coeffs = {
-            i: Fraction(-1)
+            i: Fraction(polarity * sign)
             for i, (mask, _) in enumerate(sat_cells)
             if mask & (1 << b)
         }
-        system.constraints.append(linarith.gt(coeffs, bound))
+        system.constraints.append(relation(coeffs, polarity * constant))
 
     point = linarith.solve(system)
     if point is None:

@@ -90,6 +90,10 @@ class FiniteDMM:
                 problems.append(f"missing successor for {w}")
             elif succ not in world_set:
                 problems.append(f"successor of {w} is unknown world {succ}")
+        for w in sorted(self.kernel.keys() - world_set):
+            problems.append(f"kernel row for unknown world {w}")
+        for w in sorted(self.successor.keys() - world_set):
+            problems.append(f"successor given for unknown world {w}")
         for p, ws in self.valuation.items():
             for w in ws:
                 if w not in world_set:
@@ -125,9 +129,12 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    """Inverse of fraction_to_str (also reads "n"); ValueError if malformed."""
+    """Inverse of fraction_to_str (also reads "n" and a leading "-");
+    ValueError if malformed."""
     if not isinstance(s, str):
         raise ValueError(f"fraction must be a string such as \"1/2\", not {s!r}")
+    if not re.fullmatch("-?[0-9]+(/[0-9]+)?", s):
+        raise ValueError(f"fraction {s!r} is not spelled num/den in ASCII digits")
     num, _, den = s.partition("/")
     den = int(den) if den else 1
     if den == 0:

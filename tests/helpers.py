@@ -14,14 +14,17 @@ from probnext import (
     Next,
     Not,
     Prop,
+    conj,
+    decide,
     iff,
     implies,
+    lor,
     proof,
     push_next,
     render,
 )
 from probnext.enumeration import enum_rational, sort_key
-from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies
+from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies, solve
 from probnext.prokhorov import FiniteMeasure, IncompatibleSupports, _dist, _merged_table
 
 
@@ -72,6 +75,26 @@ def _small_body(rng: random.Random):
     return random_formula(
         rng, max_size=4, max_prob_depth=1, max_dyn_depth=1, denom_bound=3, n_props=2
     )
+
+
+def random_bound_conjunction(rng: random.Random, max_literals: int = 5):
+    """A conjunction of 1 to `max_literals` possibly negated probability
+    bounds over small bodies, some of them negated, valid, unsatisfiable or
+    repeated: the inputs on which cell columns merge or are fixed."""
+    bodies = [_small_body(rng) for _ in range(3)]
+    literals = []
+    for _ in range(rng.randint(1, max_literals)):
+        body = rng.choice(bodies)
+        pick = rng.random()
+        if pick < 0.1:
+            body = lor(body, Not(body))
+        elif pick < 0.2:
+            body = And(body, Not(body))
+        if rng.random() < 0.4:
+            body = Not(body)
+        literal = AtLeast(_bound(rng, 4), body)
+        literals.append(Not(literal) if rng.random() < 0.4 else literal)
+    return conj(literals)
 
 
 def _bound(rng: random.Random, denom_bound: int = 6) -> Fraction:
@@ -259,6 +282,40 @@ def push_then_dnf(f):
 
     disjuncts = dnf(push_next(f), True)
     return sorted(disjuncts, key=lambda d: sorted(map(literal_key, d)))
+
+
+def world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds):
+    """The former cell step of `decide._world_sat`, kept as its oracle: one
+    column per distinct `push_next` body, negated bodies included, and
+    `sat_status` on every one of the 2^k cells.  Returns a `WorldPlan` or
+    None, as `_world_sat` does."""
+    if pos_props & neg_props:
+        return None
+    if not pos_bounds and not neg_bounds:
+        return decide.WorldPlan(pos_props, ())
+    columns = [push_next(body) for _, body in pos_bounds + neg_bounds]
+    bodies = sorted(set(columns), key=render)
+    sat_cells = []  # (bitmask over bodies, cell formula)
+    for mask in range(1 << len(bodies)):
+        delta = conj(b if mask & (1 << i) else Not(b) for i, b in enumerate(bodies))
+        if decide.sat_status(delta):
+            sat_cells.append((mask, delta))
+    n = len(sat_cells)
+    system = LinearSystem(num_vars=n)
+    system.constraints.append(eq({i: Fraction(1) for i in range(n)}, Fraction(-1)))
+    system.constraints.extend(ge({i: Fraction(1)}) for i in range(n))
+    for k, ((bound, _), body) in enumerate(zip(pos_bounds + neg_bounds, columns)):
+        b = bodies.index(body)
+        inside = [i for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)]
+        if k < len(pos_bounds):
+            system.constraints.append(ge({i: Fraction(1) for i in inside}, -bound))
+        else:
+            system.constraints.append(gt({i: Fraction(-1) for i in inside}, bound))
+    point = solve(system)
+    if point is None:
+        return None
+    cells = tuple((delta, point[i]) for i, (_, delta) in enumerate(sat_cells) if point[i] > 0)
+    return decide.WorldPlan(pos_props, cells)
 
 
 # the non-propositional schemes, which random_scheme_instance draws from

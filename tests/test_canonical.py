@@ -1,12 +1,15 @@
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 import probnext
-from helpers import cap_address_space
+from helpers import cap_address_space, world_sat_all_cells
 from probnext import (
     ExtensionLimitExceeded,
     InconsistentSeed,
@@ -22,9 +25,11 @@ from probnext import (
     parse,
     prefix_from_dict,
     prefix_to_dict,
+    render,
     sat_function,
     sat_status,
 )
+from probnext import decide
 from probnext.canonical import _bound_stack_pattern
 
 
@@ -213,3 +218,91 @@ def test_serialization_roundtrip_and_tamper_detection():
     data["decided"][0] = 1 - data["decided"][0]
     with pytest.raises(ValueError):
         prefix_from_dict(data)
+
+
+def test_deep_stage_set_is_a_limit_and_leaves_a_consistent_prefix():
+    # p1 is independent of the seed, so the bracket's queries run stages
+    # until the stage set nests deeper than the recursive traversals reach;
+    # the stage that hits the limit is not recorded, and the queries that
+    # cannot be decided default.
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    code = (
+        "from probnext import kernel_bounds, lindenbaum, parse\n"
+        "w = lindenbaum(parse('p0'), 5)\n"
+        "iv = kernel_bounds(w, parse('p1'), 30)\n"
+        "print(iv.lower <= iv.upper, w.budget == len(w.decided) == len(w.stage_log))\n"
+        "print(w.budget > 5)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=cap_address_space,
+    )
+    assert (done.returncode, done.stdout.split()) == (0, ["True", "True", "True"]), done.stderr
+
+
+def test_stage_that_hits_the_recursion_limit_is_not_recorded(monkeypatch):
+    w = lindenbaum(parse("L[1/2] p0"), 10)
+    state = (list(w.decided), list(w.stage_log), list(w.extras), w._gamma)
+
+    def too_deep(f):
+        raise RecursionError
+
+    monkeypatch.setattr(probnext.canonical, "sat_status", too_deep)
+    with pytest.raises(ExtensionLimitExceeded):
+        w.extend(20)
+    assert w.budget == 10
+    assert (list(w.decided), list(w.stage_log), list(w.extras), w._gamma) == state
+    assert w.member_or(enum_formula(3), default=None) is None
+    monkeypatch.undo()
+    assert w.extend(20).decided == lindenbaum(parse("L[1/2] p0"), 20).decided
+
+
+BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected" / "lindenbaum.json"
+
+
+def _bits_and_extras(w):
+    """A prefix as the benchmark's expected file spells it."""
+    bits = "".join("1" if bit else "0" for bit in w.decided)
+    extras = {str(r.index): render(r.extra) for r in w.stage_log if r.extra is not None}
+    return bits, extras
+
+
+def test_lindenbaum_seeds_agree_with_the_all_cells_oracle(monkeypatch):
+    """The four benchmark seeds at budget 120, built by the cell step and by
+    the all-cells oracle.  The oracle is given each step's literals less the
+    positive L[0] bounds, which hold at every world: with them it is the
+    cliff the cell step removes (19 distinct bodies at this budget)."""
+    seeds = [entry["seed"] for entry in json.loads(BENCH_EXPECTED.read_text())["seeds"]]
+    sat_status.cache_clear()
+    built = [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds]
+
+    @lru_cache(maxsize=None)
+    def oracle(pos_props, neg_props, pos_bounds, neg_bounds):
+        pos_bounds = tuple(lit for lit in pos_bounds if lit[0] > 0)
+        return world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds)
+
+    monkeypatch.setattr(decide, "_world_sat", oracle)
+    sat_status.cache_clear()
+    try:
+        assert [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds] == built
+    finally:
+        sat_status.cache_clear()
+
+
+def test_lindenbaum_seeds_reproduce_the_benchmark_bits():
+    expected = json.loads(BENCH_EXPECTED.read_text())
+    for entry in expected["seeds"]:
+        w = lindenbaum(parse(entry["seed"]), expected["budget"])
+        assert _bits_and_extras(w) == (entry["decided"], entry["extras"])
+
+
+def test_lindenbaum_stage_cliff_stays_gone():
+    # Counts, not times: building to budget 50 from this seed took 8245
+    # sat_status misses when every cell over every body was tried, and each
+    # later stage about 2.4 times the one before.
+    decide._world_sat.cache_clear()
+    sat_status.cache_clear()
+    lindenbaum(parse("L[1/2] p0 & X p1"), 260)
+    assert sat_status.cache_info().misses < 4000

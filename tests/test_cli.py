@@ -169,6 +169,31 @@ def test_non_string_fraction_in_a_model_file_is_an_input_error(tmp_path, capsys)
     assert "must be a string" in capsys.readouterr().err
 
 
+# Fractions are spelled num/den in ASCII digits; int() alone would read
+# these as 1/2, 10/3 and 1.
+@pytest.mark.parametrize("mass", ["\u0661/\u0662", " 1_0 / 3", "+1"])
+def test_fraction_not_spelled_in_ascii_digits_is_an_input_error(mass, tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(
+        json.dumps({"worlds": ["w0"], "kernel": {"w0": {"w0": mass}},
+                    "successor": {"w0": "w0"}})
+    )
+    assert main(["check", str(bad), "p0"]) == 2
+    assert "ASCII digits" in capsys.readouterr().err
+
+
+def test_rows_and_successors_of_unlisted_worlds_are_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(
+        json.dumps({"worlds": ["w0"], "kernel": {"w0": {"w0": "1"}, "w9": {"w0": "7"}},
+                    "successor": {"w0": "w0", "w9": "nowhere"}})
+    )
+    assert main(["check", str(bad), "p0"]) == 2
+    err = capsys.readouterr().err
+    assert "kernel row for unknown world w9" in err
+    assert "successor given for unknown world w9" in err
+
+
 @pytest.mark.parametrize("data", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
 def test_malformed_model_file_is_an_input_error(data, tmp_path, capsys):
     path = tmp_path / "m.json"

@@ -1,12 +1,21 @@
+import importlib.util
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import lp_chain, push_then_dnf, random_formula
+from helpers import (
+    lp_chain,
+    push_then_dnf,
+    random_bound_conjunction,
+    random_formula,
+    world_sat_all_cells,
+)
 import probnext
 from probnext import (
     And,
@@ -14,6 +23,7 @@ from probnext import (
     Next,
     Not,
     Prop,
+    conj,
     parse,
     push_next,
     random_model,
@@ -22,6 +32,7 @@ from probnext import (
     valid,
     witness,
 )
+from probnext import decide
 from probnext.decide import _world_sat, group_steps, to_disjuncts, world_sat
 
 
@@ -188,21 +199,130 @@ def test_former_lp_cliff_is_sat_with_checked_witness(text):
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
-# Bodies that differ only in where a next-operator sits bound the same
-# worlds, so they share one cell column: k such columns give 2^k cells.
+def _count_cells(monkeypatch) -> list:
+    """Clear the caches and count the cells `_world_sat` tries from now on:
+    it builds each cell's formula with `conj`, and nothing else."""
+    _world_sat.cache_clear()
+    sat_status.cache_clear()
+    tried = []
+    monkeypatch.setattr(decide, "conj", lambda parts: tried.append(1) or conj(parts))
+    return tried
+
+
+# Bodies that differ only in where a next-operator sits, or in one leading
+# negation, bound the same worlds, so they share one cell column; a vacuous
+# bound L[0] b adds none.  k contingent columns give 2^k cells.
 @pytest.mark.parametrize(
     "text, cells",
     [
         ("L[1/2] X !p0 & L[1/2] !X p0", 2),
         ("L[1/2] X (p0 & p1) & L[1/3] (X p0 & X p1) & !L[2/3] X !p0", 4),
+        ("L[1/2] p0 & L[1/3] !p0", 2),
+        ("L[0] p0 & L[1/2] p1", 2),
     ],
 )
-def test_bodies_equal_up_to_next_share_a_cell_column(text, cells):
+def test_bodies_equal_up_to_next_share_a_cell_column(monkeypatch, text, cells):
     f = parse(text)
-    _world_sat.cache_clear()
-    sat_status.cache_clear()
+    tried = _count_cells(monkeypatch)
     assert sat(f).status == "SAT"
-    assert sat_status.cache_info().misses == 1 + cells  # f, then each cell
+    assert len(tried) == cells
     model, root = witness(f)
     assert model.validate() == []
     assert model.check(root, f)
+
+
+def test_negated_vacuous_bound_fails_before_any_cell(monkeypatch):
+    tried = _count_cells(monkeypatch)
+    assert sat(parse("!L[0] p0")).status == "UNSAT"
+    assert sat(parse("L[1/2] p1 & !L[0] X p0")).status == "UNSAT"
+    assert tried == []
+
+
+def test_valid_and_unsatisfiable_bodies_fix_their_column(monkeypatch):
+    tried = _count_cells(monkeypatch)
+    # (p0 | !p0) & L[0] p1 is valid and p1 & !p1 unsatisfiable: only p2 is
+    # contingent.
+    f = parse("L[1/2] ((p0 | !p0) & L[0] p1) & !L[1/2] (p1 & !p1) & L[1/3] p2")
+    assert sat(f).status == "SAT"
+    assert len(tried) == 2
+    model, root = witness(f)
+    assert model.validate() == []
+    assert model.check(root, f)
+    assert sat(parse("!L[1] ((p0 | !p0) & L[0] p1) & L[1/3] p2")).status == "UNSAT"
+    assert sat(parse("L[1/2] (p1 & !p1) & L[1/3] p2")).status == "UNSAT"
+    assert sat(parse("L[1] !(p1 & !p1) & !L[1/2] !p2")).status == "SAT"
+
+
+def _agrees_with_the_oracle(monkeypatch, run) -> int:
+    """Run `run()` from cleared caches, recording every step requirement that
+    `_world_sat` is asked; then ask the all-cells oracle each one, recording
+    the requirements its own cells reach as well.  Returns the number
+    compared."""
+    _world_sat.cache_clear()
+    sat_status.cache_clear()
+    seen: dict = {}
+    real = decide._world_sat
+
+    def record(*args):
+        seen.setdefault(args, None)
+        return real(*args)
+
+    monkeypatch.setattr(decide, "_world_sat", record)
+    run()
+    done = 0
+    while done < len(seen):
+        for args in list(seen)[done:]:
+            assert (real(*args) is None) == (world_sat_all_cells(*args) is None), args
+            done += 1
+    monkeypatch.setattr(decide, "_world_sat", real)
+    return done
+
+
+def test_cell_step_agrees_with_the_all_cells_oracle(monkeypatch):
+    rng = random.Random(909)
+    formulas = [random_formula(rng) for _ in range(2000)]
+    formulas += [random_bound_conjunction(rng) for _ in range(1000)]
+    witnessed = []
+
+    def run():
+        for f in formulas:
+            found = witness(f)
+            if found is not None:
+                witnessed.append((f, found))
+
+    assert _agrees_with_the_oracle(monkeypatch, run) > 1000
+    assert 1000 < len(witnessed) < 3000
+    for f, (model, root) in witnessed:
+        assert model.validate() == []
+        assert model.check(root, f)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# The first entries of the decide-mix benchmark pool, whose verdicts are
+# committed with the benchmark.
+MIX_ENTRIES = 2500
+
+
+def test_cell_step_agrees_with_the_oracle_on_the_decide_mix_pool(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    verdicts = json.loads((BENCH / "expected" / "decide_mix.json").read_text())["verdicts"]
+    entries = [
+        (inputs.mix_entry(i), verdicts[i]) for i in range(MIX_ENTRIES) if verdicts[i] != "X"
+    ]
+
+    def run():
+        for (kind, text), verdict in entries:
+            f = parse(text)
+            if kind == "derives":
+                assert probnext.derives([], f) is (verdict == "V")
+                continue
+            assert sat_status(f) is (verdict == "S")
+            if verdict == "S":
+                model, root = witness(f)
+                assert model.validate() == []
+                assert model.check(root, f)
+
+    assert _agrees_with_the_oracle(monkeypatch, run) > 1000

@@ -13,6 +13,7 @@ from probnext import (
     parse,
     random_model,
 )
+from probnext.models import fraction_from_str, fraction_to_str
 
 
 @pytest.fixture
@@ -84,6 +85,30 @@ def test_validate_flags_negative_mass():
     )
     problems = m.validate()
     assert any("negative mass" in p for p in problems)
+
+
+def test_validate_flags_rows_and_successors_of_unlisted_worlds():
+    m = FiniteDMM(
+        worlds=["u"],
+        kernel={"u": {"u": Fraction(1)}, "w9": {"u": Fraction(7)}},
+        successor={"u": "u", "w9": "nowhere"},
+    )
+    assert m.validate() == [
+        "kernel row for unknown world w9",
+        "successor given for unknown world w9",
+    ]
+
+
+@pytest.mark.parametrize("text", ["\u0661/\u0662", " 1_0 / 3", "+1", "1/", "/2", "1.5", "1/2\n"])
+def test_fraction_codec_reads_ascii_num_den_only(text):
+    with pytest.raises(ValueError):
+        fraction_from_str(text)
+
+
+def test_fraction_codec_roundtrip():
+    for x in (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(22, 7)):
+        assert fraction_from_str(fraction_to_str(x)) == x
+    assert fraction_from_str("5") == 5
 
 
 def test_random_models_always_validate():
