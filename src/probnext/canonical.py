@@ -98,7 +98,7 @@ class SaturatedPrefix:
             return not sat_status(And(self._gamma, Not(f)))
         except RecursionError:
             # The stage set is one left-nested conjunction, which the
-            # recursive traversals (hashing included) walk to its bottom.
+            # recursive traversals walk to its bottom.
             raise ExtensionLimitExceeded(
                 f"the query on the stage set after {self.budget} stages is nested too deep"
             ) from None

@@ -218,18 +218,11 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
 
     # One column per body in normal form up to one leading negation:
     # X !p0, !X p0 and X p0 bound the same column, L[r] !c reading
-    # 1 - m(c) >= r.  (Lists, not sets: hashing a formula walks all of it.)
-    columns = []  # (body, complemented?) per literal
-    bodies = []
-    for _, body in pos_bounds + neg_bounds:
-        body = push_next(body)
-        complemented = isinstance(body, Not)
-        if complemented:
-            body = body.body
-        columns.append((body, complemented))
-        if body not in bodies:
-            bodies.append(body)
-    bodies.sort(key=render)
+    # 1 - m(c) >= r.  `columns` holds (body, complemented?) per literal.
+    normal = [push_next(body) for _, body in pos_bounds + neg_bounds]
+    columns = [(n.body, True) if isinstance(n, Not) else (n, False) for n in normal]
+    bodies = sorted({body for body, _ in columns}, key=render)
+    column_of = {body: i for i, body in enumerate(bodies)}
 
     # A valid body fixes its bit to 1 and an unsatisfiable one to 0; only
     # the cells over the contingent bodies are tried.
@@ -263,7 +256,7 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     literals += [(bound, -1, linarith.gt) for bound, _ in neg_bounds]
     for (bound, polarity, relation), (body, complemented) in zip(literals, columns):
         sign, constant = (-1, 1 - bound) if complemented else (1, -bound)
-        b = bodies.index(body)
+        b = column_of[body]
         coeffs = {
             i: Fraction(polarity * sign)
             for i, (mask, _) in enumerate(sat_cells)

@@ -5,60 +5,108 @@ negation, conjunction, the probability bound operator ("the probability
 of the body is at least r") and the next-time operator.  Everything
 else (disjunction, implication, the dual "at most" operator, the
 constants) is desugared into this core by the parser.
+
+The core is hash-consed: equal formulas are one node, equality is
+identity, and each node stores its hash, computed from its children's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 
 class IndexOutOfRange(ValueError):
     """Probability index outside [0, 1]."""
 
 
+# The unique table: one live node per class and fields.  Its values are
+# weak, so a node that nothing else references leaves it.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Formula:
-    __slots__ = ()
+    """An immutable, interned node; its fields are its subclass's slots."""
+
+    __slots__ = ("_hash", "__weakref__")
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle go back through the table
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
+def _interned(cls, *fields) -> Formula:
+    """The node of class `cls` with these validated fields."""
+    key = (cls, *fields)  # children hash in O(1) and compare by identity
+    node = _TABLE.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        # A fixed tag stands for the class: a name's hash varies per process.
+        object.__setattr__(node, "_hash", hash((cls._tag, *fields)))
+        _TABLE[key] = node
+    return node
+
+
 class Prop(Formula):
-    index: int
+    __slots__ = ("index",)
+    _tag = 1
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __new__(cls, index: int):
+        if index < 0:
             raise ValueError("proposition ids are naturals")
+        return _interned(cls, index)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
+    _tag = 2
+
+    def __new__(cls, body: Formula):
+        return _interned(cls, body)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    _tag = 3
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _interned(cls, left, right)
 
 
-@dataclass(frozen=True)
 class AtLeast(Formula):
     """Probability of `body` is at least `bound`."""
 
-    bound: Fraction
-    body: Formula
+    __slots__ = ("bound", "body")
+    _tag = 4
 
-    def __post_init__(self):
-        bound = Fraction(self.bound)
+    def __new__(cls, bound: Fraction, body: Formula):
+        bound = Fraction(bound)
         if not 0 <= bound <= 1:
             raise IndexOutOfRange(f"probability index {bound} outside [0, 1]")
-        object.__setattr__(self, "bound", bound)
+        return _interned(cls, bound, body)
 
 
-@dataclass(frozen=True)
 class Next(Formula):
-    body: Formula
+    __slots__ = ("body",)
+    _tag = 5
+
+    def __new__(cls, body: Formula):
+        return _interned(cls, body)
 
 
 # Fixed encodings of the constants; the bottom constant must be expressible
@@ -146,8 +194,7 @@ def _index_denominators(f: Formula) -> set[int]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(NamedTuple):
     """Finite-language parameters of a formula: occurring propositions,
     index accuracy (lcm of denominators), depth bounds and the index grid."""
 

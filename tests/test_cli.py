@@ -65,6 +65,21 @@ def test_heavy_nested_bound_answers():
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
+def test_module_entry_point_runs():
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "probnext", "sat", "L[1/2] p0 & X p1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "SAT")
+
+
+def test_long_conjunction_chain_answers(capsys):
+    assert main(["sat", " & ".join(f"p{i % 3}" for i in range(600))]) == 0
+    assert capsys.readouterr().out.strip() == "SAT"
+
+
 def test_huge_nested_denominator_answers():
     # Ordering bodies by their enumeration index would spell 1/10^11 as a
     # 10^11-bit integer; the cap turns that into a failure, not a swap storm.

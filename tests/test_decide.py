@@ -162,6 +162,13 @@ def test_sat_verdict_and_its_witness():
     assert model.check(root, f)
 
 
+def test_long_conjunction_chain_decides():
+    # Hashing the 600-deep chain for the cache used to reach the recursion
+    # limit first; an interned node hashes in O(1).
+    assert sat_status(conj(Prop(i % 3) for i in range(600))) is True
+    assert sat_status(conj([*(Prop(i % 3) for i in range(600)), Not(Prop(1))])) is False
+
+
 def test_duality_of_sat_and_valid():
     rng = random.Random(505)
     for _ in range(60):

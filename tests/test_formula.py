@@ -1,7 +1,17 @@
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import time
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import probnext
+from probnext import formula
 from probnext import (
     And,
     AtLeast,
@@ -83,3 +93,103 @@ def test_profile_accuracy_is_lcm_of_denominators():
     assert prof.index_set == tuple(Fraction(m, 6) for m in range(7))
     assert prof.prob_depth_bound == 1
     assert prof.dyn_depth_bound == 0
+
+
+# -- the hash-consed core ------------------------------------------------------
+
+_NODES = [
+    Prop(0),
+    Not(Prop(1)),
+    And(Prop(0), Next(Prop(1))),
+    AtLeast(Fraction(1, 3), And(Prop(0), Next(Not(Prop(2))))),
+    Next(AtLeast(Fraction(1, 2), Not(Prop(0)))),
+]
+
+
+def test_equal_constructions_are_one_node():
+    p = Prop(0)
+    assert Prop(0) is p
+    assert And(p, Not(Prop(1))) is And(Prop(0), Not(Prop(1)))
+    assert AtLeast(Fraction(2, 4), p) is AtLeast(Fraction(1, 2), p)
+    assert AtLeast(1, p) is AtLeast(Fraction(1), p)
+    assert AtLeast(0, p) is AtLeast(Fraction(0, 7), p)
+    assert Not(p) is not Next(p)
+    assert And(p, Prop(1)) is not And(Prop(1), p)
+
+
+def test_repr_names_the_fields():
+    assert repr(AtLeast(Fraction(1, 2), And(Prop(0), Next(Not(Prop(1)))))) == (
+        "AtLeast(bound=Fraction(1, 2), body=And(left=Prop(index=0), "
+        "right=Next(body=Not(body=Prop(index=1)))))"
+    )
+
+
+@pytest.mark.parametrize("f", _NODES, ids=repr)
+def test_copy_and_pickle_return_the_same_node(f):
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [(lambda: Prop(-1), ValueError), (lambda: AtLeast(2, Prop(0)), IndexOutOfRange)],
+    ids=["negative-prop", "bound-above-one"],
+)
+def test_rejected_nodes_leave_no_entry_in_the_table(build, error):
+    before = set(formula._TABLE.keys())
+    with pytest.raises(error):
+        build()
+    assert set(formula._TABLE.keys()) <= before
+
+
+def test_unreferenced_nodes_leave_the_table():
+    f = AtLeast(Fraction(1, 2), Next(Prop(987_654)))
+    ref = weakref.ref(f)
+    assert (Prop, 987_654) in formula._TABLE
+    del f
+    gc.collect()
+    assert ref() is None
+    assert (Prop, 987_654) not in formula._TABLE  # the whole chain went
+
+
+@pytest.mark.parametrize("f", _NODES, ids=repr)
+def test_nodes_are_read_only(f):
+    for name in type(f).__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(f, name, Prop(3))
+    for name in type(f).__slots__:
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+
+
+def test_hash_is_the_same_in_every_interpreter():
+    # The hash is built from the children's hashes and fixed class tags, not
+    # from ids or names, so sets of formulas iterate in the same order in
+    # every run.
+    code = (
+        "from probnext import parse\n"
+        "print(hash(parse('L[1/3] (p0 & X !p2) | !X L[2/5] p1')))"
+    )
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    hashes = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=package_parent, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        hashes.add(int(done.stdout))
+    assert hashes == {hash(probnext.parse("L[1/3] (p0 & X !p2) | !X L[2/5] p1"))}
+
+
+def test_deep_conjunctions_hash_and_compare_at_once():
+    a = conj(Prop(i % 7) for i in range(10**5))
+    b = conj(Prop(i % 7) for i in range(10**5))
+    start = time.perf_counter()
+    for _ in range(1000):
+        assert hash(a) == hash(b)
+        assert a == b
+    assert time.perf_counter() - start < 1.0  # O(1) each; a walk would recurse
+    assert a is b
+    assert a != And(b, Prop(0))
