@@ -246,10 +246,10 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
 
     system = linarith.LinearSystem(num_vars=len(sat_cells))
     system.constraints.append(
-        linarith.eq({i: Fraction(1) for i in range(len(sat_cells))}, Fraction(-1))
+        linarith.eq(dict.fromkeys(range(len(sat_cells)), 1), -1)
     )
     for i in range(len(sat_cells)):
-        system.constraints.append(linarith.ge({i: Fraction(1)}))
+        system.constraints.append(linarith.ge({i: 1}))
     # L[r] reads  e - r >= 0  and  !L[r] reads  -(e - r) > 0,  where e is
     # m(c), or 1 - m(c) for a complemented body.
     literals = [(bound, 1, linarith.ge) for bound, _ in pos_bounds]
@@ -257,11 +257,8 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     for (bound, polarity, relation), (body, complemented) in zip(literals, columns):
         sign, constant = (-1, 1 - bound) if complemented else (1, -bound)
         b = column_of[body]
-        coeffs = {
-            i: Fraction(polarity * sign)
-            for i, (mask, _) in enumerate(sat_cells)
-            if mask & (1 << b)
-        }
+        inside = [i for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)]
+        coeffs = dict.fromkeys(inside, polarity * sign)
         system.constraints.append(relation(coeffs, polarity * constant))
 
     point = linarith.solve(system)

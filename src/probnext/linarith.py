@@ -4,9 +4,12 @@ A constraint reads  sum(coeff * var) + constant  R  0  with R one of
 >=, > and =;  "<=" and "<" are represented by negating the coefficients
 and the constant.  `solve` (and `feasible`) decide a system with a general
 simplex under Bland's rule, handling strict rows with delta-rationals.
-All arithmetic is closed over `fractions.Fraction` -- no floats anywhere.
-(Fourier-Motzkin elimination, which this simplex replaced, is the oracle
-the tests compare `solve` against.)
+The simplex is fraction-free: its rows are integer vectors over a positive
+integer denominator, and only values, bounds and delta are `Fraction`s.
+All arithmetic is exact over `int` and `fractions.Fraction` -- no floats
+anywhere.  Coefficients may be `int`s or `Fraction`s.  (Fourier-Motzkin
+elimination, and the `Fraction`-tableau simplex that the integer rows
+replaced, are the oracles the tests compare `solve` against.)
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 
@@ -28,7 +32,7 @@ class Constraint:
     """sum(coeff * var) + constant  relation  0; zero coefficients are not
     stored, and the others are sorted by variable."""
 
-    coeffs: tuple[tuple[int, Fraction], ...]
+    coeffs: tuple[tuple[int, int | Fraction], ...]
     constant: Fraction
     relation: Rel
 
@@ -39,9 +43,12 @@ class LinearSystem:
     num_vars: int = 0
 
 
-def _constraint(coeffs: dict[int, Fraction], constant, relation: Rel) -> Constraint:
-    items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-    return Constraint(items, Fraction(constant), relation)
+def _constraint(coeffs: dict[int, int | Fraction], constant, relation: Rel) -> Constraint:
+    """`int` coefficients stay `int`s; any other is made a `Fraction`."""
+    items = (
+        (v, c if type(c) is int else Fraction(c)) for v, c in coeffs.items() if c != 0
+    )
+    return Constraint(tuple(sorted(items)), Fraction(constant), relation)
 
 
 def ge(coeffs: dict[int, Fraction], constant=Fraction(0)) -> Constraint:
@@ -67,27 +74,40 @@ def _constant_holds(value: Fraction, relation: Rel) -> bool:
 
 # ---------------------------------------------------------------------------
 # Exact general simplex, after Dutertre & de Moura, "A Fast Linear-Arithmetic
-# Solver for DPLL(T)", CAV 2006.
+# Solver for DPLL(T)", CAV 2006, with fraction-free integer rows (Edmonds,
+# J. Res. NBS 1967; Bareiss, Math. Comp. 1968).
 #
-# Values and bounds are delta-rationals: a pair (c, k) reads c + k*delta for
-# an infinitesimal delta > 0, and tuple order is the order of those reals.
-# A strict bound is a weak bound moved by one delta.
+# Values and bounds are delta-rationals: a pair (c, k) of Fractions reads
+# c + k*delta for an infinitesimal delta > 0, and tuple order is the order of
+# those reals.  A strict bound is a weak bound moved by a positive multiple of
+# delta.  Both parts are always Fractions, so mixing them with the integer rows
+# never divides one int by another.
+#
+# A tableau row  basic -> (den, {nonbasic: num})  reads
+# basic = sum(num * nonbasic) / den  with integers num and den > 0 and no
+# common factor, so Bland's rule reads signs off the numerators.
+
+_ZERO = Fraction(0)
 
 
 def _tableau(system: LinearSystem):
     """Bounds and slack rows for `solve`; None when a constant row fails or
     some variable's bounds cross.
 
-    Every non-constant row, scaled so its leading coefficient is 1, bounds
-    one variable: a single-variable row bounds that variable itself, and a
-    longer row bounds a slack s = sum(a_j x_j).  Rows whose scaled
-    coefficients agree share one slack, so the tableau has one row per
-    distinct multi-variable term.
+    A single-variable row bounds that variable itself.  A longer row,
+    scaled by the lcm of its coefficient denominators and divided by their
+    gcd, becomes a primitive integer vector p with a positive leading entry
+    p_1, and bounds the slack s = sum(p_j x_j) below, or above when the
+    scale is negative.  Rows equal up to a rational scale have one vector
+    and share one slack, so the tableau has one row per distinct
+    multi-variable term.  The slack is p_1 times the row scaled to a leading
+    coefficient of 1, so a strict bound on it moves by p_1 deltas: every
+    pivot, and the point, are those of the rows scaled to lead 1.
     """
     lower: dict = {}
     upper: dict = {}
-    rows: dict = {}  # basic variable -> {nonbasic variable: coefficient}
-    slack_of: dict = {}  # scaled coefficients -> slack variable (negative id)
+    rows: dict = {}  # basic variable -> (den, {nonbasic variable: numerator})
+    slack_of: dict = {}  # primitive integer row -> slack variable (negative id)
     originals: set[int] = set()
     for c in system.constraints:
         coeffs = c.coeffs
@@ -95,23 +115,30 @@ def _tableau(system: LinearSystem):
             if not _constant_holds(c.constant, c.relation):
                 return None
             continue
-        lead = coeffs[0][1]
         if len(coeffs) == 1:
-            var = coeffs[0][0]
+            var, lead = coeffs[0]
+            bound = c.constant / -lead if c.constant else _ZERO
+            rising, unit = lead > 0, 1
         else:
-            key = tuple((v, a / lead) for v, a in coeffs)
+            scale = lcm(*(a.denominator for _, a in coeffs))
+            ints = [a.numerator * (scale // a.denominator) for _, a in coeffs]
+            g = gcd(*ints)
+            if ints[0] < 0:
+                g = -g
+            key = tuple((v, n // g) for (v, _), n in zip(coeffs, ints))
             var = slack_of.get(key)
             if var is None:
                 var = slack_of[key] = -1 - len(slack_of)
-                rows[var] = dict(key)
+                rows[var] = (1, dict(key))
+            bound = c.constant * -scale / g
+            rising, unit = g > 0, key[0][1]
         originals.update(v for v, _ in coeffs)
-        bound = -c.constant / lead
-        strict = 1 if c.relation is Rel.GT else 0
-        if c.relation is Rel.EQ or lead > 0:
+        strict = Fraction(unit) if c.relation is Rel.GT else _ZERO
+        if c.relation is Rel.EQ or rising:
             lo = (bound, strict)
             if var not in lower or lower[var] < lo:
                 lower[var] = lo
-        if c.relation is Rel.EQ or lead < 0:
+        if c.relation is Rel.EQ or not rising:
             hi = (bound, -strict)
             if var not in upper or upper[var] > hi:
                 upper[var] = hi
@@ -128,45 +155,59 @@ def _shift(value, step_c, step_k):
 def _pivot(rows: dict, value: dict, s, x, target) -> None:
     """Move basic `s` onto `target` through nonbasic `x`, then swap the two
     in the basis."""
-    row = rows.pop(s)
-    a = row.pop(x)
-    step_c = (target[0] - value[s][0]) / a
-    step_k = (target[1] - value[s][1]) / a
+    d, row = rows.pop(s)
+    n = row.pop(x)
+    # s = (n x + sum(row)) / d, so  x = (d s - sum(row)) / n
+    step_c = (target[0] - value[s][0]) * d / n
+    step_k = (target[1] - value[s][1]) * d / n
     value[s] = target
     value[x] = _shift(value[x], step_c, step_k)
-    inv = 1 / a
-    new = {v: -b * inv for v, b in row.items()}
-    new[s] = inv
-    for r, other in rows.items():
+    sign = 1 if n > 0 else -1
+    new = {v: -sign * b for v, b in row.items()}
+    new[s] = sign * d
+    den = sign * n  # the row of s had no common factor, so neither has this
+    for r, (e, other) in rows.items():
         b = other.pop(x, None)
         if b is None:
             continue
-        value[r] = _shift(value[r], b * step_c, b * step_k)
-        for v, d in new.items():
-            t = other.get(v, 0) + b * d
+        value[r] = _shift(value[r], b * step_c / e, b * step_k / e)
+        # r = (sum(other) + b x) / e = (den sum(other) + b sum(new)) / (den e)
+        if den != 1:
+            for v in other:
+                other[v] *= den
+        for v, a in new.items():
+            t = other.get(v, 0) + b * a
             if t:
                 other[v] = t
             else:
                 del other[v]
-    rows[x] = new
+        g = gcd(e * den, *other.values())
+        if g != 1:
+            for v in other:
+                other[v] //= g
+        rows[r] = (e * den // g, other)
+    rows[x] = (den, new)
 
 
 def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
     """A satisfying rational point, or None when infeasible.
 
-    Bland's rule (smallest variable first, for both the leaving and the
-    entering variable) guarantees termination.  Nonbasic variables stay at
-    0 or at one of their bounds, so the point is a vertex: beyond the
-    variables pinned by their own bounds, at most one nonzero variable per
-    tableau row.  Delta is then fixed to the largest value in (0, 1] that
-    keeps every bound, so the result is exact.
+    The tableau rows are integer vectors over a positive denominator, and a
+    pivot updates them by integer cross-multiplication and one gcd per row;
+    only values, bounds and delta are `Fraction`s.  Bland's rule (smallest
+    variable first, for both the leaving and the entering variable)
+    guarantees termination.  Nonbasic variables stay at 0 or at one of
+    their bounds, so the point is a vertex: beyond the variables pinned by
+    their own bounds, at most one nonzero variable per tableau row.  Delta
+    is then fixed to the largest value in (0, 1] that keeps every bound, so
+    the result is exact.
     """
     tableau = _tableau(system)
     if tableau is None:
         return None
     lower, upper, rows, originals = tableau
 
-    zero = (Fraction(0), Fraction(0))
+    zero = (_ZERO, _ZERO)
     value: dict = {}
     for var in originals:
         lo, hi = lower.get(var), upper.get(var)
@@ -176,11 +217,15 @@ def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
             value[var] = hi
         else:
             value[var] = zero
-    for s, row in rows.items():
-        value[s] = (
-            sum((a * value[x][0] for x, a in row.items()), Fraction(0)),
-            sum((a * value[x][1] for x, a in row.items()), Fraction(0)),
-        )
+    moved = [var for var in originals if value[var] is not zero]
+    for s, (_, row) in rows.items():  # every slack row starts with den 1
+        c = k = _ZERO
+        for x in moved:
+            a = row.get(x)
+            if a is not None:
+                c += a * value[x][0]
+                k += a * value[x][1]
+        value[s] = (c, k)
 
     while True:
         for s in sorted(rows):
@@ -193,7 +238,7 @@ def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
                 break
         else:
             break
-        row = rows[s]
+        _, row = rows[s]
         for x in sorted(row):
             if (row[x] > 0) == rise:  # x must increase
                 hi = upper.get(x)

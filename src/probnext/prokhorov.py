@@ -13,7 +13,9 @@ from mu to nu along the pairs at most lo apart cannot move (Gale 1957;
 Strassen 1965), and by symmetry the second condition's worst gap is the
 same.  The gap does not grow from one interval to the next while hi does, so
 a binary search finds the first interval that admits its gap in O(log n)
-exact flows on n support points.
+flows on n support points.  The masses and the distances are each scaled
+once to integers by the lcm of their denominators, so the flows and the
+comparisons run on exact ints, and only the answer is a `Fraction` again.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -87,6 +90,13 @@ class FiniteMeasure:
         return problems + _triangle_failures(self.distance)
 
 
+def _integers(values: list) -> tuple[list[int], int]:
+    """The rationals `values` times the lcm of their denominators, and that
+    lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _triangle_failures(table: dict) -> list[str]:
     """One problem per triple of named points, in lexicographic order, whose
     three distances break the triangle inequality; a triple that lacks a
@@ -94,11 +104,10 @@ def _triangle_failures(table: dict) -> list[str]:
     lcm of their denominators, which keeps the comparisons exact."""
     names = sorted({x for pair in table for x in pair})
     at = {x: i for i, x in enumerate(names)}
-    scale = lcm(*(d.denominator for d in table.values()))
     n = len(names)
     d = [[None] * n for _ in range(n)]
-    for (a, b), dab in table.items():
-        d[at[a]][at[b]] = d[at[b]][at[a]] = dab.numerator * (scale // dab.denominator)
+    for (a, b), dab in zip(table, _integers(list(table.values()))[0]):
+        d[at[a]][at[b]] = d[at[b]][at[a]] = dab
     problems = []
     for i, j in combinations(range(n), 2):
         dij = d[i][j]
@@ -123,7 +132,7 @@ def _merged_table(mu: FiniteMeasure, nu: FiniteMeasure) -> dict:
     return table
 
 
-def _unsent(supply: list, demand: list, linked: list) -> Fraction:
+def _unsent(supply: list[int], demand: list[int], linked: list) -> int:
     """The supply that a maximum flow leaves unsent, from point i's supply to
     point j's demand along the uncapped edges i -> j of `linked[i]`: shortest
     augmenting paths (Edmonds-Karp), searched breadth-first from every point
@@ -132,7 +141,7 @@ def _unsent(supply: list, demand: list, linked: list) -> Fraction:
     spare, need = list(supply), list(demand)
     sources = [i for i in range(n) if spare[i] > 0]
     sinks = {j for j in range(n) if need[j] > 0}
-    carried: list[dict[int, Fraction]] = [{} for _ in range(n)]  # j: {i: flow > 0}
+    carried: list[dict[int, int]] = [{} for _ in range(n)]  # j: {i: flow > 0}
     while True:
         parent = dict.fromkeys(sources)
         queue = list(parent)
@@ -147,7 +156,7 @@ def _unsent(supply: list, demand: list, linked: list) -> Fraction:
             if queue[-1] - n in sinks:
                 break
         else:
-            return sum(spare, Fraction(0))
+            return sum(spare)
         path = [queue[-1]]  # demand, supply, demand, ..., supply
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
@@ -173,23 +182,33 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
     """Exact Prokhorov distance of two measures sharing a distance table."""
     table = _merged_table(mu, nu)
     points = sorted(set(mu.support()) | set(nu.support()))
-    d = [[_dist(table, a, b) for b in points] for a in points]
-    lows = sorted({Fraction(0)}.union(*d))  # 0, then the pairwise distances
-    rank = {lo: k for k, lo in enumerate(lows)}
-    ranks = [[rank[dij] for dij in row] for row in d]
-    supply = [mu.weights.get(x, Fraction(0)) for x in points]
-    demand = [nu.weights.get(x, Fraction(0)) for x in points]
+    n = len(points)
+    masses, mass_scale = _integers(
+        [mu.weights.get(x, Fraction(0)) for x in points]
+        + [nu.weights.get(x, Fraction(0)) for x in points]
+    )
+    supply, demand = masses[:n], masses[n:]
     if sum(supply) != sum(demand):  # the one-way gap stands for both only then
         raise ValueError("the measures have different total masses")
+    flat, dist_scale = _integers([_dist(table, a, b) for a in points for b in points])
+    lows = sorted({0}.union(flat))  # 0, then the pairwise distances
+    rank = {lo: k for k, lo in enumerate(lows)}
+    ranks = [[rank[d] for d in flat[i * n : (i + 1) * n]] for i in range(n)]
 
-    def gap(k: int) -> Fraction:
+    @cache  # the search and the answer often ask for the same interval
+    def gap(k: int) -> int:
         # for eps in (lows[k], lows[k + 1]]:  A^eps = { x | d(x, A) <= lows[k] }
         linked = [[j for j, r in enumerate(row) if r <= k] for row in ranks]
         return _unsent(supply, demand, linked)
 
-    # the first interval that admits its gap; the last one always does
-    k = bisect_left(range(len(lows) - 1), True, key=lambda k: gap(k) <= lows[k + 1])
-    return max(gap(k), lows[k])
+    # the first interval that admits its gap; the last one always does, and
+    # gap / mass_scale <= lows[k + 1] / dist_scale is compared in integers
+    k = bisect_left(
+        range(len(lows) - 1),
+        True,
+        key=lambda k: gap(k) * dist_scale <= lows[k + 1] * mass_scale,
+    )
+    return max(Fraction(gap(k), mass_scale), Fraction(lows[k], dist_scale))
 
 
 def measure_to_dict(m: FiniteMeasure) -> dict:

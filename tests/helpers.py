@@ -120,6 +120,39 @@ def random_linear_system(rng: random.Random) -> LinearSystem:
     return LinearSystem(constraints, num_vars=n_vars)
 
 
+def _fractional_coefficient(rng: random.Random):
+    """A nonzero rational with denominator 1 to 5; an integral one is an
+    `int` half of the time, so rows mix `int` and `Fraction` coefficients."""
+    a = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 5))
+    return int(a) if a.denominator == 1 and rng.random() < 0.5 else a
+
+
+def random_fractional_system(rng: random.Random) -> LinearSystem:
+    """Small random system whose coefficients have denominators 1 to 5.
+
+    Some rows repeat an earlier row's coefficients times such a rational: a
+    positive scale gives a row equal up to scale, a negative one bounds the
+    shared slack from the other side."""
+    n_vars = rng.randint(2, 4)
+    builders = (ge, gt, eq)
+    constraints = []
+    for _ in range(rng.randint(3, 7)):
+        build = builders[rng.randrange(3) if rng.random() < 0.3 else rng.randrange(2)]
+        constant = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        if constraints and rng.random() < 0.4:
+            scale = _fractional_coefficient(rng)
+            base = rng.choice(constraints)
+            coeffs = {v: Fraction(a) * scale for v, a in base.coeffs}
+        else:
+            coeffs = {
+                v: _fractional_coefficient(rng)
+                for v in range(n_vars)
+                if rng.random() < 0.7
+            }
+        constraints.append(build(coeffs, constant))
+    return LinearSystem(constraints, num_vars=n_vars)
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination, the replaced decision path of `linarith`, kept
 # as the oracle of `linarith.solve`.
@@ -146,7 +179,7 @@ def canonical(c):
     """c scaled so its leading coefficient has absolute value 1 (for dedup)."""
     if not c.coeffs:
         return c
-    return _combination([(1 / abs(c.coeffs[0][1]), c)], c.relation)
+    return _combination([(1 / abs(Fraction(c.coeffs[0][1])), c)], c.relation)
 
 
 def tidy(constraints) -> list:
@@ -164,7 +197,7 @@ def tidy(constraints) -> list:
 
 def eliminate(system: LinearSystem, var: int) -> LinearSystem:
     """Project `var` out; the result is feasible iff the input is."""
-    with_var = [(dict(c.coeffs).get(var, 0), c) for c in system.constraints]
+    with_var = [(Fraction(dict(c.coeffs).get(var, 0)), c) for c in system.constraints]
     for i, (a, e) in enumerate(with_var):
         if a and e.relation is Rel.EQ:  # substitute the equality's solution
             keep = [
@@ -189,6 +222,132 @@ def fm_feasible(system: LinearSystem) -> bool:
     for v in sorted(system_variables(system)):
         system = eliminate(system, v)
     return satisfies(system, {})
+
+
+# ---------------------------------------------------------------------------
+# The simplex of `linarith` as it was before its rows became integer vectors:
+# `Fraction` tableau entries, rows scaled to a leading coefficient of 1.  Kept
+# as the oracle of the fraction-free `solve`, which must return the same point.
+
+
+def _fraction_tableau(system: LinearSystem):
+    lower: dict = {}
+    upper: dict = {}
+    rows: dict = {}  # basic variable -> {nonbasic variable: coefficient}
+    slack_of: dict = {}  # scaled coefficients -> slack variable (negative id)
+    originals: set[int] = set()
+    for c in system.constraints:
+        coeffs = [(v, Fraction(a)) for v, a in c.coeffs]
+        constant = Fraction(c.constant)
+        if not coeffs:
+            if not satisfies(LinearSystem([c]), {}):
+                return None
+            continue
+        lead = coeffs[0][1]
+        if len(coeffs) == 1:
+            var = coeffs[0][0]
+        else:
+            key = tuple((v, a / lead) for v, a in coeffs)
+            var = slack_of.get(key)
+            if var is None:
+                var = slack_of[key] = -1 - len(slack_of)
+                rows[var] = dict(key)
+        originals.update(v for v, _ in coeffs)
+        bound = -constant / lead
+        strict = 1 if c.relation is Rel.GT else 0
+        if c.relation is Rel.EQ or lead > 0:
+            lo = (bound, strict)
+            if var not in lower or lower[var] < lo:
+                lower[var] = lo
+        if c.relation is Rel.EQ or lead < 0:
+            hi = (bound, -strict)
+            if var not in upper or upper[var] > hi:
+                upper[var] = hi
+    for var in lower.keys() & upper.keys():
+        if lower[var] > upper[var]:
+            return None
+    return lower, upper, rows, originals
+
+
+def _fraction_pivot(rows: dict, value: dict, s, x, target) -> None:
+    row = rows.pop(s)
+    a = row.pop(x)
+    step_c = (target[0] - value[s][0]) / a
+    step_k = (target[1] - value[s][1]) / a
+    value[s] = target
+    value[x] = (value[x][0] + step_c, value[x][1] + step_k)
+    inv = 1 / a
+    new = {v: -b * inv for v, b in row.items()}
+    new[s] = inv
+    for r, other in rows.items():
+        b = other.pop(x, None)
+        if b is None:
+            continue
+        value[r] = (value[r][0] + b * step_c, value[r][1] + b * step_k)
+        for v, d in new.items():
+            t = other.get(v, 0) + b * d
+            if t:
+                other[v] = t
+            else:
+                del other[v]
+    rows[x] = new
+
+
+def fraction_simplex(system: LinearSystem):
+    """The point the former `Fraction`-tableau simplex returns, or None when
+    the system is infeasible.  Every coefficient is coerced to a `Fraction`
+    on entry, so no division here ever has two `int` operands."""
+    tableau = _fraction_tableau(system)
+    if tableau is None:
+        return None
+    lower, upper, rows, originals = tableau
+    zero = (Fraction(0), Fraction(0))
+    value: dict = {}
+    for var in originals:
+        lo, hi = lower.get(var), upper.get(var)
+        if lo is not None and lo > zero:
+            value[var] = lo
+        elif hi is not None and hi < zero:
+            value[var] = hi
+        else:
+            value[var] = zero
+    for s, row in rows.items():
+        value[s] = (
+            sum((a * value[x][0] for x, a in row.items()), Fraction(0)),
+            sum((a * value[x][1] for x, a in row.items()), Fraction(0)),
+        )
+    while True:
+        for s in sorted(rows):
+            lo, hi = lower.get(s), upper.get(s)
+            if lo is not None and value[s] < lo:
+                target, rise = lo, True
+                break
+            if hi is not None and value[s] > hi:
+                target, rise = hi, False
+                break
+        else:
+            break
+        row = rows[s]
+        for x in sorted(row):
+            if (row[x] > 0) == rise:
+                hi = upper.get(x)
+                if hi is None or value[x] < hi:
+                    break
+            else:
+                lo = lower.get(x)
+                if lo is None or value[x] > lo:
+                    break
+        else:
+            return None
+        _fraction_pivot(rows, value, s, x, target)
+    delta = Fraction(1)
+    for var, (c, k) in value.items():
+        lo, hi = lower.get(var), upper.get(var)
+        if lo is not None and lo[1] > k:
+            delta = min(delta, (c - lo[0]) / (lo[1] - k))
+        if hi is not None and hi[1] < k:
+            delta = min(delta, (hi[0] - c) / (k - hi[1]))
+    return {var: value[var][0] + value[var][1] * delta for var in originals}
 
 
 def calkin_wilf_rationals():

@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from probnext import parse, push_next
+from probnext import decide, linarith, parse, push_next
 from probnext.decide import group_steps, to_disjuncts, world_sat
-from probnext.linarith import LinearSystem, eq, feasible, ge, gt, satisfies, solve
+from probnext.linarith import LinearSystem, Rel, eq, feasible, ge, gt, satisfies, solve
 
 from helpers import (
     canonical,
     eliminate,
     fm_feasible,
+    fraction_simplex,
     lp_chain,
     random_formula,
+    random_fractional_system,
     random_linear_system as _random_system,
     system_variables,
     tidy,
@@ -196,3 +199,146 @@ def test_canonical_dedup():
     c2 = ge({0: F(1)}, F(1))
     assert canonical(c1) == canonical(c2)
     assert len(tidy([c1, c2, gt({}, F(5))])) == 1
+
+
+def _opposed_rows(system) -> bool:
+    """Whether two rows have coefficients that are negative multiples of one
+    another, so that they bound one shared slack from both sides."""
+    vectors = [c.coeffs for c in system.constraints if len(c.coeffs) > 1]
+    for i, a in enumerate(vectors):
+        for b in vectors[i + 1 :]:
+            if [v for v, _ in a] == [v for v, _ in b]:
+                ratios = {Fraction(y) / Fraction(x) for (_, x), (_, y) in zip(a, b)}
+                if len(ratios) == 1 and ratios.pop() < 0:
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("generator", [_random_system, random_fractional_system])
+def test_solve_returns_the_fraction_simplex_point(generator):
+    # The integer rows pivot exactly as the Fraction rows did, so the point
+    # is the same, not only the verdict; both agree with elimination.
+    rng = random.Random(2024)
+    solved = opposed = 0
+    for _ in range(2000):
+        system = generator(rng)
+        point = solve(system)
+        assert point == fraction_simplex(system)
+        assert (point is not None) == fm_feasible(system)
+        if point is not None:
+            full = {v: point.get(v, Fraction(0)) for v in range(system.num_vars)}
+            assert satisfies(system, full)
+            solved += 1
+        opposed += _opposed_rows(system)
+    assert solved > 200
+    if generator is random_fractional_system:
+        assert opposed > 100  # shared slacks bounded from both sides occur
+
+
+def test_fractional_generator_mixes_coefficient_types():
+    rng = random.Random(11)
+    kinds = set()
+    denominators = set()
+    for _ in range(200):
+        for c in random_fractional_system(rng).constraints:
+            for _, a in c.coeffs:
+                kinds.add(type(a))
+                denominators.add(Fraction(a).denominator)
+    assert kinds == {int, Fraction}
+    assert denominators >= {1, 2, 3, 4, 5}  # and their products, in scaled rows
+
+
+def _world_systems(formulas) -> list[LinearSystem]:
+    """Every system `world_sat` hands to the solver on the steps of the
+    formulas' disjuncts, from cold caches."""
+    systems = []
+    real = linarith.solve
+
+    def record(system):
+        systems.append(system)
+        return real(system)
+
+    decide._world_sat.cache_clear()
+    linarith.solve = record
+    try:
+        for f in formulas:
+            for disjunct in to_disjuncts(push_next(f)):
+                for req in group_steps(disjunct):
+                    world_sat(req)
+    finally:
+        linarith.solve = real
+        decide._world_sat.cache_clear()
+    return systems
+
+
+def test_world_systems_get_the_fraction_simplex_point():
+    rng = random.Random(78)
+    formulas = [parse(lp_chain(k)) for k in range(2, 7)]
+    formulas += [random_formula(rng) for _ in range(300)]
+    systems = _world_systems(formulas)
+    assert len(systems) > 100
+    for system in systems:
+        # the rows are built from plain integers, +1 and -1
+        assert all(type(a) is int for c in system.constraints for _, a in c.coeffs)
+        point = solve(system)
+        assert point == fraction_simplex(system)
+        if point is not None:
+            assert all(type(value) is Fraction for value in point.values())
+
+
+def test_int_and_fraction_coefficients_give_the_same_point():
+    rng = random.Random(31)
+    build = {Rel.GE: ge, Rel.GT: gt, Rel.EQ: eq}
+    for _ in range(500):
+        system = _random_system(rng)
+        as_ints = LinearSystem(
+            [
+                build[c.relation]({v: int(a) for v, a in c.coeffs}, c.constant)
+                for c in system.constraints
+            ],
+            num_vars=system.num_vars,
+        )
+        assert all(type(a) is int for c in as_ints.constraints for _, a in c.coeffs)
+        assert all(type(a) is Fraction for c in system.constraints for _, a in c.coeffs)
+        assert solve(as_ints) == solve(system)
+
+
+def test_solution_values_are_fractions():
+    rng = random.Random(41)
+    points = 0
+    for generator in (_random_system, random_fractional_system):
+        for _ in range(500):
+            point = solve(generator(rng))
+            if point is not None:
+                assert all(type(value) is Fraction for value in point.values())
+                points += 1
+    assert points > 100
+    # also where every coefficient and constant is integral
+    assert solve(LinearSystem([eq({0: 2, 1: 2}, -2), ge({0: 1}), gt({1: 1})])) == {
+        0: F(0),
+        1: F(1),
+    }
+
+
+def test_coprime_large_denominators_stay_exact():
+    p, q = 1000003, 999983  # primes
+    weights = {0: F(1, p), 1: F(1, q)}
+    system = LinearSystem(
+        [
+            eq(weights, F(-1)),  # x/p + y/q = 1
+            eq({0: F(1), 1: F(-1)}),  # x = y
+            # x/q - y/p > 1/100003, just below 20/(p + q) at x = y
+            gt({0: F(1, q), 1: F(-1, p)}, F(-1, 100003)),
+        ],
+        num_vars=2,
+    )
+    point = solve(system)
+    assert point == fraction_simplex(system)
+    x = F(p * q, p + q)
+    assert point == {0: x, 1: x}
+    assert satisfies(system, point)
+    # a strict bound on the same slack from the other side leaves no room
+    beyond = [gt({0: F(-2, p), 1: F(-2, q)}, F(2))]  # x/p + y/q < 1
+    assert solve(LinearSystem(system.constraints + beyond)) is None
+    tighter = [gt({0: F(1, q), 1: F(-1, p)}, F(-20, p + q))]  # x/q - y/p > 20/(p+q)
+    assert solve(LinearSystem(system.constraints + tighter)) is None

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,32 @@ def test_max_flow_agrees_with_the_subset_scan(line):
         n = 2 + k % 5 if k % 20 else 7 + k // 20 % 2
         mu, nu = random_metric_measures(rng, n, line)
         assert prokhorov(mu, nu) == prokhorov_subset_scan(mu, nu), (mu, nu)
+
+
+def test_coprime_denominators_are_scaled_exactly():
+    # The flows run on masses and distances scaled to integers; large
+    # coprime denominators make both scales large and unrelated.
+    p, q = 1000003, 999983  # primes
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        points = [f"x{i}" for i in range(n)]
+        xs = [F(rng.randint(0, 9), rng.choice((1, 7, p, q))) for _ in range(n)]
+        xs = [x + F(i, 11) for i, x in enumerate(xs)]
+        distance = {
+            (points[i], points[j]): abs(xs[i] - xs[j])
+            for i, j in combinations(range(n), 2)
+        }
+
+        def measure():
+            small = [F(rng.randint(0, 1), rng.choice((5, p, q))) for _ in range(n - 1)]
+            weights = dict(zip(points, small + [1 - sum(small)]))
+            return FiniteMeasure(points, weights, distance)
+
+        mu, nu = measure(), measure()
+        d = prokhorov(mu, nu)
+        assert type(d) is Fraction
+        assert d == prokhorov_subset_scan(mu, nu), (mu, nu)
 
 
 def test_bench_expected_values_are_reproduced():
