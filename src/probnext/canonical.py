@@ -8,11 +8,18 @@ its negation, with a special case for next-prefixed probability-bound
 stacks where a strictly smaller witness bound is refuted as well (its
 existence is guaranteed by the generalized Archimedean rule).
 
+The stage set is kept only as its pruned DNF (`decide.conjoin`): each
+stage merges the DNF of the formula or negation it adds, and drops the
+disjuncts that become unsatisfiable.  An entailment query merges only the
+DNF of the negated query, so no traversal walks the whole stage set.
+
 Membership queries beyond the built budget are answered exactly whenever
 the current stage set already entails the formula or its negation (this
 provably agrees with the staged bit), and otherwise by actually running
-the remaining stages -- but only up to a configurable extension cap,
-because stage indices grow exponentially with formula size.
+the remaining stages one at a time -- but only within two limits: a cap
+on the number of stages, because stage indices grow exponentially with
+formula size, and a budget of enumerated cells, because the stages past
+about 1050 cost 2^k cells for growing k.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decide import sat_status
+from . import decide
+from .decide import conjoin, sat_status
 from .enumeration import (
     ExtensionLimitExceeded,
     enum_formula,
@@ -31,6 +39,11 @@ from .enumeration import (
 )
 from .formula import And, AtLeast, Formula, Next, Not
 from .parser import parse, render
+
+
+# Cells (`decide.cells_enumerated`) one membership query may enumerate
+# before it gives up, as `proof._TAUT_SPLITS` bounds the tautology check.
+_MEMBER_CELLS = 1 << 18
 
 
 class InconsistentSeed(ValueError):
@@ -77,31 +90,29 @@ def _rebuild_stack(steps: int, outer, bound: Fraction, theta: Formula) -> Formul
 
 
 class SaturatedPrefix:
-    """Finite decided initial segment of a computable saturated set."""
+    """Finite decided initial segment of a computable saturated set.
+
+    `extend` runs as many stages as asked.  `member` runs at most
+    `max_extension` stages past the built budget, and stops once its query
+    has enumerated more than `_MEMBER_CELLS` cells; both raise
+    `ExtensionLimitExceeded`, and `member_or` maps that to its default."""
 
     def __init__(self, seed: Formula, max_extension: int = 4096):
-        if not sat_status(seed):
-            raise InconsistentSeed(render(seed))
         self.seed = seed
         self.budget = 0
         self.decided: list[bool] = []
         self.extras: list[Formula] = []
         self.stage_log: list[StageRecord] = []
         self.max_extension = max_extension
-        # running conjunction of the stage set
-        self._gamma: Formula = seed
+        # the stage set as its pruned DNF: only its satisfiable disjuncts
+        self._dnf = list(conjoin([frozenset()], seed))
+        if not self._dnf:
+            raise InconsistentSeed(render(seed))
 
     # -- staged construction ------------------------------------------------
 
     def _entails(self, f: Formula) -> bool:
-        try:
-            return not sat_status(And(self._gamma, Not(f)))
-        except RecursionError:
-            # The stage set is one left-nested conjunction, which the
-            # recursive traversals walk to its bottom.
-            raise ExtensionLimitExceeded(
-                f"the query on the stage set after {self.budget} stages is nested too deep"
-            ) from None
+        return next(conjoin(self._dnf, Not(f)), None) is None
 
     def extend(self, budget: int) -> "SaturatedPrefix":
         """Run the stages below `budget` that are not built yet.  A stage is
@@ -109,21 +120,22 @@ class SaturatedPrefix:
         prefix as it was after the one before."""
         for l in range(self.budget, budget):
             f = enum_formula(l)
-            if self._entails(f):
-                record = StageRecord(l, 1, f)
+            refuting = list(conjoin(self._dnf, Not(f)))
+            if not refuting:
+                record, dnf = StageRecord(l, 1, f), list(conjoin(self._dnf, f))
             else:
                 pattern = _bound_stack_pattern(f)
                 if pattern is None:
-                    record = StageRecord(l, 2, f)
+                    record, dnf = StageRecord(l, 2, f), refuting
                 else:
                     extra = Not(self._witness_refutation(*pattern))
                     record = StageRecord(l, 3, f, extra)
+                    dnf = list(conjoin(refuting, extra))
             self.decided.append(record.case == 1)
             self.stage_log.append(record)
-            self._gamma = And(self._gamma, f if record.case == 1 else Not(f))
             if record.extra is not None:
                 self.extras.append(record.extra)
-                self._gamma = And(self._gamma, record.extra)
+            self._dnf = dnf
             self.budget = l + 1
         return self
 
@@ -150,6 +162,7 @@ class SaturatedPrefix:
 
     def member(self, f: Formula) -> bool:
         """Whether f belongs to the saturated set this prefix approximates."""
+        start = decide.cells_enumerated
         # fast path: agreement with the staged bit is guaranteed whenever the
         # current stage set decides f
         if self._entails(f):
@@ -162,11 +175,18 @@ class SaturatedPrefix:
             raise ExtensionLimitExceeded(
                 f"index {idx} of {render(f)} exceeds the extension cap"
             )
-        self.extend(idx + 1)
+        while self.budget <= idx:
+            if decide.cells_enumerated - start > _MEMBER_CELLS:
+                raise ExtensionLimitExceeded(
+                    f"the query on {render(f)} passed {_MEMBER_CELLS} cells"
+                    f" at stage {self.budget}"
+                )
+            self.extend(self.budget + 1)
         return self.decided[idx]
 
     def member_or(self, f: Formula, default: bool = False) -> bool:
-        """member(), with undecidable-within-cap queries mapped to default."""
+        """member(), with queries past the stage cap or the cell budget
+        mapped to default."""
         try:
             return self.member(f)
         except ExtensionLimitExceeded:
@@ -200,8 +220,9 @@ def kernel_bounds(w: SaturatedPrefix, f: Formula, grid: int) -> Interval:
     """Rational-grid bracket of the canonical kernel value of [f] at w.
 
     Queries the prefix on the grid bounds m/grid; queries that cannot be
-    decided within the extension cap are treated as non-members, which can
-    only widen the bracket (the true value always lies inside it).
+    decided within the stage cap and the cell budget are treated as
+    non-members, which can only widen the bracket (the true value always
+    lies inside it).
     """
     lower = Fraction(0)
     for m in range(grid, -1, -1):

@@ -13,7 +13,9 @@ unsatisfiable one to 0, so only the cells over the contingent bodies are
 built and recursively decided.
 
 A SAT answer can be turned into an explicit finite model whose root
-world the model checker accepts.
+world the model checker accepts.  `conjoin` extends a pruned DNF by one
+more conjunct and keeps only its satisfiable disjuncts, so a long
+conjunction that grows one conjunct at a time can be kept as that list.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import linarith
 from .formula import And, AtLeast, Formula, Next, Not, Prop, conj
@@ -92,7 +94,8 @@ def _literal_key(lit: Literal):
 
 
 def _antichain(disjuncts) -> list[Disjunct]:
-    ordered = sorted(set(disjuncts), key=len)
+    # first-seen order, not a set's: it must not depend on string hashing
+    ordered = sorted(dict.fromkeys(disjuncts), key=len)
     kept: list[Disjunct] = []
     for d in ordered:
         if not any(k <= d for k in kept):
@@ -203,6 +206,11 @@ def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
     return _world_sat(req.pos_props, req.neg_props, req.pos_bounds, req.neg_bounds)
 
 
+# Cells enumerated by `_world_sat` since import, 2^k on each cache miss with
+# k contingent bodies: the cost meter of `canonical`'s membership queries.
+cells_enumerated = 0
+
+
 # Keyed without the step, so a requirement at one step reuses the plan
 # found for the same literals at another.
 @lru_cache(maxsize=None)
@@ -221,6 +229,8 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     # 1 - m(c) >= r.  `columns` holds (body, complemented?) per literal.
     normal = [push_next(body) for _, body in pos_bounds + neg_bounds]
     columns = [(n.body, True) if isinstance(n, Not) else (n, False) for n in normal]
+    # Sorted by spelling so that a body set always yields the same cell
+    # formulas, which then share their sat_status cache entries.
     bodies = sorted({body for body, _ in columns}, key=render)
     column_of = {body: i for i, body in enumerate(bodies)}
 
@@ -233,6 +243,8 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
             fixed |= 1 << i
         elif sat_status(b):
             free.append(i)
+    global cells_enumerated
+    cells_enumerated += 1 << len(free)
 
     sat_cells: list[tuple[int, Formula]] = []  # (bitmask over bodies, cell formula)
     for choice in range(1 << len(free)):
@@ -281,13 +293,29 @@ class Verdict:
     status: str  # "SAT" | "UNSAT"
 
 
+def _plans(disjunct: Disjunct) -> Optional[dict[int, WorldPlan]]:
+    """The plan of every step of the disjunct, or None as soon as one step
+    is unsatisfiable."""
+    plans = {}
+    for req in group_steps(disjunct):
+        plan = world_sat(req)
+        if plan is None:
+            return None
+        plans[req.step] = plan
+    return plans
+
+
 @lru_cache(maxsize=None)
 def sat_status(f: Formula) -> bool:
     """True iff f is satisfiable in some dynamic Markov model."""
-    for disjunct in to_disjuncts(f):
-        if all(world_sat(req) is not None for req in group_steps(disjunct)):
-            return True
-    return False
+    return any(_plans(d) is not None for d in to_disjuncts(f))
+
+
+def conjoin(disjuncts: list[Disjunct], f: Formula) -> Iterator[Disjunct]:
+    """The satisfiable disjuncts of the conjunction of f with a pruned DNF,
+    lazily.  `[frozenset()]` is the DNF of the empty conjunction, and an
+    empty result means the conjunction is unsatisfiable."""
+    return (d for d in _merge(disjuncts, to_disjuncts(f)) if _plans(d) is not None)
 
 
 def sat(f: Formula) -> Verdict:
@@ -316,9 +344,8 @@ class _ModelBuilder:
     def build_for(self, f: Formula) -> str:
         """Add a sub-model satisfying f at the returned world."""
         for disjunct in to_disjuncts(f):
-            reqs = group_steps(disjunct)
-            plans = {req.step: world_sat(req) for req in reqs}
-            if all(plan is not None for plan in plans.values()):
+            plans = _plans(disjunct)
+            if plans is not None:
                 return self._build_trajectory(plans)
         raise AssertionError(f"witness requested for unsatisfiable formula: {f!r}")
 

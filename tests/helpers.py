@@ -23,7 +23,8 @@ from probnext import (
     push_next,
     render,
 )
-from probnext.enumeration import enum_rational, sort_key
+from probnext.canonical import _bound_stack_pattern, _rebuild_stack
+from probnext.enumeration import enum_formula, enum_rational, sort_key
 from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies, solve
 from probnext.prokhorov import FiniteMeasure, IncompatibleSupports, _dist, _merged_table
 
@@ -475,6 +476,35 @@ def world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds):
         return None
     cells = tuple((delta, point[i]) for i, (_, delta) in enumerate(sat_cells) if point[i] > 0)
     return decide.WorldPlan(pos_props, cells)
+
+
+def and_chain_lindenbaum(seed, budget: int):
+    """The staged construction of `canonical` as it was while the stage set
+    was one left-nested conjunction, which every entailment query handed
+    whole to `sat_status`.  Kept as the oracle of the stage set kept as its
+    pruned DNF; it reaches only as deep as the recursive traversals do.
+    Returns the bits and the extras by stage index."""
+    gamma = seed
+
+    def entails(f):
+        return not decide.sat_status(And(gamma, Not(f)))
+
+    bits, extras = [], {}
+    for l in range(budget):
+        f = enum_formula(l)
+        bits.append(entails(f))
+        pattern = None if bits[-1] else _bound_stack_pattern(f)
+        if pattern is not None:
+            steps, outer, r, theta = pattern
+            for s in map(enum_rational, range(100_001)):
+                stack = _rebuild_stack(steps, outer, s, theta)
+                if s < r and not entails(stack):
+                    extras[l] = Not(stack)
+                    break
+        gamma = And(gamma, f if bits[-1] else Not(f))
+        if l in extras:
+            gamma = And(gamma, extras[l])
+    return bits, extras
 
 
 # the non-propositional schemes, which random_scheme_instance draws from

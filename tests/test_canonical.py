@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,12 @@ from pathlib import Path
 import pytest
 
 import probnext
-from helpers import cap_address_space, world_sat_all_cells
+from helpers import (
+    and_chain_lindenbaum,
+    cap_address_space,
+    random_formula,
+    world_sat_all_cells,
+)
 from probnext import (
     ExtensionLimitExceeded,
     InconsistentSeed,
@@ -222,9 +228,10 @@ def test_serialization_roundtrip_and_tamper_detection():
 
 def test_deep_stage_set_is_a_limit_and_leaves_a_consistent_prefix():
     # p1 is independent of the seed, so the bracket's queries run stages
-    # until the stage set nests deeper than the recursive traversals reach;
-    # the stage that hits the limit is not recorded, and the queries that
-    # cannot be decided default.
+    # until one of them has enumerated more cells than a query may (the
+    # stages past about 1050 cost 2^k cells each); the stage that passes the
+    # budget is the last one recorded, and the queries that cannot be
+    # decided default.
     package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
     env = dict(os.environ, PYTHONPATH=package_parent)
     code = (
@@ -242,21 +249,58 @@ def test_deep_stage_set_is_a_limit_and_leaves_a_consistent_prefix():
     assert (done.returncode, done.stdout.split()) == (0, ["True", "True", "True"]), done.stderr
 
 
-def test_stage_that_hits_the_recursion_limit_is_not_recorded(monkeypatch):
+def test_stage_that_hits_a_limit_is_not_recorded(monkeypatch):
     w = lindenbaum(parse("L[1/2] p0"), 10)
-    state = (list(w.decided), list(w.stage_log), list(w.extras), w._gamma)
+    state = (list(w.decided), list(w.stage_log), list(w.extras), list(w._dnf))
 
-    def too_deep(f):
-        raise RecursionError
+    def over_the_limit(disjuncts, f):
+        raise ExtensionLimitExceeded("limit")
 
-    monkeypatch.setattr(probnext.canonical, "sat_status", too_deep)
+    monkeypatch.setattr(probnext.canonical, "conjoin", over_the_limit)
     with pytest.raises(ExtensionLimitExceeded):
         w.extend(20)
     assert w.budget == 10
-    assert (list(w.decided), list(w.stage_log), list(w.extras), w._gamma) == state
+    assert (list(w.decided), list(w.stage_log), list(w.extras), list(w._dnf)) == state
     assert w.member_or(enum_formula(3), default=None) is None
     monkeypatch.undo()
     assert w.extend(20).decided == lindenbaum(parse("L[1/2] p0"), 20).decided
+
+
+def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypatch):
+    # L[1/2] p1 is stage 261 and independent of the seed, so member runs
+    # the stages up to it; from empty caches they enumerate far more than
+    # 64 cells.
+    decide._world_sat.cache_clear()
+    sat_status.cache_clear()
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_CELLS", 64)
+    w = lindenbaum(parse("p0"), 5)
+    query = parse("L[1/2] p1")
+    with pytest.raises(ExtensionLimitExceeded):
+        w.member(query)
+    assert 5 < w.budget <= 261
+    assert w.budget == len(w.decided) == len(w.stage_log)
+    assert w.member_or(query, default=None) is None
+    assert w.extend(262).decided == lindenbaum(parse("p0"), 262).decided
+    assert w.member(query) == w.decided[261]
+
+
+def test_stage_set_depth_is_not_limited_by_the_recursion_limit():
+    # With the stage set kept as one nested conjunction, this limit stopped
+    # the construction after 133 stages.
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    code = (
+        "import sys\n"
+        "from probnext import lindenbaum, parse\n"
+        "sys.setrecursionlimit(150)\n"
+        "print(lindenbaum(parse('L[1/2] p0 & X p1'), 200).budget)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=cap_address_space,
+    )
+    assert (done.returncode, done.stdout.split()) == (0, ["200"]), done.stderr
 
 
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected" / "lindenbaum.json"
@@ -289,6 +333,23 @@ def test_lindenbaum_seeds_agree_with_the_all_cells_oracle(monkeypatch):
         assert [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds] == built
     finally:
         sat_status.cache_clear()
+
+
+def test_lindenbaum_agrees_with_the_and_chain_oracle():
+    """The stage set kept as its pruned DNF decides every stage as the
+    stage set kept as one conjunction did: the four benchmark seeds at
+    budget 300, and random consistent seeds at budget 60."""
+    seeds = [parse(entry["seed"]) for entry in json.loads(BENCH_EXPECTED.read_text())["seeds"]]
+    runs = [(seed, 300) for seed in seeds]
+    rng = random.Random(2027)
+    while len(runs) < 24:
+        seed = random_formula(rng, max_size=8, max_prob_depth=1, max_dyn_depth=2, denom_bound=3)
+        if sat_status(seed):
+            runs.append((seed, 60))
+    for seed, budget in runs:
+        w = lindenbaum(seed, budget)
+        extras = {r.index: r.extra for r in w.stage_log if r.extra is not None}
+        assert (w.decided, extras) == and_chain_lindenbaum(seed, budget), render(seed)
 
 
 def test_lindenbaum_seeds_reproduce_the_benchmark_bits():
