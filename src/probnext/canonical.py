@@ -41,8 +41,10 @@ from .formula import And, AtLeast, Formula, Next, Not
 from .parser import parse, render
 
 
-# Cells (`decide.cells_enumerated`) one membership query may enumerate
-# before it gives up, as `proof._TAUT_SPLITS` bounds the tautology check.
+# Stages one membership query may run past the built budget, and cells
+# (`decide.cells_enumerated`) it may enumerate, before it gives up, as
+# `proof._TAUT_SPLITS` bounds the tautology check.
+_MAX_EXTENSION = 4096
 _MEMBER_CELLS = 1 << 18
 
 
@@ -93,17 +95,16 @@ class SaturatedPrefix:
     """Finite decided initial segment of a computable saturated set.
 
     `extend` runs as many stages as asked.  `member` runs at most
-    `max_extension` stages past the built budget, and stops once its query
+    `_MAX_EXTENSION` stages past the built budget, and stops once its query
     has enumerated more than `_MEMBER_CELLS` cells; both raise
     `ExtensionLimitExceeded`, and `member_or` maps that to its default."""
 
-    def __init__(self, seed: Formula, max_extension: int = 4096):
+    def __init__(self, seed: Formula):
         self.seed = seed
         self.budget = 0
         self.decided: list[bool] = []
         self.extras: list[Formula] = []
         self.stage_log: list[StageRecord] = []
-        self.max_extension = max_extension
         # the stage set as its pruned DNF: only its satisfiable disjuncts
         self._dnf = list(conjoin([frozenset()], seed))
         if not self._dnf:
@@ -171,7 +172,7 @@ class SaturatedPrefix:
             return False
         # exact path: run the remaining stages up to the formula's index
         idx = formula_index(f)
-        if idx - self.budget > self.max_extension:
+        if idx - self.budget > _MAX_EXTENSION:
             raise ExtensionLimitExceeded(
                 f"index {idx} of {render(f)} exceeds the extension cap"
             )
@@ -193,9 +194,9 @@ class SaturatedPrefix:
             return default
 
 
-def lindenbaum(seed: Formula, budget: int, max_extension: int = 4096) -> SaturatedPrefix:
+def lindenbaum(seed: Formula, budget: int) -> SaturatedPrefix:
     """Run the staged construction for `budget` stages from a consistent seed."""
-    return SaturatedPrefix(seed, max_extension).extend(budget)
+    return SaturatedPrefix(seed).extend(budget)
 
 
 @dataclass(frozen=True)
@@ -275,10 +276,10 @@ def prefix_to_dict(w: SaturatedPrefix) -> dict:
     }
 
 
-def prefix_from_dict(data: dict, max_extension: int = 4096) -> SaturatedPrefix:
+def prefix_from_dict(data: dict) -> SaturatedPrefix:
     """Rebuild by re-running the (deterministic) construction and checking
     the stored bits against it."""
-    w = lindenbaum(parse(data["seed"]), data["budget"], max_extension)
+    w = lindenbaum(parse(data["seed"]), data["budget"])
     stored = [bool(b) for b in data["decided"]]
     if stored != w.decided:
         raise ValueError("stored bits disagree with the deterministic rebuild")

@@ -1,16 +1,17 @@
 """The decision procedure.
 
-Pipeline:  expand the formula as written into a pruned DNF over
-time-stamped atoms (a next-operator raises the time stamp of the atoms
-below it), group each disjunct's literals by time step, and decide every
-step independently.  A step's probability literals are decided by
-carving the state space into cells and solving an exact linear system
-over the satisfiable cells' masses.  A vacuous bound L[0] b is dropped,
-and !L[0] b fails the step.  The columns are the distinct operator
-bodies in `push_next` normal form up to one leading negation (L[r] !c
-bounds 1 - m(c)).  A valid body fixes its column's bit to 1 and an
-unsatisfiable one to 0, so only the cells over the contingent bodies are
-built and recursively decided.
+Pipeline:  expand the formula into a pruned DNF over time-stamped atoms (a
+next-operator raises the time stamp of the atoms below it), group each
+disjunct's literals by time step, and decide every step independently.  A
+probability atom is read over its canonical column: the `push_next`
+normal form of its body up to one leading negation (L[r] !c bounds
+1 - m(c)), so bodies equal up to moving next-operators through ! and &
+share one atom.  The vacuous bound is settled in the DNF: L[0] b is true
+and !L[0] b false.  A step's probability literals are decided by carving
+the state space into cells over the distinct columns and solving an exact
+linear system over the satisfiable cells' masses.  A valid column fixes
+its bit to 1 and an unsatisfiable one to 0, so only the cells over the
+contingent columns are built and recursively decided.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts.  `conjoin` extends a pruned DNF by one
@@ -28,14 +29,13 @@ from typing import Iterator, Optional
 from . import linarith
 from .formula import And, AtLeast, Formula, Next, Not, Prop, conj
 from .models import FiniteDMM
-from .parser import render
 
 
 # ---------------------------------------------------------------------------
 # Next-operator normalization.  The DNF below reads next-operators as time
-# stamps; `_world_sat` normalizes the probability bodies with `push_next`, so
-# bodies that are equal up to moving next-operators through ! and & share
-# one cell column.
+# stamps and normalizes each probability body with `push_next`, so bodies
+# that are equal up to moving next-operators through ! and & share one
+# column.
 
 
 def push_next(f: Formula) -> Formula:
@@ -76,21 +76,14 @@ def _shift(g: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # DNF over time-stamped atoms
 #
-# An atom is ("p", step, prop_id) or ("L", step, bound, body); a literal is
+# An atom is ("p", step, prop_id) or ("L", step, bound, column, negated),
+# the bound L[bound] over column, or over !column when negated; a literal is
 # (polarity, atom); a disjunct is a frozenset of literals with no clashing
 # pair.  Disjunct lists are kept as subset-minimal antichains: dropping a
 # superset of another disjunct preserves logical equivalence of the
 # disjunction.
 
-Literal = tuple
 Disjunct = frozenset
-
-
-def _literal_key(lit: Literal):
-    polarity, atom = lit
-    if atom[0] == "p":
-        return (atom[1], 0, atom[2], not polarity)
-    return (atom[1], 1, atom[2], render(atom[3]), not polarity)
 
 
 def _antichain(disjuncts) -> list[Disjunct]:
@@ -127,19 +120,21 @@ def _dnf(f: Formula, polarity: bool, step: int) -> list[Disjunct]:
     if isinstance(f, Prop):
         return [frozenset({(polarity, ("p", step, f.index))})]
     if isinstance(f, AtLeast):
-        return [frozenset({(polarity, ("L", step, f.bound, f.body))})]
+        if f.bound == 0:  # L[0] b holds at every world
+            return [frozenset()] if polarity else []
+        body = push_next(f.body)
+        negated = isinstance(body, Not)
+        column = body.body if negated else body
+        return [frozenset({(polarity, ("L", step, f.bound, column, negated))})]
     raise TypeError(f"not a formula: {f!r}")
 
 
 def to_disjuncts(f: Formula) -> list[Disjunct]:
-    """Pruned DNF of f over time-stamped atoms, in a deterministic order.
-
-    Probability atoms keep their bodies as written; every cell formula
-    built from them is decided by its own DNF.
-    """
-    return sorted(
-        _dnf(f, True, 0), key=lambda d: sorted(map(_literal_key, d))
-    )
+    """Pruned DNF of f over time-stamped atoms whose probability atoms are
+    over canonical columns; every cell formula built from them is decided
+    by its own DNF.  The order is the expansion's first-seen one, so it does
+    not depend on string hashing."""
+    return _dnf(f, True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,39 +143,27 @@ def to_disjuncts(f: Formula) -> list[Disjunct]:
 
 @dataclass(frozen=True)
 class StepRequirement:
+    """The literals of one time step; a bound is (bound, column, negated)."""
+
     step: int
     pos_props: frozenset[int] = frozenset()
     neg_props: frozenset[int] = frozenset()
-    pos_bounds: tuple[tuple[Fraction, Formula], ...] = ()
-    neg_bounds: tuple[tuple[Fraction, Formula], ...] = ()
+    pos_bounds: frozenset[tuple[Fraction, Formula, bool]] = frozenset()
+    neg_bounds: frozenset[tuple[Fraction, Formula, bool]] = frozenset()
 
 
 def group_steps(disjunct: Disjunct) -> list[StepRequirement]:
     """One requirement per time index occurring in the disjunct."""
-    buckets: dict[int, dict[str, list]] = {}
+    buckets: dict[int, tuple[list, list, list, list]] = {}
     for polarity, atom in disjunct:
-        step = atom[1]
-        b = buckets.setdefault(
-            step, {"pp": [], "np": [], "pl": [], "nl": []}
-        )
+        pp, np, pl, nl = buckets.setdefault(atom[1], ([], [], [], []))
         if atom[0] == "p":
-            b["pp" if polarity else "np"].append(atom[2])
+            (pp if polarity else np).append(atom[2])
         else:
-            b["pl" if polarity else "nl"].append((atom[2], atom[3]))
-    out = []
-    for step in sorted(buckets):
-        b = buckets[step]
-        key = lambda pair: (pair[0], render(pair[1]))
-        out.append(
-            StepRequirement(
-                step=step,
-                pos_props=frozenset(b["pp"]),
-                neg_props=frozenset(b["np"]),
-                pos_bounds=tuple(sorted(set(b["pl"]), key=key)),
-                neg_bounds=tuple(sorted(set(b["nl"]), key=key)),
-            )
-        )
-    return out
+            (pl if polarity else nl).append(atom[2:])
+    return [
+        StepRequirement(step, *map(frozenset, buckets[step])) for step in sorted(buckets)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +184,13 @@ def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
 
     The current world's valuation is independent of its kernel, so the
     propositional part is a pure clash check.  The probability part is
-    decided by the cell construction over the distinct operator bodies.
+    decided by the cell construction over the distinct columns.
     """
     return _world_sat(req.pos_props, req.neg_props, req.pos_bounds, req.neg_bounds)
 
 
 # Cells enumerated by `_world_sat` since import, 2^k on each cache miss with
-# k contingent bodies: the cost meter of `canonical`'s membership queries.
+# k contingent columns: the cost meter of `canonical`'s membership queries.
 cells_enumerated = 0
 
 
@@ -217,21 +200,13 @@ cells_enumerated = 0
 def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPlan]:
     if pos_props & neg_props:
         return None
-    # L[0] b holds at every world and !L[0] b at none.
-    if any(bound == 0 for bound, _ in neg_bounds):
-        return None
-    pos_bounds = tuple(lit for lit in pos_bounds if lit[0] > 0)
     if not pos_bounds and not neg_bounds:
         return WorldPlan(pos_props, ())
 
-    # One column per body in normal form up to one leading negation:
-    # X !p0, !X p0 and X p0 bound the same column, L[r] !c reading
-    # 1 - m(c) >= r.  `columns` holds (body, complemented?) per literal.
-    normal = [push_next(body) for _, body in pos_bounds + neg_bounds]
-    columns = [(n.body, True) if isinstance(n, Not) else (n, False) for n in normal]
-    # Sorted by spelling so that a body set always yields the same cell
-    # formulas, which then share their sat_status cache entries.
-    bodies = sorted({body for body, _ in columns}, key=render)
+    # Ordered by the stored hash, which no interpreter run changes, so that a
+    # column set always yields the same cell formulas, which then share
+    # their sat_status cache entries.
+    bodies = sorted({column for _, column, _ in pos_bounds | neg_bounds}, key=hash)
     column_of = {body: i for i, body in enumerate(bodies)}
 
     # A valid body fixes its bit to 1 and an unsatisfiable one to 0; only
@@ -263,12 +238,13 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     for i in range(len(sat_cells)):
         system.constraints.append(linarith.ge({i: 1}))
     # L[r] reads  e - r >= 0  and  !L[r] reads  -(e - r) > 0,  where e is
-    # m(c), or 1 - m(c) for a complemented body.
-    literals = [(bound, 1, linarith.ge) for bound, _ in pos_bounds]
-    literals += [(bound, -1, linarith.gt) for bound, _ in neg_bounds]
-    for (bound, polarity, relation), (body, complemented) in zip(literals, columns):
-        sign, constant = (-1, 1 - bound) if complemented else (1, -bound)
-        b = column_of[body]
+    # m(c), or 1 - m(c) for a negated column.  The rows follow the columns,
+    # whatever order the literal sets iterate in.
+    literals = [(column_of[c], bound, negated, 1) for bound, c, negated in pos_bounds]
+    literals += [(column_of[c], bound, negated, -1) for bound, c, negated in neg_bounds]
+    for b, bound, negated, polarity in sorted(literals):
+        sign, constant = (-1, 1 - bound) if negated else (1, -bound)
+        relation = linarith.ge if polarity > 0 else linarith.gt
         inside = [i for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)]
         coeffs = dict.fromkeys(inside, polarity * sign)
         system.constraints.append(relation(coeffs, polarity * constant))

@@ -395,7 +395,9 @@ def push_then_dnf(f):
     """The former DNF of `decide`, kept as the oracle of `to_disjuncts`: move
     every next-operator down to the atoms with `push_next`, then strip the
     leading next-operators off each atom to read its time stamp.  Same
-    literals, same pruning and same order as `to_disjuncts(push_next(f))`."""
+    literals and same pruning as `to_disjuncts(push_next(f))`: a bound is
+    over its body with one leading negation stripped, L[0] b is true and
+    !L[0] b false.  The disjuncts are not in `to_disjuncts`'s order."""
 
     def strip_next(g):
         steps = 0
@@ -409,7 +411,10 @@ def push_then_dnf(f):
         if isinstance(core, Prop):
             return ("p", steps, core.index)
         if isinstance(core, AtLeast):
-            return ("L", steps, core.bound, core.body)
+            body = core.body
+            if isinstance(body, Not):
+                return ("L", steps, core.bound, body.body, True)
+            return ("L", steps, core.bound, body, False)
         raise ValueError(f"not normalized: {g!r}")
 
     def antichain(disjuncts):
@@ -432,25 +437,27 @@ def push_then_dnf(f):
                 for b in right
                 if not any((not pol, atom) in a for pol, atom in b)
             )
-        return [frozenset({(polarity, atom_of(g))})]
+        atom = atom_of(g)
+        if atom[0] == "L" and atom[2] == 0:
+            return [frozenset()] if polarity else []
+        return [frozenset({(polarity, atom)})]
 
-    def literal_key(lit):
-        polarity, atom = lit
-        if atom[0] == "p":
-            return (atom[1], 0, atom[2], not polarity)
-        return (atom[1], 1, atom[2], render(atom[3]), not polarity)
-
-    disjuncts = dnf(push_next(f), True)
-    return sorted(disjuncts, key=lambda d: sorted(map(literal_key, d)))
+    return dnf(push_next(f), True)
 
 
 def world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds):
     """The former cell step of `decide._world_sat`, kept as its oracle: one
     column per distinct `push_next` body, negated bodies included, and
-    `sat_status` on every one of the 2^k cells.  Returns a `WorldPlan` or
-    None, as `_world_sat` does."""
+    `sat_status` on every one of the 2^k cells.  Takes `_world_sat`'s
+    arguments, each bound (bound, column, negated) read as the bound on its
+    body as written, `!column` when negated.  Returns a `WorldPlan` or None,
+    as `_world_sat` does."""
     if pos_props & neg_props:
         return None
+    pos_bounds, neg_bounds = (
+        tuple((bound, Not(column) if negated else column) for bound, column, negated in lits)
+        for lits in (pos_bounds, neg_bounds)
+    )
     if not pos_bounds and not neg_bounds:
         return decide.WorldPlan(pos_props, ())
     columns = [push_next(body) for _, body in pos_bounds + neg_bounds]

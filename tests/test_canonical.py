@@ -111,8 +111,9 @@ def test_member_beyond_budget_extends_when_cheap():
     assert answer is False  # the construction refutes what it cannot derive
 
 
-def test_member_raises_beyond_the_extension_cap():
-    w = lindenbaum(parse("p0"), 5, max_extension=50)
+def test_member_raises_beyond_the_extension_cap(monkeypatch):
+    monkeypatch.setattr(probnext.canonical, "_MAX_EXTENSION", 50)
+    w = lindenbaum(parse("p0"), 5)
     # weight 9 starts beyond the first few thousand indices
     heavy = parse("L[1/2] L[1/2] p0")
     with pytest.raises(ExtensionLimitExceeded):
@@ -153,8 +154,9 @@ def test_huge_bound_is_refused_before_its_index_is_spelled():
     assert (done.returncode, done.stdout.split()) == (0, ["None", "refused"])
 
 
-def test_member_fast_path_answers_heavy_queries_pinned_by_the_seed():
-    w = lindenbaum(parse("L[3/4] p0"), 5, max_extension=50)
+def test_member_fast_path_answers_heavy_queries_pinned_by_the_seed(monkeypatch):
+    monkeypatch.setattr(probnext.canonical, "_MAX_EXTENSION", 50)
+    w = lindenbaum(parse("L[3/4] p0"), 5)
     assert w.member(parse("L[1/2] L[0] p0"))  # valid, hence always a member
     assert w.member(parse("L[5/8] p0"))
     assert not w.member(parse("!L[1/2] p0"))
@@ -269,10 +271,11 @@ def test_stage_that_hits_a_limit_is_not_recorded(monkeypatch):
 def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypatch):
     # L[1/2] p1 is stage 261 and independent of the seed, so member runs
     # the stages up to it; from empty caches they enumerate far more than
-    # 64 cells.
+    # 16 cells.  (At 64 cells the first query stops at stage 63, whose stage
+    # set already refutes L[1/2] p1, so member_or would answer False.)
     decide._world_sat.cache_clear()
     sat_status.cache_clear()
-    monkeypatch.setattr(probnext.canonical, "_MEMBER_CELLS", 64)
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_CELLS", 16)
     w = lindenbaum(parse("p0"), 5)
     query = parse("L[1/2] p1")
     with pytest.raises(ExtensionLimitExceeded):
@@ -315,19 +318,13 @@ def _bits_and_extras(w):
 
 def test_lindenbaum_seeds_agree_with_the_all_cells_oracle(monkeypatch):
     """The four benchmark seeds at budget 120, built by the cell step and by
-    the all-cells oracle.  The oracle is given each step's literals less the
-    positive L[0] bounds, which hold at every world: with them it is the
-    cliff the cell step removes (19 distinct bodies at this budget)."""
+    the all-cells oracle.  The DNF has already dropped the positive L[0]
+    bounds, which hold at every world: with them the oracle is the cliff
+    the cell step removes (19 distinct bodies at this budget)."""
     seeds = [entry["seed"] for entry in json.loads(BENCH_EXPECTED.read_text())["seeds"]]
     sat_status.cache_clear()
     built = [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds]
-
-    @lru_cache(maxsize=None)
-    def oracle(pos_props, neg_props, pos_bounds, neg_bounds):
-        pos_bounds = tuple(lit for lit in pos_bounds if lit[0] > 0)
-        return world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds)
-
-    monkeypatch.setattr(decide, "_world_sat", oracle)
+    monkeypatch.setattr(decide, "_world_sat", lru_cache(maxsize=None)(world_sat_all_cells))
     sat_status.cache_clear()
     try:
         assert [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds] == built
@@ -357,6 +354,17 @@ def test_lindenbaum_seeds_reproduce_the_benchmark_bits():
     for entry in expected["seeds"]:
         w = lindenbaum(parse(entry["seed"]), expected["budget"])
         assert _bits_and_extras(w) == (entry["decided"], entry["extras"])
+
+
+def test_canonical_columns_keep_the_cells_to_stage_1000_few():
+    # Counts, not times: with each bound over its body as written, and the
+    # L[0] bounds reaching the cell step, these stages enumerated 222 072
+    # cells.
+    decide._world_sat.cache_clear()
+    sat_status.cache_clear()
+    start = decide.cells_enumerated
+    lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
+    assert decide.cells_enumerated - start < 50_000
 
 
 def test_lindenbaum_stage_cliff_stays_gone():

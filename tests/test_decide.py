@@ -67,12 +67,19 @@ def test_push_next_preserves_semantics_on_random_models():
 
 
 def test_disjuncts_of_a_formula_as_written():
-    # next-operators above ! and & become time stamps; bodies stay as written
+    # next-operators above ! and & become time stamps; a bound is over its
+    # body's column, the normal form up to one leading negation
     f = parse("X !(p0 & L[1/2] X p1)")
     assert to_disjuncts(f) == [
         frozenset({(False, ("p", 1, 0))}),
-        frozenset({(False, ("L", 1, Fraction(1, 2), Next(Prop(1))))}),
+        frozenset({(False, ("L", 1, Fraction(1, 2), Next(Prop(1)), False))}),
     ]
+    atom = ("L", 0, Fraction(1, 2), Next(Prop(0)), True)
+    assert to_disjuncts(parse("L[1/2] X !p0")) == [frozenset({(True, atom)})]
+    assert to_disjuncts(parse("L[1/2] !X p0")) == [frozenset({(True, atom)})]
+    # the vacuous bound is settled: L[0] b is true and !L[0] b false
+    assert to_disjuncts(parse("L[0] p0")) == [frozenset()]
+    assert to_disjuncts(parse("!L[0] p0")) == []
 
 
 def test_disjuncts_agree_with_the_push_then_dnf_oracle():
@@ -81,7 +88,8 @@ def test_disjuncts_agree_with_the_push_then_dnf_oracle():
     for _ in range(500):
         f = random_formula(rng)
         expected = push_then_dnf(f)
-        assert to_disjuncts(push_next(f)) == expected
+        for got in (to_disjuncts(push_next(f)), to_disjuncts(f)):
+            assert len(got) == len(expected) and set(got) == set(expected)
         verdict = any(
             all(world_sat(req) is not None for req in group_steps(d))
             for d in expected
@@ -167,6 +175,46 @@ def test_long_conjunction_chain_decides():
     # limit first; an interned node hashes in O(1).
     assert sat_status(conj(Prop(i % 3) for i in range(600))) is True
     assert sat_status(conj([*(Prop(i % 3) for i in range(600)), Not(Prop(1))])) is False
+
+
+# SAT formulas with several distinct bodies at a step, some in more than one
+# disjunct.
+MULTI_BODY = [
+    lp_chain(3),
+    "L[1/2] X !p0 & L[1/3] (p0 & p1) & !L[3/4] (p1 | L[1/2] p2)",
+    "L[1/3] L[1/2] p0 & L[1/4] !L[1/3] p1 & X (L[1/2] p2 & !L[2/3] (p0 & X p1))",
+    "(L[1/2] p0 | L[2/3] p1) & (!L[1/3] (p0 & p1) | L[1/4] X p2)",
+]
+
+
+def test_answers_do_not_depend_on_the_hash_seed():
+    # No step sorts by spelling: the DNF keeps its first-seen order, and the
+    # cell step orders its columns by their stored hashes.  A disjunct is a
+    # set, so it is compared as its sorted literals.
+    code = (
+        "import json\n"
+        "from probnext import lindenbaum, parse, prefix_to_dict, witness\n"
+        "from probnext.decide import to_disjuncts\n"
+        "from probnext.models import model_to_dict\n"
+        "out = []\n"
+        f"for text in {MULTI_BODY!r}:\n"
+        "    f = parse(text)\n"
+        "    model, root = witness(f)\n"
+        "    disjuncts = [sorted(map(repr, d)) for d in to_disjuncts(f)]\n"
+        "    out.append([disjuncts, model_to_dict(model), root])\n"
+        "out.append(prefix_to_dict(lindenbaum(parse('L[1/2] p0 & X p1'), 200)))\n"
+        "print(json.dumps(out))\n"
+    )
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=package_parent, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_duality_of_sat_and_valid():
