@@ -11,7 +11,11 @@ and !L[0] b false.  A step's probability literals are decided by carving
 the state space into cells over the distinct columns and solving an exact
 linear system over the satisfiable cells' masses.  A valid column fixes
 its bit to 1 and an unsatisfiable one to 0, so only the cells over the
-contingent columns are built and recursively decided.
+contingent columns are built and recursively decided.  The satisfiable
+cells of a column set are found once, by one walk over the columns that
+extends each prefix conjunction and its merged DNF by one column or its
+negation and prunes below every prefix whose DNF is empty, and are kept
+in a cell table that each step over the same columns reuses.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts.  `conjoin` extends a pruned DNF by one
@@ -27,7 +31,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import linarith
-from .formula import And, AtLeast, Formula, Next, Not, Prop, conj
+from .formula import And, AtLeast, Formula, Next, Not, Prop
 from .models import FiniteDMM
 
 
@@ -189,6 +193,62 @@ def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
     return _world_sat(req.pos_props, req.neg_props, req.pos_bounds, req.neg_bounds)
 
 
+@dataclass(frozen=True, slots=True)
+class _CellTable:
+    """The satisfiable cells over one set of columns.  `column_of` maps each
+    column to its index, in stored-hash order; `cells` holds (bitmask over
+    the columns, cell formula) in increasing mask order, and `count` = 2^k
+    for k contingent columns."""
+
+    column_of: dict
+    cells: tuple[tuple[int, Formula], ...]
+    count: int
+
+
+@lru_cache(maxsize=None)
+def _cells(columns: frozenset) -> _CellTable:
+    # Ordered by the stored hash, which no interpreter run changes, so that a
+    # column set always yields the same cell formulas.
+    bodies = sorted(columns, key=hash)
+
+    # A valid body fixes its bit to 1 and an unsatisfiable one to 0; only
+    # the cells over the contingent bodies are tried.  Each body's options
+    # are (bit, literal, DNF of the literal).
+    options = []
+    free = 0
+    for i, b in enumerate(bodies):
+        zero, one = (0, Not(b), _dnf(b, False, 0)), (1 << i, b, _dnf(b, True, 0))
+        if not sat_status(Not(b)):
+            options.append([one])
+        elif sat_status(b):
+            options.append([zero, one])
+            free += 1
+        else:
+            options.append([zero])
+
+    # A cell formula is the left fold of one literal per body, so its DNF,
+    # `to_disjuncts(cell)`, is its prefix's DNF merged with the last
+    # literal's.  The walk extends each prefix by one literal; an empty
+    # merged DNF refutes every cell below its prefix.
+    cells = []
+    # (bodies chosen, mask, prefix, its DNF)
+    stack = [(1, bit, literal, dnf) for bit, literal, dnf in options[0]]
+    while stack:
+        depth, mask, prefix, dnf = stack.pop()
+        if depth == len(bodies):
+            if any(_plans(d) is not None for d in dnf):
+                cells.append((mask, prefix))
+            continue
+        for bit, literal, literal_dnf in options[depth]:
+            merged = _merge(dnf, literal_dnf)
+            if merged:
+                stack.append((depth + 1, mask | bit, And(prefix, literal), merged))
+    # The fixed bits are shared, so mask order is the order of the choices
+    # over the contingent bodies.
+    cells.sort(key=lambda cell: cell[0])
+    return _CellTable({b: i for i, b in enumerate(bodies)}, tuple(cells), 1 << free)
+
+
 # Cells enumerated by `_world_sat` since import, 2^k on each cache miss with
 # k contingent columns: the cost meter of `canonical`'s membership queries.
 cells_enumerated = 0
@@ -203,33 +263,10 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     if not pos_bounds and not neg_bounds:
         return WorldPlan(pos_props, ())
 
-    # Ordered by the stored hash, which no interpreter run changes, so that a
-    # column set always yields the same cell formulas, which then share
-    # their sat_status cache entries.
-    bodies = sorted({column for _, column, _ in pos_bounds | neg_bounds}, key=hash)
-    column_of = {body: i for i, body in enumerate(bodies)}
-
-    # A valid body fixes its bit to 1 and an unsatisfiable one to 0; only
-    # the cells over the contingent bodies are tried.
-    fixed = 0
-    free = []
-    for i, b in enumerate(bodies):
-        if not sat_status(Not(b)):
-            fixed |= 1 << i
-        elif sat_status(b):
-            free.append(i)
+    table = _cells(frozenset(column for _, column, _ in pos_bounds | neg_bounds))
     global cells_enumerated
-    cells_enumerated += 1 << len(free)
-
-    sat_cells: list[tuple[int, Formula]] = []  # (bitmask over bodies, cell formula)
-    for choice in range(1 << len(free)):
-        mask = fixed
-        for j, i in enumerate(free):
-            if choice & (1 << j):
-                mask |= 1 << i
-        delta = conj(b if mask & (1 << i) else Not(b) for i, b in enumerate(bodies))
-        if sat_status(delta):
-            sat_cells.append((mask, delta))
+    cells_enumerated += table.count
+    sat_cells, column_of = table.cells, table.column_of
 
     system = linarith.LinearSystem(num_vars=len(sat_cells))
     system.constraints.append(
@@ -285,6 +322,14 @@ def _plans(disjunct: Disjunct) -> Optional[dict[int, WorldPlan]]:
 def sat_status(f: Formula) -> bool:
     """True iff f is satisfiable in some dynamic Markov model."""
     return any(_plans(d) is not None for d in to_disjuncts(f))
+
+
+def clear_caches() -> None:
+    """Forget every decided query: the `sat_status`, `_world_sat` and cell
+    table caches.  The verdicts stay the same, only the work is redone."""
+    sat_status.cache_clear()
+    _world_sat.cache_clear()
+    _cells.cache_clear()
 
 
 def conjoin(disjuncts: list[Disjunct], f: Formula) -> Iterator[Disjunct]:

@@ -259,7 +259,11 @@ def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
             delta = min(delta, (c - lo[0]) / (lo[1] - k))
         if hi is not None and hi[1] < k:
             delta = min(delta, (hi[0] - c) / (k - hi[1]))
-    return {var: value[var][0] + value[var][1] * delta for var in originals}
+    point = {}
+    for var in originals:
+        c, k = value[var]
+        point[var] = c + k * delta if k else c
+    return point
 
 
 def feasible(system: LinearSystem) -> bool:

@@ -98,6 +98,20 @@ def random_bound_conjunction(rng: random.Random, max_literals: int = 5):
     return conj(literals)
 
 
+def random_nested_bounds(rng: random.Random):
+    """A conjunction of 2 to 4 possibly negated bounds on possibly negated
+    bounds on p0 or p1: the inputs with cells whose DNF is consistent but
+    whose LP is infeasible, such as L[1/3] p0 & !L[1/2] p0."""
+    literals = []
+    for _ in range(rng.randint(2, 4)):
+        inner = AtLeast(_bound(rng, 4), Prop(rng.randrange(2)))
+        if rng.random() < 0.4:
+            inner = Not(inner)
+        literal = AtLeast(_bound(rng, 4), inner)
+        literals.append(Not(literal) if rng.random() < 0.4 else literal)
+    return conj(literals)
+
+
 def _bound(rng: random.Random, denom_bound: int = 6) -> Fraction:
     den = rng.randint(1, denom_bound)
     return Fraction(rng.randint(0, den), den)
@@ -391,6 +405,14 @@ def lp_chain(k: int) -> str:
     return " & ".join(bounds + ["!L[1/2] p0"])
 
 
+def independent_bounds(k: int) -> str:
+    """`L[1/(i+2)] p_i` for i < k, joined with `!L[1/2] (p0 | ... | p_{k-1})`:
+    UNSAT, with one exact LP over the 2^k cells of k independent columns."""
+    bounds = [f"L[1/{i + 2}] p{i}" for i in range(k)]
+    union = " | ".join(f"p{i}" for i in range(k))
+    return " & ".join(bounds + [f"!L[1/2] ({union})"])
+
+
 def push_then_dnf(f):
     """The former DNF of `decide`, kept as the oracle of `to_disjuncts`: move
     every next-operator down to the atoms with `push_next`, then strip the
@@ -483,6 +505,34 @@ def world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds):
         return None
     cells = tuple((delta, point[i]) for i, (_, delta) in enumerate(sat_cells) if point[i] > 0)
     return decide.WorldPlan(pos_props, cells)
+
+
+def cells_by_conj(columns):
+    """The former cell enumeration of `decide._world_sat`, kept as the oracle
+    of `decide._cells`: the columns in stored-hash order, a valid one fixed
+    to 1 and an unsatisfiable one to 0, and for each of the 2^k choices over
+    the k contingent columns, in order, a fresh `conj` over every column
+    and `sat_status` on it.  Returns a `decide._CellTable`."""
+    bodies = sorted(columns, key=hash)
+    fixed = 0
+    free = []
+    for i, b in enumerate(bodies):
+        if not decide.sat_status(Not(b)):
+            fixed |= 1 << i
+        elif decide.sat_status(b):
+            free.append(i)
+    sat_cells = []
+    for choice in range(1 << len(free)):
+        mask = fixed
+        for j, i in enumerate(free):
+            if choice & (1 << j):
+                mask |= 1 << i
+        delta = conj(b if mask & (1 << i) else Not(b) for i, b in enumerate(bodies))
+        if decide.sat_status(delta):
+            sat_cells.append((mask, delta))
+    return decide._CellTable(
+        {b: i for i, b in enumerate(bodies)}, tuple(sat_cells), 1 << len(free)
+    )
 
 
 def and_chain_lindenbaum(seed, budget: int):

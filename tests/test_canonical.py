@@ -273,8 +273,7 @@ def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypa
     # the stages up to it; from empty caches they enumerate far more than
     # 16 cells.  (At 64 cells the first query stops at stage 63, whose stage
     # set already refutes L[1/2] p1, so member_or would answer False.)
-    decide._world_sat.cache_clear()
-    sat_status.cache_clear()
+    decide.clear_caches()
     monkeypatch.setattr(probnext.canonical, "_MEMBER_CELLS", 16)
     w = lindenbaum(parse("p0"), 5)
     query = parse("L[1/2] p1")
@@ -322,14 +321,14 @@ def test_lindenbaum_seeds_agree_with_the_all_cells_oracle(monkeypatch):
     bounds, which hold at every world: with them the oracle is the cliff
     the cell step removes (19 distinct bodies at this budget)."""
     seeds = [entry["seed"] for entry in json.loads(BENCH_EXPECTED.read_text())["seeds"]]
-    sat_status.cache_clear()
+    decide.clear_caches()
     built = [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds]
     monkeypatch.setattr(decide, "_world_sat", lru_cache(maxsize=None)(world_sat_all_cells))
-    sat_status.cache_clear()
+    decide.clear_caches()
     try:
         assert [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds] == built
     finally:
-        sat_status.cache_clear()
+        decide.clear_caches()
 
 
 def test_lindenbaum_agrees_with_the_and_chain_oracle():
@@ -360,8 +359,7 @@ def test_canonical_columns_keep_the_cells_to_stage_1000_few():
     # Counts, not times: with each bound over its body as written, and the
     # L[0] bounds reaching the cell step, these stages enumerated 222 072
     # cells.
-    decide._world_sat.cache_clear()
-    sat_status.cache_clear()
+    decide.clear_caches()
     start = decide.cells_enumerated
     lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
     assert decide.cells_enumerated - start < 50_000
@@ -371,7 +369,6 @@ def test_lindenbaum_stage_cliff_stays_gone():
     # Counts, not times: building to budget 50 from this seed took 8245
     # sat_status misses when every cell over every body was tried, and each
     # later stage about 2.4 times the one before.
-    decide._world_sat.cache_clear()
-    sat_status.cache_clear()
+    decide.clear_caches()
     lindenbaum(parse("L[1/2] p0 & X p1"), 260)
     assert sat_status.cache_info().misses < 4000

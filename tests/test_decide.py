@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    cells_by_conj,
+    independent_bounds,
     lp_chain,
     push_then_dnf,
     random_bound_conjunction,
     random_formula,
+    random_nested_bounds,
     world_sat_all_cells,
 )
 import probnext
@@ -254,14 +257,12 @@ def test_former_lp_cliff_is_sat_with_checked_witness(text):
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
-def _count_cells(monkeypatch) -> list:
-    """Clear the caches and count the cells `_world_sat` tries from now on:
-    it builds each cell's formula with `conj`, and nothing else."""
-    _world_sat.cache_clear()
-    sat_status.cache_clear()
-    tried = []
-    monkeypatch.setattr(decide, "conj", lambda parts: tried.append(1) or conj(parts))
-    return tried
+def _count_cells():
+    """Clear the caches; the returned function reads the cells `_world_sat`
+    has enumerated since then."""
+    decide.clear_caches()
+    start = decide.cells_enumerated
+    return lambda: decide.cells_enumerated - start
 
 
 # Bodies that differ only in where a next-operator sits, or in one leading
@@ -276,30 +277,30 @@ def _count_cells(monkeypatch) -> list:
         ("L[0] p0 & L[1/2] p1", 2),
     ],
 )
-def test_bodies_equal_up_to_next_share_a_cell_column(monkeypatch, text, cells):
+def test_bodies_equal_up_to_next_share_a_cell_column(text, cells):
     f = parse(text)
-    tried = _count_cells(monkeypatch)
+    tried = _count_cells()
     assert sat(f).status == "SAT"
-    assert len(tried) == cells
+    assert tried() == cells
     model, root = witness(f)
     assert model.validate() == []
     assert model.check(root, f)
 
 
-def test_negated_vacuous_bound_fails_before_any_cell(monkeypatch):
-    tried = _count_cells(monkeypatch)
+def test_negated_vacuous_bound_fails_before_any_cell():
+    tried = _count_cells()
     assert sat(parse("!L[0] p0")).status == "UNSAT"
     assert sat(parse("L[1/2] p1 & !L[0] X p0")).status == "UNSAT"
-    assert tried == []
+    assert tried() == 0
 
 
-def test_valid_and_unsatisfiable_bodies_fix_their_column(monkeypatch):
-    tried = _count_cells(monkeypatch)
+def test_valid_and_unsatisfiable_bodies_fix_their_column():
+    tried = _count_cells()
     # (p0 | !p0) & L[0] p1 is valid and p1 & !p1 unsatisfiable: only p2 is
     # contingent.
     f = parse("L[1/2] ((p0 | !p0) & L[0] p1) & !L[1/2] (p1 & !p1) & L[1/3] p2")
     assert sat(f).status == "SAT"
-    assert len(tried) == 2
+    assert tried() == 2
     model, root = witness(f)
     assert model.validate() == []
     assert model.check(root, f)
@@ -313,8 +314,7 @@ def _agrees_with_the_oracle(monkeypatch, run) -> int:
     `_world_sat` is asked; then ask the all-cells oracle each one, recording
     the requirements its own cells reach as well.  Returns the number
     compared."""
-    _world_sat.cache_clear()
-    sat_status.cache_clear()
+    decide.clear_caches()
     seen: dict = {}
     real = decide._world_sat
 
@@ -359,14 +359,18 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 MIX_ENTRIES = 2500
 
 
-def test_cell_step_agrees_with_the_oracle_on_the_decide_mix_pool(monkeypatch):
+def _mix_pool(n: int) -> list:
+    """The first n entries of the decide-mix pool as ((kind, text), verdict),
+    without those whose verdict the benchmark leaves unverified ("X")."""
     spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     verdicts = json.loads((BENCH / "expected" / "decide_mix.json").read_text())["verdicts"]
-    entries = [
-        (inputs.mix_entry(i), verdicts[i]) for i in range(MIX_ENTRIES) if verdicts[i] != "X"
-    ]
+    return [(inputs.mix_entry(i), verdicts[i]) for i in range(n) if verdicts[i] != "X"]
+
+
+def test_cell_step_agrees_with_the_oracle_on_the_decide_mix_pool(monkeypatch):
+    entries = _mix_pool(MIX_ENTRIES)
 
     def run():
         for (kind, text), verdict in entries:
@@ -381,3 +385,54 @@ def test_cell_step_agrees_with_the_oracle_on_the_decide_mix_pool(monkeypatch):
                 assert model.check(root, f)
 
     assert _agrees_with_the_oracle(monkeypatch, run) > 1000
+
+
+def _distinct_calls(monkeypatch, name, run) -> list:
+    """Run `run()` from cleared caches and return the distinct arguments of
+    its calls to `decide.<name>`, in first-call order."""
+    decide.clear_caches()
+    seen: dict = {}
+    real = getattr(decide, name)
+
+    def record(*args):
+        seen.setdefault(args, None)
+        return real(*args)
+
+    monkeypatch.setattr(decide, name, record)
+    run()
+    monkeypatch.setattr(decide, name, real)
+    return list(seen)
+
+
+def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
+    """The prefix walk keeps the cells, in the order and with the very
+    formulas, that `conj` and `sat_status` on every cell gave.  Nested
+    bounds reach cells that only their LP refutes."""
+    rng = random.Random(1515)
+    inputs = [
+        [parse(text) for (_, text), _ in _mix_pool(300)],
+        [random_formula(rng) for _ in range(300)],
+        [random_nested_bounds(rng) for _ in range(300)],
+        [parse(independent_bounds(8))],
+    ]
+    for formulas in inputs:
+        calls = _distinct_calls(monkeypatch, "_cells", lambda: list(map(sat_status, formulas)))
+        assert calls
+        for (columns,) in calls:
+            assert decide._cells(columns) == cells_by_conj(columns), columns
+    # p0..p7 and their union: every valuation of the props is one cell.
+    assert [len(decide._cells(*args).cells) for args in calls] == [1 << 8]
+
+
+def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
+    rng = random.Random(1516)
+    formulas = [random_formula(rng) for _ in range(300)]
+    formulas += [random_nested_bounds(rng) for _ in range(300)]
+    formulas += [parse(lp_chain(k)) for k in range(2, 6)]
+    formulas.append(parse(independent_bounds(6)))
+    calls = _distinct_calls(monkeypatch, "_world_sat", lambda: list(map(witness, formulas)))
+    plans = {args: _world_sat(*args) for args in calls}
+    assert sum(plan is not None for plan in plans.values()) > 100
+    monkeypatch.setattr(decide, "_cells", cells_by_conj)
+    for args, plan in plans.items():
+        assert _world_sat.__wrapped__(*args) == plan, args

@@ -258,7 +258,7 @@ def _world_systems(formulas) -> list[LinearSystem]:
         systems.append(system)
         return real(system)
 
-    decide._world_sat.cache_clear()
+    decide.clear_caches()
     linarith.solve = record
     try:
         for f in formulas:
@@ -267,7 +267,7 @@ def _world_systems(formulas) -> list[LinearSystem]:
                     world_sat(req)
     finally:
         linarith.solve = real
-        decide._world_sat.cache_clear()
+        decide.clear_caches()
     return systems
 
 
