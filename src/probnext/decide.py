@@ -9,17 +9,20 @@ normal form of its body up to one leading negation (L[r] !c bounds
 share one atom.  The vacuous bound is settled in the DNF: L[0] b is true
 and !L[0] b false.  A step's probability literals are decided by carving
 the state space into cells over the distinct columns and solving an exact
-linear system over the satisfiable cells' masses.  A valid column fixes
-its bit to 1 and an unsatisfiable one to 0, so only the cells over the
-contingent columns are built and recursively decided.  The satisfiable
-cells of a column set are found once, by one walk over the columns that
-extends each prefix conjunction and its merged DNF by one column or its
-negation and prunes below every prefix whose DNF is empty, and are kept
-in a cell table that each step over the same columns reuses.
+linear system over the satisfiable cells' masses, one system per set of
+bounds.  A cell is a bitmask over the columns, kept with its witnessing
+disjunct: the first satisfiable disjunct of its DNF.  A valid column
+fixes its bit to 1 and an unsatisfiable one to 0, so only the cells over
+the contingent columns are decided.  The satisfiable cells of a column
+set are found once, by one walk over the columns that merges each
+prefix's DNF with the DNF of one column or of its negation and prunes
+below every prefix whose merged DNF is empty, and are kept in a cell
+table that each step over the same columns reuses.
 
 A SAT answer can be turned into an explicit finite model whose root
-world the model checker accepts.  `conjoin` extends a pruned DNF by one
-more conjunct and keeps only its satisfiable disjuncts, so a long
+world the model checker accepts; each inhabited cell's sub-model is
+built from its witnessing disjunct.  `conjoin` extends a pruned DNF by
+one more conjunct and keeps only its satisfiable disjuncts, so a long
 conjunction that grows one conjunct at a time can be kept as that list.
 """
 
@@ -135,9 +138,8 @@ def _dnf(f: Formula, polarity: bool, step: int) -> list[Disjunct]:
 
 def to_disjuncts(f: Formula) -> list[Disjunct]:
     """Pruned DNF of f over time-stamped atoms whose probability atoms are
-    over canonical columns; every cell formula built from them is decided
-    by its own DNF.  The order is the expansion's first-seen one, so it does
-    not depend on string hashing."""
+    over canonical columns.  The order is the expansion's first-seen one,
+    so it does not depend on string hashing."""
     return _dnf(f, True, 0)
 
 
@@ -147,24 +149,25 @@ def to_disjuncts(f: Formula) -> list[Disjunct]:
 
 @dataclass(frozen=True)
 class StepRequirement:
-    """The literals of one time step; a bound is (bound, column, negated)."""
+    """The literals of one time step; a bound is (bound, column, negated).
+    A negative proposition needs nothing: a disjunct has no clashing pair,
+    and the witness leaves every proposition outside `pos_props` false."""
 
     step: int
     pos_props: frozenset[int] = frozenset()
-    neg_props: frozenset[int] = frozenset()
     pos_bounds: frozenset[tuple[Fraction, Formula, bool]] = frozenset()
     neg_bounds: frozenset[tuple[Fraction, Formula, bool]] = frozenset()
 
 
 def group_steps(disjunct: Disjunct) -> list[StepRequirement]:
     """One requirement per time index occurring in the disjunct."""
-    buckets: dict[int, tuple[list, list, list, list]] = {}
+    buckets: dict[int, tuple[list, list, list]] = {}
     for polarity, atom in disjunct:
-        pp, np, pl, nl = buckets.setdefault(atom[1], ([], [], [], []))
-        if atom[0] == "p":
-            (pp if polarity else np).append(atom[2])
-        else:
-            (pl if polarity else nl).append(atom[2:])
+        props, pos, neg = buckets.setdefault(atom[1], ([], [], []))
+        if atom[0] == "L":
+            (pos if polarity else neg).append(atom[2:])
+        elif polarity:
+            props.append(atom[2])
     return [
         StepRequirement(step, *map(frozenset, buckets[step])) for step in sorted(buckets)
     ]
@@ -176,73 +179,78 @@ def group_steps(disjunct: Disjunct) -> list[StepRequirement]:
 
 @dataclass(frozen=True)
 class WorldPlan:
-    """Witnessing data for one satisfiable step requirement: the valuation
-    literals plus a rational mass for each inhabited cell formula."""
+    """Witnessing data for one satisfiable step requirement: the true
+    propositions, and for each inhabited cell its witnessing disjunct and a
+    rational mass.  The cells depend on the step's bounds alone."""
 
     pos_props: frozenset[int]
-    cells: tuple[tuple[Formula, Fraction], ...]
+    cells: tuple[tuple[Disjunct, Fraction], ...]
 
 
 def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
     """Decide one step requirement; None means unsatisfiable.
 
-    The current world's valuation is independent of its kernel, so the
-    propositional part is a pure clash check.  The probability part is
-    decided by the cell construction over the distinct columns.
+    The current world's valuation is independent of its kernel, and a
+    disjunct has no clashing literals, so only the bounds are decided: by
+    the cell construction over their distinct columns.
     """
-    return _world_sat(req.pos_props, req.neg_props, req.pos_bounds, req.neg_bounds)
+    if not req.pos_bounds and not req.neg_bounds:
+        return WorldPlan(req.pos_props, ())
+    cells = _world_sat(req.pos_bounds, req.neg_bounds)
+    return None if cells is None else WorldPlan(req.pos_props, cells)
 
 
 @dataclass(frozen=True, slots=True)
 class _CellTable:
     """The satisfiable cells over one set of columns.  `column_of` maps each
     column to its index, in stored-hash order; `cells` holds (bitmask over
-    the columns, cell formula) in increasing mask order, and `count` = 2^k
-    for k contingent columns."""
+    the columns, the cell's witnessing disjunct) in increasing mask order,
+    and `count` = 2^k for k contingent columns."""
 
     column_of: dict
-    cells: tuple[tuple[int, Formula], ...]
+    cells: tuple[tuple[int, Disjunct], ...]
     count: int
 
 
 @lru_cache(maxsize=None)
 def _cells(columns: frozenset) -> _CellTable:
     # Ordered by the stored hash, which no interpreter run changes, so that a
-    # column set always yields the same cell formulas.
+    # column set always yields the same cells.
     bodies = sorted(columns, key=hash)
 
     # A valid body fixes its bit to 1 and an unsatisfiable one to 0; only
     # the cells over the contingent bodies are tried.  Each body's options
-    # are (bit, literal, DNF of the literal).
+    # are (bit, DNF of the body or of its negation).
     options = []
     free = 0
     for i, b in enumerate(bodies):
-        zero, one = (0, Not(b), _dnf(b, False, 0)), (1 << i, b, _dnf(b, True, 0))
-        if not sat_status(Not(b)):
-            options.append([one])
-        elif sat_status(b):
-            options.append([zero, one])
+        without, within = _dnf(b, False, 0), _dnf(b, True, 0)
+        if _witnessing(without) is None:
+            options.append([(1 << i, within)])
+        elif _witnessing(within) is not None:
+            options.append([(0, without), (1 << i, within)])
             free += 1
         else:
-            options.append([zero])
+            options.append([(0, without)])
 
-    # A cell formula is the left fold of one literal per body, so its DNF,
-    # `to_disjuncts(cell)`, is its prefix's DNF merged with the last
-    # literal's.  The walk extends each prefix by one literal; an empty
-    # merged DNF refutes every cell below its prefix.
+    # A cell's DNF is its prefix's DNF merged with its last body's option,
+    # so the walk extends each prefix by one option; an empty merged DNF
+    # refutes every cell below its prefix.  A leaf is kept with the first
+    # satisfiable disjunct of its DNF.
     cells = []
-    # (bodies chosen, mask, prefix, its DNF)
-    stack = [(1, bit, literal, dnf) for bit, literal, dnf in options[0]]
+    # (bodies chosen, mask, merged DNF)
+    stack = [(1, bit, dnf) for bit, dnf in options[0]]
     while stack:
-        depth, mask, prefix, dnf = stack.pop()
+        depth, mask, dnf = stack.pop()
         if depth == len(bodies):
-            if any(_plans(d) is not None for d in dnf):
-                cells.append((mask, prefix))
+            d = _witnessing(dnf)
+            if d is not None:
+                cells.append((mask, d))
             continue
-        for bit, literal, literal_dnf in options[depth]:
-            merged = _merge(dnf, literal_dnf)
+        for bit, option_dnf in options[depth]:
+            merged = _merge(dnf, option_dnf)
             if merged:
-                stack.append((depth + 1, mask | bit, And(prefix, literal), merged))
+                stack.append((depth + 1, mask | bit, merged))
     # The fixed bits are shared, so mask order is the order of the choices
     # over the contingent bodies.
     cells.sort(key=lambda cell: cell[0])
@@ -254,15 +262,11 @@ def _cells(columns: frozenset) -> _CellTable:
 cells_enumerated = 0
 
 
-# Keyed without the step, so a requirement at one step reuses the plan
-# found for the same literals at another.
+# Keyed by the bounds alone, so a requirement reuses the cells found for the
+# same bounds at another step or beside other propositions.  Returns the
+# inhabited cells as (witnessing disjunct, mass), or None.
 @lru_cache(maxsize=None)
-def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPlan]:
-    if pos_props & neg_props:
-        return None
-    if not pos_bounds and not neg_bounds:
-        return WorldPlan(pos_props, ())
-
+def _world_sat(pos_bounds, neg_bounds) -> Optional[tuple]:
     table = _cells(frozenset(column for _, column, _ in pos_bounds | neg_bounds))
     global cells_enumerated
     cells_enumerated += table.count
@@ -289,12 +293,7 @@ def _world_sat(pos_props, neg_props, pos_bounds, neg_bounds) -> Optional[WorldPl
     point = linarith.solve(system)
     if point is None:
         return None
-    cells = tuple(
-        (delta, point[i])
-        for i, (_, delta) in enumerate(sat_cells)
-        if point[i] > 0
-    )
-    return WorldPlan(pos_props, cells)
+    return tuple((d, point[i]) for i, (_, d) in enumerate(sat_cells) if point[i] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +317,15 @@ def _plans(disjunct: Disjunct) -> Optional[dict[int, WorldPlan]]:
     return plans
 
 
+def _witnessing(disjuncts: list[Disjunct]) -> Optional[Disjunct]:
+    """The first disjunct whose steps are all satisfiable, or None."""
+    return next((d for d in disjuncts if _plans(d) is not None), None)
+
+
 @lru_cache(maxsize=None)
 def sat_status(f: Formula) -> bool:
     """True iff f is satisfiable in some dynamic Markov model."""
-    return any(_plans(d) is not None for d in to_disjuncts(f))
+    return _witnessing(to_disjuncts(f)) is not None
 
 
 def clear_caches() -> None:
@@ -362,32 +366,20 @@ class _ModelBuilder:
         self.worlds.append(w)
         return w
 
-    def build_for(self, f: Formula) -> str:
-        """Add a sub-model satisfying f at the returned world."""
-        for disjunct in to_disjuncts(f):
-            plans = _plans(disjunct)
-            if plans is not None:
-                return self._build_trajectory(plans)
-        raise AssertionError(f"witness requested for unsatisfiable formula: {f!r}")
-
-    def _build_trajectory(self, plans: dict[int, WorldPlan]) -> str:
+    def build(self, disjunct: Disjunct) -> str:
+        """Add a sub-model satisfying a satisfiable disjunct at the returned
+        world."""
+        plans = _plans(disjunct)
         horizon = max(plans, default=0)
         chain = [self.new_world() for _ in range(horizon + 1)]
         for i, w in enumerate(chain):
-            self.successor[w] = chain[i + 1] if i + 1 <= horizon else w
-            plan = plans.get(i)
-            if plan is None:
-                self.kernel[w] = {w: Fraction(1)}
-                continue
+            self.successor[w] = chain[i + 1] if i < horizon else w
+            plan = plans.get(i, WorldPlan(frozenset(), ()))
             for p in plan.pos_props:
                 self.valuation.setdefault(p, set()).add(w)
-            if not plan.cells:
-                self.kernel[w] = {w: Fraction(1)}
-            else:
-                row: dict[str, Fraction] = {}
-                for delta, mass in plan.cells:
-                    row[self.build_for(delta)] = mass
-                self.kernel[w] = row
+            # a world with no inhabited cell loops to itself
+            row = {self.build(d): mass for d, mass in plan.cells}
+            self.kernel[w] = row or {w: Fraction(1)}
         return chain[0]
 
     def finish(self) -> FiniteDMM:
@@ -396,8 +388,9 @@ class _ModelBuilder:
 
 def witness(f: Formula) -> Optional[tuple[FiniteDMM, str]]:
     """A finite model and root world satisfying f, or None when UNSAT."""
-    if not sat_status(f):
+    d = _witnessing(to_disjuncts(f))
+    if d is None:
         return None
     builder = _ModelBuilder()
-    root = builder.build_for(f)
+    root = builder.build(d)
     return builder.finish(), root

@@ -467,21 +467,28 @@ def push_then_dnf(f):
     return dnf(push_next(f), True)
 
 
-def world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds):
+def witnessing(cell):
+    """The disjunct of a cell formula that a witness is built from: the
+    first satisfiable one of its DNF, or None."""
+    return decide._witnessing(decide.to_disjuncts(cell))
+
+
+def clash_free(disjunct) -> bool:
+    """No atom of the disjunct occurs with both polarities."""
+    return not any((not polarity, atom) in disjunct for polarity, atom in disjunct)
+
+
+def world_sat_all_cells(pos_bounds, neg_bounds):
     """The former cell step of `decide._world_sat`, kept as its oracle: one
     column per distinct `push_next` body, negated bodies included, and
     `sat_status` on every one of the 2^k cells.  Takes `_world_sat`'s
     arguments, each bound (bound, column, negated) read as the bound on its
-    body as written, `!column` when negated.  Returns a `WorldPlan` or None,
-    as `_world_sat` does."""
-    if pos_props & neg_props:
-        return None
+    body as written, `!column` when negated.  Returns the inhabited cells as
+    (witnessing disjunct, mass), or None, as `_world_sat` does."""
     pos_bounds, neg_bounds = (
         tuple((bound, Not(column) if negated else column) for bound, column, negated in lits)
         for lits in (pos_bounds, neg_bounds)
     )
-    if not pos_bounds and not neg_bounds:
-        return decide.WorldPlan(pos_props, ())
     columns = [push_next(body) for _, body in pos_bounds + neg_bounds]
     bodies = sorted(set(columns), key=render)
     sat_cells = []  # (bitmask over bodies, cell formula)
@@ -503,8 +510,9 @@ def world_sat_all_cells(pos_props, neg_props, pos_bounds, neg_bounds):
     point = solve(system)
     if point is None:
         return None
-    cells = tuple((delta, point[i]) for i, (_, delta) in enumerate(sat_cells) if point[i] > 0)
-    return decide.WorldPlan(pos_props, cells)
+    return tuple(
+        (witnessing(delta), point[i]) for i, (_, delta) in enumerate(sat_cells) if point[i] > 0
+    )
 
 
 def cells_by_conj(columns):
@@ -512,7 +520,8 @@ def cells_by_conj(columns):
     of `decide._cells`: the columns in stored-hash order, a valid one fixed
     to 1 and an unsatisfiable one to 0, and for each of the 2^k choices over
     the k contingent columns, in order, a fresh `conj` over every column
-    and `sat_status` on it.  Returns a `decide._CellTable`."""
+    and `sat_status` on it.  Returns a `decide._CellTable` that holds each
+    cell's formula; `witnessed` maps them to the table `_cells` keeps."""
     bodies = sorted(columns, key=hash)
     fixed = 0
     free = []
@@ -533,6 +542,13 @@ def cells_by_conj(columns):
     return decide._CellTable(
         {b: i for i, b in enumerate(bodies)}, tuple(sat_cells), 1 << len(free)
     )
+
+
+def witnessed(table):
+    """A `cells_by_conj` table with each cell formula replaced by its
+    witnessing disjunct."""
+    cells = tuple((mask, witnessing(cell)) for mask, cell in table.cells)
+    return decide._CellTable(table.column_of, cells, table.count)
 
 
 def and_chain_lindenbaum(seed, budget: int):

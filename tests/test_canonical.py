@@ -13,6 +13,7 @@ import probnext
 from helpers import (
     and_chain_lindenbaum,
     cap_address_space,
+    clash_free,
     random_formula,
     world_sat_all_cells,
 )
@@ -331,6 +332,13 @@ def test_lindenbaum_seeds_agree_with_the_all_cells_oracle(monkeypatch):
         decide.clear_caches()
 
 
+def test_every_stage_set_disjunct_is_clash_free():
+    for entry in json.loads(BENCH_EXPECTED.read_text())["seeds"]:
+        w = lindenbaum(parse(entry["seed"]), 0)
+        for budget in range(1, 301):
+            assert all(map(clash_free, w.extend(budget)._dnf)), (entry["seed"], budget)
+
+
 def test_lindenbaum_agrees_with_the_and_chain_oracle():
     """The stage set kept as its pruned DNF decides every stage as the
     stage set kept as one conjunction did: the four benchmark seeds at
@@ -372,3 +380,7 @@ def test_lindenbaum_stage_cliff_stays_gone():
     decide.clear_caches()
     lindenbaum(parse("L[1/2] p0 & X p1"), 260)
     assert sat_status.cache_info().misses < 4000
+    # The stages no longer reach sat_status (0 misses); what they cost is
+    # one LP per distinct set of bounds, a _world_sat miss (74 here; 147
+    # while the plans were keyed by the propositions as well).
+    assert decide._world_sat.cache_info().misses < 100

@@ -11,12 +11,14 @@ import pytest
 
 from helpers import (
     cells_by_conj,
+    clash_free,
     independent_bounds,
     lp_chain,
     push_then_dnf,
     random_bound_conjunction,
     random_formula,
     random_nested_bounds,
+    witnessed,
     world_sat_all_cells,
 )
 import probnext
@@ -36,7 +38,7 @@ from probnext import (
     witness,
 )
 from probnext import decide
-from probnext.decide import _world_sat, group_steps, to_disjuncts, world_sat
+from probnext.decide import _world_sat, conjoin, group_steps, to_disjuncts, world_sat
 
 
 def _no_next_above_boolean(f):
@@ -309,11 +311,21 @@ def test_valid_and_unsatisfiable_bodies_fix_their_column():
     assert sat(parse("L[1] !(p1 & !p1) & !L[1/2] !p2")).status == "SAT"
 
 
+def _is_a_distribution(cells) -> bool:
+    """Positive masses summing to 1, each on a disjunct whose steps are all
+    satisfiable."""
+    return sum(mass for _, mass in cells) == 1 and all(
+        mass > 0 and decide._plans(d) is not None for d, mass in cells
+    )
+
+
 def _agrees_with_the_oracle(monkeypatch, run) -> int:
-    """Run `run()` from cleared caches, recording every step requirement that
+    """Run `run()` from cleared caches, recording every set of bounds that
     `_world_sat` is asked; then ask the all-cells oracle each one, recording
-    the requirements its own cells reach as well.  Returns the number
-    compared."""
+    the sets its own cells reach as well.  Both must give the same verdict,
+    and each answer a distribution over witnessing disjuncts; the oracle's
+    extra columns (negated bodies) may make its LP pick another vertex.
+    Returns the number compared."""
     decide.clear_caches()
     seen: dict = {}
     real = decide._world_sat
@@ -327,7 +339,9 @@ def _agrees_with_the_oracle(monkeypatch, run) -> int:
     done = 0
     while done < len(seen):
         for args in list(seen)[done:]:
-            assert (real(*args) is None) == (world_sat_all_cells(*args) is None), args
+            plans = real(*args), world_sat_all_cells(*args)
+            assert (plans[0] is None) == (plans[1] is None), args
+            assert all(_is_a_distribution(p) for p in plans if p is not None), args
             done += 1
     monkeypatch.setattr(decide, "_world_sat", real)
     return done
@@ -387,6 +401,28 @@ def test_cell_step_agrees_with_the_oracle_on_the_decide_mix_pool(monkeypatch):
     assert _agrees_with_the_oracle(monkeypatch, run) > 1000
 
 
+def test_disjuncts_and_conjoined_disjuncts_are_clash_free():
+    """`group_steps` keeps no negative proposition: it relies on every
+    disjunct that `to_disjuncts` and `conjoin` give being clash-free."""
+    rng = random.Random(1616)
+    formulas = [parse(text) for (_, text), _ in _mix_pool(MIX_ENTRIES)]
+    formulas += [random_formula(rng) for _ in range(500)]
+    before = [frozenset()]
+    for f in formulas:
+        dnf = to_disjuncts(f)
+        assert all(map(clash_free, dnf)), f
+        assert all(map(clash_free, conjoin(before, f))), f
+        before = dnf
+
+
+def test_propositional_context_reuses_the_lp_of_its_bounds():
+    decide.clear_caches()
+    assert sat_status(parse("p0 & L[1/2] p1"))
+    misses = _world_sat.cache_info().misses
+    assert sat_status(parse("!p0 & L[1/2] p1"))
+    assert _world_sat.cache_info().misses == misses
+
+
 def _distinct_calls(monkeypatch, name, run) -> list:
     """Run `run()` from cleared caches and return the distinct arguments of
     its calls to `decide.<name>`, in first-call order."""
@@ -405,8 +441,8 @@ def _distinct_calls(monkeypatch, name, run) -> list:
 
 
 def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
-    """The prefix walk keeps the cells, in the order and with the very
-    formulas, that `conj` and `sat_status` on every cell gave.  Nested
+    """The prefix walk keeps the cells, in the order and with the witnessing
+    disjuncts, that `conj` and `sat_status` on every cell gave.  Nested
     bounds reach cells that only their LP refutes."""
     rng = random.Random(1515)
     inputs = [
@@ -419,7 +455,7 @@ def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
         calls = _distinct_calls(monkeypatch, "_cells", lambda: list(map(sat_status, formulas)))
         assert calls
         for (columns,) in calls:
-            assert decide._cells(columns) == cells_by_conj(columns), columns
+            assert decide._cells(columns) == witnessed(cells_by_conj(columns)), columns
     # p0..p7 and their union: every valuation of the props is one cell.
     assert [len(decide._cells(*args).cells) for args in calls] == [1 << 8]
 
@@ -433,6 +469,6 @@ def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
     calls = _distinct_calls(monkeypatch, "_world_sat", lambda: list(map(witness, formulas)))
     plans = {args: _world_sat(*args) for args in calls}
     assert sum(plan is not None for plan in plans.values()) > 100
-    monkeypatch.setattr(decide, "_cells", cells_by_conj)
+    monkeypatch.setattr(decide, "_cells", lambda columns: witnessed(cells_by_conj(columns)))
     for args, plan in plans.items():
         assert _world_sat.__wrapped__(*args) == plan, args
