@@ -17,7 +17,10 @@ the contingent columns are decided.  The satisfiable cells of a column
 set are found once, by one walk over the columns that merges each
 prefix's DNF with the DNF of one column or of its negation and prunes
 below every prefix whose merged DNF is empty, and are kept in a cell
-table that each step over the same columns reuses.
+table that each step over the same columns reuses.  The simplex tableau of
+a step's system is built from the cell masks: a 0/1 indicator row per
+bound, and the masses' non-negativity as variable bounds.  It goes to the
+pivot loop of `linarith.solve`, with no `LinearSystem` built.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts; each inhabited cell's sub-model is
@@ -270,30 +273,53 @@ def _world_sat(pos_bounds, neg_bounds) -> Optional[tuple]:
     table = _cells(frozenset(column for _, column, _ in pos_bounds | neg_bounds))
     global cells_enumerated
     cells_enumerated += table.count
-    sat_cells, column_of = table.cells, table.column_of
-
-    system = linarith.LinearSystem(num_vars=len(sat_cells))
-    system.constraints.append(
-        linarith.eq(dict.fromkeys(range(len(sat_cells)), 1), -1)
-    )
-    for i in range(len(sat_cells)):
-        system.constraints.append(linarith.ge({i: 1}))
-    # L[r] reads  e - r >= 0  and  !L[r] reads  -(e - r) > 0,  where e is
-    # m(c), or 1 - m(c) for a negated column.  The rows follow the columns,
-    # whatever order the literal sets iterate in.
-    literals = [(column_of[c], bound, negated, 1) for bound, c, negated in pos_bounds]
-    literals += [(column_of[c], bound, negated, -1) for bound, c, negated in neg_bounds]
-    for b, bound, negated, polarity in sorted(literals):
-        sign, constant = (-1, 1 - bound) if negated else (1, -bound)
-        relation = linarith.ge if polarity > 0 else linarith.gt
-        inside = [i for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)]
-        coeffs = dict.fromkeys(inside, polarity * sign)
-        system.constraints.append(relation(coeffs, polarity * constant))
-
-    point = linarith.solve(system)
+    tableau = _cell_tableau(table, pos_bounds, neg_bounds)
+    point = None if tableau is None else linarith.solve_tableau(*tableau)
     if point is None:
         return None
-    return tuple((d, point[i]) for i, (_, d) in enumerate(sat_cells) if point[i] > 0)
+    return tuple((d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0)
+
+
+def _cell_tableau(table: _CellTable, pos_bounds, neg_bounds) -> Optional[tuple]:
+    """The tableau `linarith._tableau` builds from the rows  m_i >= 0,
+    sum(m_i) = 1  and one row per literal over the cell masses m_i (or None
+    when a bound fails outright), built from the masks with no `Constraint`
+    and no gcd.  A row sums the masses of some cells, so it is their 0/1
+    indicator: already primitive with a positive lead.  Equal indicators
+    share a slack, numbered in `_tableau`'s order: the all-ones row, then
+    the literals sorted.  A one-cell row bounds that cell's mass, and an
+    empty one is a constant check."""
+    cells = table.cells
+    every = tuple(range(len(cells)))
+    lower = dict.fromkeys(every, (Fraction(0), Fraction(0)))
+    upper: dict = {}
+    rows: dict = {}  # slack -> (1, its indicator row)
+    slack_of: dict = {}  # indicator row, as a tuple of cells -> slack
+    literals = [(table.column_of[c], r, negated, True) for r, c, negated in pos_bounds]
+    literals += [(table.column_of[c], r, negated, False) for r, c, negated in neg_bounds]
+    # (cells summed, bound, relation, whether the bound is a lower one) per
+    # row.  With m(c) the mass of the cells inside column c, L[r] c reads
+    # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
+    bounded = [(every, Fraction(1), linarith.Rel.EQ, True)]
+    for b, r, negated, positive in sorted(literals):
+        inside = tuple(i for i, (mask, _) in enumerate(cells) if mask >> b & 1)
+        relation = linarith.Rel.GE if positive else linarith.Rel.GT
+        bounded.append((inside, 1 - r if negated else r, relation, positive != negated))
+    for inside, bound, relation, rising in bounded:
+        if not inside:  # a mass of 0
+            if not linarith.constant_holds(-bound if rising else bound, relation):
+                return None
+            continue
+        if len(inside) == 1:
+            var = inside[0]
+        else:
+            var = slack_of.get(inside)
+            if var is None:
+                var = slack_of[inside] = -1 - len(slack_of)
+                rows[var] = (1, dict.fromkeys(inside, 1))
+        if not linarith.tighten(lower, upper, var, bound, relation, rising):
+            return None
+    return lower, upper, rows, set(every)
 
 
 # ---------------------------------------------------------------------------

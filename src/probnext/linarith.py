@@ -6,6 +6,10 @@ and the constant.  `solve` (and `feasible`) decide a system with a general
 simplex under Bland's rule, handling strict rows with delta-rationals.
 The simplex is fraction-free: its rows are integer vectors over a positive
 integer denominator, and only values, bounds and delta are `Fraction`s.
+`solve` is the general front end: it turns a `LinearSystem` into variable
+bounds and slack rows.  A caller that already holds its rows as primitive
+integer vectors, such as `decide`'s cell step, builds that tableau itself
+with `tighten` and hands it to `solve_tableau`, the one pivot loop.
 All arithmetic is exact over `int` and `fractions.Fraction` -- no floats
 anywhere.  Coefficients may be `int`s or `Fraction`s.  (Fourier-Motzkin
 elimination, and the `Fraction`-tableau simplex that the integer rows
@@ -63,7 +67,7 @@ def eq(coeffs: dict[int, Fraction], constant=Fraction(0)) -> Constraint:
     return _constraint(coeffs, constant, Rel.EQ)
 
 
-def _constant_holds(value: Fraction, relation: Rel) -> bool:
+def constant_holds(value: Fraction, relation: Rel) -> bool:
     """Whether `value relation 0` holds."""
     if relation is Rel.GE:
         return value >= 0
@@ -91,8 +95,8 @@ _ZERO = Fraction(0)
 
 
 def _tableau(system: LinearSystem):
-    """Bounds and slack rows for `solve`; None when a constant row fails or
-    some variable's bounds cross.
+    """Bounds and slack rows of a system for `solve_tableau`; None when a
+    constant row fails or some variable's bounds cross.
 
     A single-variable row bounds that variable itself.  A longer row,
     scaled by the lcm of its coefficient denominators and divided by their
@@ -112,7 +116,7 @@ def _tableau(system: LinearSystem):
     for c in system.constraints:
         coeffs = c.coeffs
         if not coeffs:
-            if not _constant_holds(c.constant, c.relation):
+            if not constant_holds(c.constant, c.relation):
                 return None
             continue
         if len(coeffs) == 1:
@@ -133,19 +137,27 @@ def _tableau(system: LinearSystem):
             bound = c.constant * -scale / g
             rising, unit = g > 0, key[0][1]
         originals.update(v for v, _ in coeffs)
-        strict = Fraction(unit) if c.relation is Rel.GT else _ZERO
-        if c.relation is Rel.EQ or rising:
-            lo = (bound, strict)
-            if var not in lower or lower[var] < lo:
-                lower[var] = lo
-        if c.relation is Rel.EQ or not rising:
-            hi = (bound, -strict)
-            if var not in upper or upper[var] > hi:
-                upper[var] = hi
-    for var in lower.keys() & upper.keys():
-        if lower[var] > upper[var]:
+        if not tighten(lower, upper, var, bound, c.relation, rising, unit):
             return None
     return lower, upper, rows, originals
+
+
+def tighten(lower: dict, upper: dict, var, bound, relation: Rel, rising: bool, unit=1):
+    """Narrow the bounds of `var` by one row: var >= bound when `rising`,
+    var <= bound when not, and both for an equality.  A strict row moves
+    its bound `unit` deltas inward, and a bound only ever tightens.  False
+    when the bounds of `var` cross."""
+    strict = Fraction(unit) if relation is Rel.GT else _ZERO
+    if relation is Rel.EQ or rising:
+        lo = (bound, strict)
+        if var not in lower or lower[var] < lo:
+            lower[var] = lo
+    if relation is Rel.EQ or not rising:
+        hi = (bound, -strict)
+        if var not in upper or upper[var] > hi:
+            upper[var] = hi
+    lo, hi = lower.get(var), upper.get(var)
+    return lo is None or hi is None or lo <= hi
 
 
 def _shift(value, step_c, step_k):
@@ -190,7 +202,14 @@ def _pivot(rows: dict, value: dict, s, x, target) -> None:
 
 
 def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
-    """A satisfying rational point, or None when infeasible.
+    """A satisfying rational point, or None when infeasible."""
+    tableau = _tableau(system)
+    return None if tableau is None else solve_tableau(*tableau)
+
+
+def solve_tableau(lower: dict, upper: dict, rows: dict, originals) -> Optional[dict]:
+    """The point of a tableau built as `_tableau` builds one, or None when
+    it is infeasible; the pivot loop of every front end.  It consumes `rows`.
 
     The tableau rows are integer vectors over a positive denominator, and a
     pivot updates them by integer cross-multiplication and one gcd per row;
@@ -202,11 +221,6 @@ def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
     is then fixed to the largest value in (0, 1] that keeps every bound, so
     the result is exact.
     """
-    tableau = _tableau(system)
-    if tableau is None:
-        return None
-    lower, upper, rows, originals = tableau
-
     zero = (_ZERO, _ZERO)
     value: dict = {}
     for var in originals:
@@ -274,7 +288,7 @@ def feasible(system: LinearSystem) -> bool:
 def satisfies(system: LinearSystem, assignment: dict[int, Fraction]) -> bool:
     """Exact substitution check."""
     return all(
-        _constant_holds(
+        constant_holds(
             c.constant + sum((a * assignment[v] for v, a in c.coeffs), Fraction(0)),
             c.relation,
         )

@@ -551,6 +551,29 @@ def witnessed(table):
     return decide._CellTable(table.column_of, cells, table.count)
 
 
+def cell_system(table, pos_bounds, neg_bounds) -> LinearSystem:
+    """The former LP of `decide._world_sat` over a cell table, kept as the
+    oracle of `decide._cell_tableau`: `linarith._tableau` of this system is
+    the tableau that the cell step builds from the masks."""
+    sat_cells, column_of = table.cells, table.column_of
+    system = LinearSystem(num_vars=len(sat_cells))
+    system.constraints.append(eq(dict.fromkeys(range(len(sat_cells)), 1), -1))
+    for i in range(len(sat_cells)):
+        system.constraints.append(ge({i: 1}))
+    # L[r] reads  e - r >= 0  and  !L[r] reads  -(e - r) > 0,  where e is
+    # m(c), or 1 - m(c) for a negated column.  The rows follow the columns,
+    # whatever order the literal sets iterate in.
+    literals = [(column_of[c], bound, negated, 1) for bound, c, negated in pos_bounds]
+    literals += [(column_of[c], bound, negated, -1) for bound, c, negated in neg_bounds]
+    for b, bound, negated, polarity in sorted(literals):
+        sign, constant = (-1, 1 - bound) if negated else (1, -bound)
+        relation = ge if polarity > 0 else gt
+        inside = [i for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)]
+        coeffs = dict.fromkeys(inside, polarity * sign)
+        system.constraints.append(relation(coeffs, polarity * constant))
+    return system
+
+
 def and_chain_lindenbaum(seed, budget: int):
     """The staged construction of `canonical` as it was while the stage set
     was one left-nested conjunction, which every entailment query handed

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    cell_system,
     cells_by_conj,
     clash_free,
     independent_bounds,
@@ -37,7 +38,7 @@ from probnext import (
     valid,
     witness,
 )
-from probnext import decide
+from probnext import decide, linarith
 from probnext.decide import _world_sat, conjoin, group_steps, to_disjuncts, world_sat
 
 
@@ -373,12 +374,18 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 MIX_ENTRIES = 2500
 
 
-def _mix_pool(n: int) -> list:
-    """The first n entries of the decide-mix pool as ((kind, text), verdict),
-    without those whose verdict the benchmark leaves unverified ("X")."""
+def _bench_inputs():
+    """The benchmark's input generators, `bench/inputs.py`."""
     spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def _mix_pool(n: int) -> list:
+    """The first n entries of the decide-mix pool as ((kind, text), verdict),
+    without those whose verdict the benchmark leaves unverified ("X")."""
+    inputs = _bench_inputs()
     verdicts = json.loads((BENCH / "expected" / "decide_mix.json").read_text())["verdicts"]
     return [(inputs.mix_entry(i), verdicts[i]) for i in range(n) if verdicts[i] != "X"]
 
@@ -472,3 +479,54 @@ def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
     monkeypatch.setattr(decide, "_cells", lambda columns: witnessed(cells_by_conj(columns)))
     for args, plan in plans.items():
         assert _world_sat.__wrapped__(*args) == plan, args
+
+
+# One satisfiable cell, an empty column, a one-cell column, negated columns,
+# and literals sharing one indicator row, with each other or with the
+# all-ones row.
+CELL_TABLEAU_EDGES = [
+    "L[1/2] (p0 | !p0)",
+    "L[1] !(p1 & !p1) & !L[1/2] !p2",
+    "L[1/2] (p1 & !p1) & L[1/3] p2",
+    "!L[1/2] (p1 & !p1) & L[1/3] p2",
+    "L[1/2] p0 & L[1] (p1 | !p1)",
+    "L[1/3] p0 & !L[1/2] p0 & L[1/4] !p0",
+    "L[1/2] p0 & !L[1/2] !p0",
+]
+
+
+def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
+    """The tableau built from the masks is the one `linarith._tableau`
+    builds from the former `LinearSystem` of the cells, slack ids included,
+    and `_world_sat` answers with the masses `solve` finds for that system."""
+    rng = random.Random(1717)
+    formulas = [parse(text) for text in CELL_TABLEAU_EDGES]
+    formulas += [parse(lp_chain(k)) for k in range(2, 7)]
+    formulas += [random_formula(rng) for _ in range(300)]
+    formulas += [random_nested_bounds(rng) for _ in range(300)]
+    # the lp-bounds shape: L[r_i] (p_i | p_{i+1}) for i < 4, & !L[s] p_c
+    lp_bounds_text = _bench_inputs().lp_bounds_text
+    formulas += [parse(lp_bounds_text(random.Random(f"lp-bounds/{j}"))) for j in range(100)]
+    calls = _distinct_calls(monkeypatch, "_world_sat", lambda: list(map(witness, formulas)))
+    edges = dict.fromkeys(["one cell", "empty", "one-cell", "negated", "shared"], 0)
+    for pos_bounds, neg_bounds in calls:
+        table = decide._cells(frozenset(c for _, c, _ in pos_bounds | neg_bounds))
+        system = cell_system(table, pos_bounds, neg_bounds)
+        tableau = decide._cell_tableau(table, pos_bounds, neg_bounds)
+        assert tableau == linarith._tableau(system), (pos_bounds, neg_bounds)
+        point = linarith.solve(system)
+        cells = None if point is None else tuple(
+            (d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0
+        )
+        assert _world_sat(pos_bounds, neg_bounds) == cells, (pos_bounds, neg_bounds)
+        # the all-ones row, then the literal rows, as sets of cells
+        sums = [tuple(v for v, _ in c.coeffs) for c in system.constraints]
+        del sums[1 : 1 + len(table.cells)]
+        longer = [row for row in sums if len(row) > 1]
+        edges["one cell"] += len(table.cells) == 1
+        edges["empty"] += any(not row for row in sums)
+        edges["one-cell"] += any(len(row) == 1 for row in sums[1:])
+        edges["negated"] += any(negated for _, _, negated in pos_bounds | neg_bounds)
+        edges["shared"] += len(set(longer)) < len(longer)
+    assert len(calls) > 300
+    assert all(edges.values()), edges

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probnext import decide, linarith, parse, push_next
+from probnext import decide, parse, push_next
 from probnext.decide import group_steps, to_disjuncts, world_sat
 from probnext.linarith import LinearSystem, Rel, eq, feasible, ge, gt, satisfies, solve
 
 from helpers import (
     canonical,
+    cell_system,
     eliminate,
     fm_feasible,
     fraction_simplex,
@@ -248,34 +249,32 @@ def test_fractional_generator_mixes_coefficient_types():
     assert denominators >= {1, 2, 3, 4, 5}  # and their products, in scaled rows
 
 
-def _world_systems(formulas) -> list[LinearSystem]:
-    """Every system `world_sat` hands to the solver on the steps of the
-    formulas' disjuncts, from cold caches."""
+def _world_systems(monkeypatch, formulas) -> list[LinearSystem]:
+    """The system of every cell tableau `world_sat` builds on the steps of
+    the formulas' disjuncts, from cold caches, stated as `cell_system`."""
     systems = []
-    real = linarith.solve
+    real = decide._cell_tableau
 
-    def record(system):
-        systems.append(system)
-        return real(system)
+    def record(table, pos_bounds, neg_bounds):
+        systems.append(cell_system(table, pos_bounds, neg_bounds))
+        return real(table, pos_bounds, neg_bounds)
 
     decide.clear_caches()
-    linarith.solve = record
-    try:
-        for f in formulas:
-            for disjunct in to_disjuncts(push_next(f)):
-                for req in group_steps(disjunct):
-                    world_sat(req)
-    finally:
-        linarith.solve = real
-        decide.clear_caches()
+    monkeypatch.setattr(decide, "_cell_tableau", record)
+    for f in formulas:
+        for disjunct in to_disjuncts(push_next(f)):
+            for req in group_steps(disjunct):
+                world_sat(req)
+    monkeypatch.setattr(decide, "_cell_tableau", real)
+    decide.clear_caches()
     return systems
 
 
-def test_world_systems_get_the_fraction_simplex_point():
+def test_world_systems_get_the_fraction_simplex_point(monkeypatch):
     rng = random.Random(78)
     formulas = [parse(lp_chain(k)) for k in range(2, 7)]
     formulas += [random_formula(rng) for _ in range(300)]
-    systems = _world_systems(formulas)
+    systems = _world_systems(monkeypatch, formulas)
     assert len(systems) > 100
     for system in systems:
         # the rows are built from plain integers, +1 and -1
