@@ -18,8 +18,8 @@ the current stage set already entails the formula or its negation (this
 provably agrees with the staged bit), and otherwise by actually running
 the remaining stages one at a time -- but only within two limits: a cap
 on the number of stages, because stage indices grow exponentially with
-formula size, and a budget of enumerated cells, because the stages past
-about 1050 cost 2^k cells for growing k.
+formula size, and a budget of cell-walk nodes (`decide.walk_nodes`),
+because the stages past about 1060 walk ever larger cell tables.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .formula import And, AtLeast, Formula, Next, Not
 from .parser import parse, render
 
 
-# Stages one membership query may run past the built budget, and cells
-# (`decide.cells_enumerated`) it may enumerate, before it gives up, as
+# Stages one membership query may run past the built budget, and nodes of
+# the cell walk (`decide.walk_nodes`) it may pop, before it gives up, as
 # `proof._TAUT_SPLITS` bounds the tautology check.
 _MAX_EXTENSION = 4096
-_MEMBER_CELLS = 1 << 18
+_MEMBER_NODES = 1 << 18
 
 
 class InconsistentSeed(ValueError):
@@ -96,7 +96,7 @@ class SaturatedPrefix:
 
     `extend` runs as many stages as asked.  `member` runs at most
     `_MAX_EXTENSION` stages past the built budget, and stops once its query
-    has enumerated more than `_MEMBER_CELLS` cells; both raise
+    has popped more than `_MEMBER_NODES` nodes of the cell walk; both raise
     `ExtensionLimitExceeded`, and `member_or` maps that to its default."""
 
     def __init__(self, seed: Formula):
@@ -163,7 +163,7 @@ class SaturatedPrefix:
 
     def member(self, f: Formula) -> bool:
         """Whether f belongs to the saturated set this prefix approximates."""
-        start = decide.cells_enumerated
+        start = decide.walk_nodes
         # fast path: agreement with the staged bit is guaranteed whenever the
         # current stage set decides f
         if self._entails(f):
@@ -177,16 +177,16 @@ class SaturatedPrefix:
                 f"index {idx} of {render(f)} exceeds the extension cap"
             )
         while self.budget <= idx:
-            if decide.cells_enumerated - start > _MEMBER_CELLS:
+            if decide.walk_nodes - start > _MEMBER_NODES:
                 raise ExtensionLimitExceeded(
-                    f"the query on {render(f)} passed {_MEMBER_CELLS} cells"
+                    f"the query on {render(f)} passed {_MEMBER_NODES} walk nodes"
                     f" at stage {self.budget}"
                 )
             self.extend(self.budget + 1)
         return self.decided[idx]
 
     def member_or(self, f: Formula, default: bool = False) -> bool:
-        """member(), with queries past the stage cap or the cell budget
+        """member(), with queries past the stage cap or the walk budget
         mapped to default."""
         try:
             return self.member(f)
@@ -221,7 +221,7 @@ def kernel_bounds(w: SaturatedPrefix, f: Formula, grid: int) -> Interval:
     """Rational-grid bracket of the canonical kernel value of [f] at w.
 
     Queries the prefix on the grid bounds m/grid; queries that cannot be
-    decided within the stage cap and the cell budget are treated as
+    decided within the stage cap and the walk budget are treated as
     non-members, which can only widen the bracket (the true value always
     lies inside it).
     """

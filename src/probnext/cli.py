@@ -126,12 +126,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lindenbaum(args) -> int:
-    seed = _parse_formula(args.seed)
-    try:
-        w = canonical.lindenbaum(seed, args.budget)
-    except canonical.InconsistentSeed:
-        print("error: seed is inconsistent", file=sys.stderr)
-        return 2
+    w = canonical.lindenbaum(_parse_formula(args.seed), args.budget)
     data = canonical.prefix_to_dict(w)
     if args.out:
         canonical.save_prefix(w, args.out)
@@ -249,6 +244,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    except canonical.InconsistentSeed:
+        print("error: seed is inconsistent", file=sys.stderr)
+        return 2
     except (
         canonical.ExtensionLimitExceeded,
         canonical.NotFoundWithinBound,

@@ -2,25 +2,28 @@
 
 Pipeline:  expand the formula into a pruned DNF over time-stamped atoms (a
 next-operator raises the time stamp of the atoms below it), group each
-disjunct's literals by time step, and decide every step independently.  A
-probability atom is read over its canonical column: the `push_next`
-normal form of its body up to one leading negation (L[r] !c bounds
-1 - m(c)), so bodies equal up to moving next-operators through ! and &
-share one atom.  The vacuous bound is settled in the DNF: L[0] b is true
-and !L[0] b false.  A step's probability literals are decided by carving
-the state space into cells over the distinct columns and solving an exact
-linear system over the satisfiable cells' masses, one system per set of
-bounds.  A cell is a bitmask over the columns, kept with its witnessing
-disjunct: the first satisfiable disjunct of its DNF.  A valid column
-fixes its bit to 1 and an unsatisfiable one to 0, so only the cells over
-the contingent columns are decided.  The satisfiable cells of a column
-set are found once, by one walk over the columns that merges each
-prefix's DNF with the DNF of one column or of its negation and prunes
-below every prefix whose merged DNF is empty, and are kept in a cell
-table that each step over the same columns reuses.  The simplex tableau of
-a step's system is built from the cell masks: a 0/1 indicator row per
-bound, and the masses' non-negativity as variable bounds.  It goes to the
-pivot loop of `linarith.solve`, with no `LinearSystem` built.
+disjunct's literals by time step (`group_steps`), and decide every step
+independently.  A probability atom is read over its canonical column: the
+`push_next` normal form of its body up to one leading negation (L[r] !c
+bounds 1 - m(c)), so bodies equal up to moving next-operators through !
+and & share one atom.  The vacuous bound is settled in the DNF: L[0] b is
+true and !L[0] b false.  A world's valuation is independent of its
+kernel, so a step is decided by its probability bounds alone, in one call
+of `world_sat` cached per set of bounds (a step with none holds at once):
+by carving the state space into cells over the distinct columns and
+solving an exact linear system over the satisfiable cells' masses.  A
+cell is a bitmask over the columns, kept with its witnessing disjunct:
+the first satisfiable disjunct of its DNF.  A valid column fixes its bit
+to 1 and an unsatisfiable one to 0, so only the cells over the contingent
+columns are decided.  The satisfiable cells of a column set are found
+once, by one walk over the columns that merges each prefix's DNF with the
+DNF of one column or of its negation and prunes below every prefix whose
+merged DNF is empty, and are kept in a cell table that each step over the
+same columns reuses.  The walk counts the nodes it pops in `walk_nodes`,
+the cost meter of `canonical`'s membership queries.  The simplex tableau
+of a step's system is built from the cell masks: a 0/1 indicator row per
+bound, and the masses' non-negativity as variable bounds.  It goes to
+`linarith.solve_tableau`, with no `LinearSystem` built.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts; each inhabited cell's sub-model is
@@ -147,23 +150,15 @@ def to_disjuncts(f: Formula) -> list[Disjunct]:
 
 
 # ---------------------------------------------------------------------------
-# Step requirements
+# Steps
 
 
-@dataclass(frozen=True)
-class StepRequirement:
-    """The literals of one time step; a bound is (bound, column, negated).
-    A negative proposition needs nothing: a disjunct has no clashing pair,
-    and the witness leaves every proposition outside `pos_props` false."""
-
-    step: int
-    pos_props: frozenset[int] = frozenset()
-    pos_bounds: frozenset[tuple[Fraction, Formula, bool]] = frozenset()
-    neg_bounds: frozenset[tuple[Fraction, Formula, bool]] = frozenset()
-
-
-def group_steps(disjunct: Disjunct) -> list[StepRequirement]:
-    """One requirement per time index occurring in the disjunct."""
+def group_steps(disjunct: Disjunct) -> list[tuple]:
+    """One (step, true propositions, positive bounds, negative bounds) per
+    time index occurring in the disjunct, in step order; a bound is
+    (bound, column, negated).  A negative proposition needs nothing: a
+    disjunct has no clashing pair, and the witness leaves every proposition
+    it does not list false."""
     buckets: dict[int, tuple[list, list, list]] = {}
     for polarity, atom in disjunct:
         props, pos, neg = buckets.setdefault(atom[1], ([], [], []))
@@ -172,7 +167,8 @@ def group_steps(disjunct: Disjunct) -> list[StepRequirement]:
         elif polarity:
             props.append(atom[2])
     return [
-        StepRequirement(step, *map(frozenset, buckets[step])) for step in sorted(buckets)
+        (step, props, frozenset(pos), frozenset(neg))
+        for step, (props, pos, neg) in sorted(buckets.items())
     ]
 
 
@@ -180,39 +176,19 @@ def group_steps(disjunct: Disjunct) -> list[StepRequirement]:
 # Per-world satisfiability over measure cells
 
 
-@dataclass(frozen=True)
-class WorldPlan:
-    """Witnessing data for one satisfiable step requirement: the true
-    propositions, and for each inhabited cell its witnessing disjunct and a
-    rational mass.  The cells depend on the step's bounds alone."""
-
-    pos_props: frozenset[int]
-    cells: tuple[tuple[Disjunct, Fraction], ...]
-
-
-def world_sat(req: StepRequirement) -> Optional[WorldPlan]:
-    """Decide one step requirement; None means unsatisfiable.
-
-    The current world's valuation is independent of its kernel, and a
-    disjunct has no clashing literals, so only the bounds are decided: by
-    the cell construction over their distinct columns.
-    """
-    if not req.pos_bounds and not req.neg_bounds:
-        return WorldPlan(req.pos_props, ())
-    cells = _world_sat(req.pos_bounds, req.neg_bounds)
-    return None if cells is None else WorldPlan(req.pos_props, cells)
-
-
 @dataclass(frozen=True, slots=True)
 class _CellTable:
     """The satisfiable cells over one set of columns.  `column_of` maps each
     column to its index, in stored-hash order; `cells` holds (bitmask over
-    the columns, the cell's witnessing disjunct) in increasing mask order,
-    and `count` = 2^k for k contingent columns."""
+    the columns, the cell's witnessing disjunct) in increasing mask order."""
 
     column_of: dict
     cells: tuple[tuple[int, Disjunct], ...]
-    count: int
+
+
+# Nodes the cell walk has popped since import, over every table it built:
+# the cost meter of `canonical`'s membership queries.
+walk_nodes = 0
 
 
 @lru_cache(maxsize=None)
@@ -225,14 +201,12 @@ def _cells(columns: frozenset) -> _CellTable:
     # the cells over the contingent bodies are tried.  Each body's options
     # are (bit, DNF of the body or of its negation).
     options = []
-    free = 0
     for i, b in enumerate(bodies):
         without, within = _dnf(b, False, 0), _dnf(b, True, 0)
         if _witnessing(without) is None:
             options.append([(1 << i, within)])
         elif _witnessing(within) is not None:
             options.append([(0, without), (1 << i, within)])
-            free += 1
         else:
             options.append([(0, without)])
 
@@ -243,8 +217,10 @@ def _cells(columns: frozenset) -> _CellTable:
     cells = []
     # (bodies chosen, mask, merged DNF)
     stack = [(1, bit, dnf) for bit, dnf in options[0]]
+    global walk_nodes
     while stack:
         depth, mask, dnf = stack.pop()
+        walk_nodes += 1
         if depth == len(bodies):
             d = _witnessing(dnf)
             if d is not None:
@@ -257,22 +233,16 @@ def _cells(columns: frozenset) -> _CellTable:
     # The fixed bits are shared, so mask order is the order of the choices
     # over the contingent bodies.
     cells.sort(key=lambda cell: cell[0])
-    return _CellTable({b: i for i, b in enumerate(bodies)}, tuple(cells), 1 << free)
+    return _CellTable({b: i for i, b in enumerate(bodies)}, tuple(cells))
 
 
-# Cells enumerated by `_world_sat` since import, 2^k on each cache miss with
-# k contingent columns: the cost meter of `canonical`'s membership queries.
-cells_enumerated = 0
-
-
-# Keyed by the bounds alone, so a requirement reuses the cells found for the
-# same bounds at another step or beside other propositions.  Returns the
-# inhabited cells as (witnessing disjunct, mass), or None.
 @lru_cache(maxsize=None)
-def _world_sat(pos_bounds, neg_bounds) -> Optional[tuple]:
+def world_sat(pos_bounds: frozenset, neg_bounds: frozenset) -> Optional[tuple]:
+    """Decide a step by its probability bounds, of which there is at least
+    one: the inhabited cells as (witnessing disjunct, mass), or None when
+    the bounds are unsatisfiable.  The answer is reused for the same bounds
+    at another step or beside other propositions."""
     table = _cells(frozenset(column for _, column, _ in pos_bounds | neg_bounds))
-    global cells_enumerated
-    cells_enumerated += table.count
     tableau = _cell_tableau(table, pos_bounds, neg_bounds)
     point = None if tableau is None else linarith.solve_tableau(*tableau)
     if point is None:
@@ -331,15 +301,16 @@ class Verdict:
     status: str  # "SAT" | "UNSAT"
 
 
-def _plans(disjunct: Disjunct) -> Optional[dict[int, WorldPlan]]:
-    """The plan of every step of the disjunct, or None as soon as one step
-    is unsatisfiable."""
+def _plans(disjunct: Disjunct) -> Optional[dict[int, tuple]]:
+    """The true propositions and the inhabited cells of every step of the
+    disjunct, as {step: (props, cells)}, or None as soon as one step is
+    unsatisfiable.  A step with no bounds inhabits no cell."""
     plans = {}
-    for req in group_steps(disjunct):
-        plan = world_sat(req)
-        if plan is None:
+    for step, props, pos_bounds, neg_bounds in group_steps(disjunct):
+        cells = world_sat(pos_bounds, neg_bounds) if pos_bounds or neg_bounds else ()
+        if cells is None:
             return None
-        plans[req.step] = plan
+        plans[step] = props, cells
     return plans
 
 
@@ -355,10 +326,10 @@ def sat_status(f: Formula) -> bool:
 
 
 def clear_caches() -> None:
-    """Forget every decided query: the `sat_status`, `_world_sat` and cell
+    """Forget every decided query: the `sat_status`, `world_sat` and cell
     table caches.  The verdicts stay the same, only the work is redone."""
     sat_status.cache_clear()
-    _world_sat.cache_clear()
+    world_sat.cache_clear()
     _cells.cache_clear()
 
 
@@ -400,11 +371,11 @@ class _ModelBuilder:
         chain = [self.new_world() for _ in range(horizon + 1)]
         for i, w in enumerate(chain):
             self.successor[w] = chain[i + 1] if i < horizon else w
-            plan = plans.get(i, WorldPlan(frozenset(), ()))
-            for p in plan.pos_props:
+            props, cells = plans.get(i, ((), ()))
+            for p in props:
                 self.valuation.setdefault(p, set()).add(w)
             # a world with no inhabited cell loops to itself
-            row = {self.build(d): mass for d, mass in plan.cells}
+            row = {self.build(d): mass for d, mass in cells}
             self.kernel[w] = row or {w: Fraction(1)}
         return chain[0]
 

@@ -479,12 +479,12 @@ def clash_free(disjunct) -> bool:
 
 
 def world_sat_all_cells(pos_bounds, neg_bounds):
-    """The former cell step of `decide._world_sat`, kept as its oracle: one
+    """The former cell step of `decide.world_sat`, kept as its oracle: one
     column per distinct `push_next` body, negated bodies included, and
-    `sat_status` on every one of the 2^k cells.  Takes `_world_sat`'s
+    `sat_status` on every one of the 2^k cells.  Takes `world_sat`'s
     arguments, each bound (bound, column, negated) read as the bound on its
     body as written, `!column` when negated.  Returns the inhabited cells as
-    (witnessing disjunct, mass), or None, as `_world_sat` does."""
+    (witnessing disjunct, mass), or None, as `world_sat` does."""
     pos_bounds, neg_bounds = (
         tuple((bound, Not(column) if negated else column) for bound, column, negated in lits)
         for lits in (pos_bounds, neg_bounds)
@@ -516,7 +516,7 @@ def world_sat_all_cells(pos_bounds, neg_bounds):
 
 
 def cells_by_conj(columns):
-    """The former cell enumeration of `decide._world_sat`, kept as the oracle
+    """The former cell enumeration of `decide.world_sat`, kept as the oracle
     of `decide._cells`: the columns in stored-hash order, a valid one fixed
     to 1 and an unsatisfiable one to 0, and for each of the 2^k choices over
     the k contingent columns, in order, a fresh `conj` over every column
@@ -539,20 +539,18 @@ def cells_by_conj(columns):
         delta = conj(b if mask & (1 << i) else Not(b) for i, b in enumerate(bodies))
         if decide.sat_status(delta):
             sat_cells.append((mask, delta))
-    return decide._CellTable(
-        {b: i for i, b in enumerate(bodies)}, tuple(sat_cells), 1 << len(free)
-    )
+    return decide._CellTable({b: i for i, b in enumerate(bodies)}, tuple(sat_cells))
 
 
 def witnessed(table):
     """A `cells_by_conj` table with each cell formula replaced by its
     witnessing disjunct."""
     cells = tuple((mask, witnessing(cell)) for mask, cell in table.cells)
-    return decide._CellTable(table.column_of, cells, table.count)
+    return decide._CellTable(table.column_of, cells)
 
 
 def cell_system(table, pos_bounds, neg_bounds) -> LinearSystem:
-    """The former LP of `decide._world_sat` over a cell table, kept as the
+    """The former LP of `decide.world_sat` over a cell table, kept as the
     oracle of `decide._cell_tableau`: `linarith._tableau` of this system is
     the tableau that the cell step builds from the masks."""
     sat_cells, column_of = table.cells, table.column_of

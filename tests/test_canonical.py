@@ -271,11 +271,12 @@ def test_stage_that_hits_a_limit_is_not_recorded(monkeypatch):
 
 def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypatch):
     # L[1/2] p1 is stage 261 and independent of the seed, so member runs
-    # the stages up to it; from empty caches they enumerate far more than
-    # 16 cells.  (At 64 cells the first query stops at stage 63, whose stage
-    # set already refutes L[1/2] p1, so member_or would answer False.)
+    # the stages up to it; from empty caches their cell walks pop far more
+    # than 8 nodes, and the first query stops at stage 61.  (At 16 nodes it
+    # stops at stage 62, whose stage set already refutes L[1/2] p1, so
+    # member_or would answer False.)
     decide.clear_caches()
-    monkeypatch.setattr(probnext.canonical, "_MEMBER_CELLS", 16)
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_NODES", 8)
     w = lindenbaum(parse("p0"), 5)
     query = parse("L[1/2] p1")
     with pytest.raises(ExtensionLimitExceeded):
@@ -324,7 +325,7 @@ def test_lindenbaum_seeds_agree_with_the_all_cells_oracle(monkeypatch):
     seeds = [entry["seed"] for entry in json.loads(BENCH_EXPECTED.read_text())["seeds"]]
     decide.clear_caches()
     built = [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds]
-    monkeypatch.setattr(decide, "_world_sat", lru_cache(maxsize=None)(world_sat_all_cells))
+    monkeypatch.setattr(decide, "world_sat", lru_cache(maxsize=None)(world_sat_all_cells))
     decide.clear_caches()
     try:
         assert [_bits_and_extras(lindenbaum(parse(seed), 120)) for seed in seeds] == built
@@ -366,11 +367,22 @@ def test_lindenbaum_seeds_reproduce_the_benchmark_bits():
 def test_canonical_columns_keep_the_cells_to_stage_1000_few():
     # Counts, not times: with each bound over its body as written, and the
     # L[0] bounds reaching the cell step, these stages enumerated 222 072
-    # cells.
+    # cells (2^k per set of bounds over k contingent columns), and 20 302
+    # over the canonical columns.  The cell walks pop 2034 nodes.
     decide.clear_caches()
-    start = decide.cells_enumerated
+    start = decide.walk_nodes
     lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
-    assert decide.cells_enumerated - start < 50_000
+    assert decide.walk_nodes - start < 5000
+
+
+def test_member_past_stage_1060_answers_within_the_walk_budget():
+    # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 4164 walk nodes in
+    # about 0.3 s, where the former meter of 2^k cells per set of bounds
+    # passed 2^18 at stage 1063 and refused the query.
+    decide.clear_caches()
+    w = lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
+    assert w.member(parse("L[1] !p2")) is False
+    assert w.budget == 1064
 
 
 def test_lindenbaum_stage_cliff_stays_gone():
@@ -381,6 +393,6 @@ def test_lindenbaum_stage_cliff_stays_gone():
     lindenbaum(parse("L[1/2] p0 & X p1"), 260)
     assert sat_status.cache_info().misses < 4000
     # The stages no longer reach sat_status (0 misses); what they cost is
-    # one LP per distinct set of bounds, a _world_sat miss (74 here; 147
+    # one LP per distinct set of bounds, a world_sat miss (74 here; 147
     # while the plans were keyed by the propositions as well).
-    assert decide._world_sat.cache_info().misses < 100
+    assert decide.world_sat.cache_info().misses < 100

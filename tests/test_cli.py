@@ -360,6 +360,19 @@ def test_dist_dc_command(capsys):
     assert payload == {"exact": False, "value": "1/256"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lindenbaum", "p0 & !p0"],
+        ["dist", "dc", "p0 & !p0", "p1"],
+        ["dist", "dc", "p1", "p0 & !p0"],
+    ],
+)
+def test_inconsistent_seed_is_an_input_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed is inconsistent\n"
+
+
 def test_dist_prokhorov_command(tmp_path, capsys):
     m1 = tmp_path / "m1.json"
     m2 = tmp_path / "m2.json"

@@ -39,7 +39,7 @@ from probnext import (
     witness,
 )
 from probnext import decide, linarith
-from probnext.decide import _world_sat, conjoin, group_steps, to_disjuncts, world_sat
+from probnext.decide import conjoin, group_steps, to_disjuncts, world_sat
 
 
 def _no_next_above_boolean(f):
@@ -97,7 +97,11 @@ def test_disjuncts_agree_with_the_push_then_dnf_oracle():
         for got in (to_disjuncts(push_next(f)), to_disjuncts(f)):
             assert len(got) == len(expected) and set(got) == set(expected)
         verdict = any(
-            all(world_sat(req) is not None for req in group_steps(d))
+            all(
+                world_sat(pos_bounds, neg_bounds) is not None
+                for _, _, pos_bounds, neg_bounds in group_steps(d)
+                if pos_bounds or neg_bounds
+            )
             for d in expected
         )
         assert verdict == sat_status(f)
@@ -260,17 +264,49 @@ def test_former_lp_cliff_is_sat_with_checked_witness(text):
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
-def _count_cells():
-    """Clear the caches; the returned function reads the cells `_world_sat`
-    has enumerated since then."""
-    decide.clear_caches()
-    start = decide.cells_enumerated
-    return lambda: decide.cells_enumerated - start
+def _tables_built(monkeypatch, run) -> list:
+    """The cell tables `run()` builds from cleared caches, each as its
+    columns and its kept cells, a cell read as the set of columns it lies
+    inside (its mask)."""
+    tables = []
+    for (columns,) in _distinct_calls(monkeypatch, "_cells", run):
+        table = decide._cells(columns)
+        inside = [
+            frozenset(c for c, i in table.column_of.items() if mask >> i & 1)
+            for mask, _ in table.cells
+        ]
+        tables.append((set(table.column_of), set(inside)))
+    return tables
+
+
+def _table(columns, cells):
+    """A table as `_tables_built` gives it, spelled as formula texts."""
+    cells = {frozenset(push_next(parse(c)) for c in cell) for cell in cells}
+    return {push_next(parse(c)) for c in columns}, cells
+
+
+def _contingent(table) -> set:
+    """The columns of a table that some kept cell lies inside and some
+    outside."""
+    columns, cells = table
+    return {c for c in columns if len({c in cell for cell in cells}) == 2}
 
 
 # Bodies that differ only in where a next-operator sits, or in one leading
 # negation, bound the same worlds, so they share one cell column; a vacuous
-# bound L[0] b adds none.  k contingent columns give 2^k cells.
+# bound L[0] b adds none.  k contingent columns give 2^k cells, and the walk
+# keeps those whose propositions agree.
+SHARED_COLUMNS = {
+    "L[1/2] X !p0 & L[1/2] !X p0": (["X p0"], [[], ["X p0"]]),
+    "L[1/2] X (p0 & p1) & L[1/3] (X p0 & X p1) & !L[2/3] X !p0": (
+        ["X p0 & X p1", "X p0"],
+        [[], ["X p0"], ["X p0", "X p0 & X p1"]],
+    ),
+    "L[1/2] p0 & L[1/3] !p0": (["p0"], [[], ["p0"]]),
+    "L[0] p0 & L[1/2] p1": (["p1"], [[], ["p1"]]),
+}
+
+
 @pytest.mark.parametrize(
     "text, cells",
     [
@@ -280,30 +316,35 @@ def _count_cells():
         ("L[0] p0 & L[1/2] p1", 2),
     ],
 )
-def test_bodies_equal_up_to_next_share_a_cell_column(text, cells):
+def test_bodies_equal_up_to_next_share_a_cell_column(monkeypatch, text, cells):
     f = parse(text)
-    tried = _count_cells()
+    tables = _tables_built(monkeypatch, lambda: sat(f))
+    assert tables == [_table(*SHARED_COLUMNS[text])]
+    assert 1 << len(_contingent(tables[0])) == cells
     assert sat(f).status == "SAT"
-    assert tried() == cells
     model, root = witness(f)
     assert model.validate() == []
     assert model.check(root, f)
 
 
-def test_negated_vacuous_bound_fails_before_any_cell():
-    tried = _count_cells()
-    assert sat(parse("!L[0] p0")).status == "UNSAT"
-    assert sat(parse("L[1/2] p1 & !L[0] X p0")).status == "UNSAT"
-    assert tried() == 0
+def test_negated_vacuous_bound_fails_before_any_cell(monkeypatch):
+    def run():
+        assert sat(parse("!L[0] p0")).status == "UNSAT"
+        assert sat(parse("L[1/2] p1 & !L[0] X p0")).status == "UNSAT"
+
+    assert _tables_built(monkeypatch, run) == []
 
 
-def test_valid_and_unsatisfiable_bodies_fix_their_column():
-    tried = _count_cells()
+def test_valid_and_unsatisfiable_bodies_fix_their_column(monkeypatch):
     # (p0 | !p0) & L[0] p1 is valid and p1 & !p1 unsatisfiable: only p2 is
-    # contingent.
+    # contingent, so the valid column lies outside no kept cell and the
+    # unsatisfiable one inside none.
     f = parse("L[1/2] ((p0 | !p0) & L[0] p1) & !L[1/2] (p1 & !p1) & L[1/3] p2")
+    valid_body, empty_body = "(p0 | !p0) & L[0] p1", "p1 & !p1"
+    table = _table([valid_body, empty_body, "p2"], [[valid_body], [valid_body, "p2"]])
+    assert _tables_built(monkeypatch, lambda: sat(f)) == [table]
+    assert _contingent(table) == {parse("p2")}
     assert sat(f).status == "SAT"
-    assert tried() == 2
     model, root = witness(f)
     assert model.validate() == []
     assert model.check(root, f)
@@ -322,20 +363,20 @@ def _is_a_distribution(cells) -> bool:
 
 def _agrees_with_the_oracle(monkeypatch, run) -> int:
     """Run `run()` from cleared caches, recording every set of bounds that
-    `_world_sat` is asked; then ask the all-cells oracle each one, recording
+    `world_sat` is asked; then ask the all-cells oracle each one, recording
     the sets its own cells reach as well.  Both must give the same verdict,
     and each answer a distribution over witnessing disjuncts; the oracle's
     extra columns (negated bodies) may make its LP pick another vertex.
     Returns the number compared."""
     decide.clear_caches()
     seen: dict = {}
-    real = decide._world_sat
+    real = decide.world_sat
 
     def record(*args):
         seen.setdefault(args, None)
         return real(*args)
 
-    monkeypatch.setattr(decide, "_world_sat", record)
+    monkeypatch.setattr(decide, "world_sat", record)
     run()
     done = 0
     while done < len(seen):
@@ -344,7 +385,7 @@ def _agrees_with_the_oracle(monkeypatch, run) -> int:
             assert (plans[0] is None) == (plans[1] is None), args
             assert all(_is_a_distribution(p) for p in plans if p is not None), args
             done += 1
-    monkeypatch.setattr(decide, "_world_sat", real)
+    monkeypatch.setattr(decide, "world_sat", real)
     return done
 
 
@@ -425,9 +466,9 @@ def test_disjuncts_and_conjoined_disjuncts_are_clash_free():
 def test_propositional_context_reuses_the_lp_of_its_bounds():
     decide.clear_caches()
     assert sat_status(parse("p0 & L[1/2] p1"))
-    misses = _world_sat.cache_info().misses
+    misses = world_sat.cache_info().misses
     assert sat_status(parse("!p0 & L[1/2] p1"))
-    assert _world_sat.cache_info().misses == misses
+    assert world_sat.cache_info().misses == misses
 
 
 def _distinct_calls(monkeypatch, name, run) -> list:
@@ -473,12 +514,12 @@ def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
     formulas += [random_nested_bounds(rng) for _ in range(300)]
     formulas += [parse(lp_chain(k)) for k in range(2, 6)]
     formulas.append(parse(independent_bounds(6)))
-    calls = _distinct_calls(monkeypatch, "_world_sat", lambda: list(map(witness, formulas)))
-    plans = {args: _world_sat(*args) for args in calls}
+    calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(witness, formulas)))
+    plans = {args: world_sat(*args) for args in calls}
     assert sum(plan is not None for plan in plans.values()) > 100
     monkeypatch.setattr(decide, "_cells", lambda columns: witnessed(cells_by_conj(columns)))
     for args, plan in plans.items():
-        assert _world_sat.__wrapped__(*args) == plan, args
+        assert world_sat.__wrapped__(*args) == plan, args
 
 
 # One satisfiable cell, an empty column, a one-cell column, negated columns,
@@ -498,7 +539,7 @@ CELL_TABLEAU_EDGES = [
 def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     """The tableau built from the masks is the one `linarith._tableau`
     builds from the former `LinearSystem` of the cells, slack ids included,
-    and `_world_sat` answers with the masses `solve` finds for that system."""
+    and `world_sat` answers with the masses `solve` finds for that system."""
     rng = random.Random(1717)
     formulas = [parse(text) for text in CELL_TABLEAU_EDGES]
     formulas += [parse(lp_chain(k)) for k in range(2, 7)]
@@ -507,7 +548,7 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     # the lp-bounds shape: L[r_i] (p_i | p_{i+1}) for i < 4, & !L[s] p_c
     lp_bounds_text = _bench_inputs().lp_bounds_text
     formulas += [parse(lp_bounds_text(random.Random(f"lp-bounds/{j}"))) for j in range(100)]
-    calls = _distinct_calls(monkeypatch, "_world_sat", lambda: list(map(witness, formulas)))
+    calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(witness, formulas)))
     edges = dict.fromkeys(["one cell", "empty", "one-cell", "negated", "shared"], 0)
     for pos_bounds, neg_bounds in calls:
         table = decide._cells(frozenset(c for _, c, _ in pos_bounds | neg_bounds))
@@ -518,7 +559,7 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
         cells = None if point is None else tuple(
             (d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0
         )
-        assert _world_sat(pos_bounds, neg_bounds) == cells, (pos_bounds, neg_bounds)
+        assert world_sat(pos_bounds, neg_bounds) == cells, (pos_bounds, neg_bounds)
         # the all-ones row, then the literal rows, as sets of cells
         sums = [tuple(v for v, _ in c.coeffs) for c in system.constraints]
         del sums[1 : 1 + len(table.cells)]

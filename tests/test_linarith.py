@@ -172,11 +172,13 @@ def test_world_plans_are_vertices():
     plans = 0
     for f in formulas:
         for disjunct in to_disjuncts(push_next(f)):
-            for req in group_steps(disjunct):
-                plan = world_sat(req)
-                if plan is not None and plan.cells:
-                    literals = len(req.pos_bounds) + len(req.neg_bounds)
-                    assert len(plan.cells) <= 1 + literals
+            for _, _, pos_bounds, neg_bounds in group_steps(disjunct):
+                if not (pos_bounds or neg_bounds):
+                    continue  # a step with no bounds inhabits no cell
+                cells = world_sat(pos_bounds, neg_bounds)
+                if cells:
+                    literals = len(pos_bounds) + len(neg_bounds)
+                    assert len(cells) <= 1 + literals
                     plans += 1
     assert plans > 100
 
@@ -263,8 +265,9 @@ def _world_systems(monkeypatch, formulas) -> list[LinearSystem]:
     monkeypatch.setattr(decide, "_cell_tableau", record)
     for f in formulas:
         for disjunct in to_disjuncts(push_next(f)):
-            for req in group_steps(disjunct):
-                world_sat(req)
+            for _, _, pos_bounds, neg_bounds in group_steps(disjunct):
+                if pos_bounds or neg_bounds:
+                    world_sat(pos_bounds, neg_bounds)
     monkeypatch.setattr(decide, "_cell_tableau", real)
     decide.clear_caches()
     return systems
