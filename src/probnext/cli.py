@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a positive verdict (SAT, valid, derivable, accepted,
 holds), 1 for the corresponding negative verdict, 2 for malformed input,
-3 when an internal search limit was exceeded or the input is nested too
-deeply to process, 4 for an internal error.
+a file that cannot be read or written included, 3 when an internal search
+limit was exceeded or the input is nested too deeply to process, 4 for an
+internal error.
 """
 
 from __future__ import annotations
@@ -58,12 +59,8 @@ def _cmd_valid(args) -> int:
 def _cmd_prove(args) -> int:
     hyps = [_parse_formula(h) for h in args.hyp]
     if args.check:
-        try:
-            with open(args.check) as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.check, encoding="utf-8") as fh:
+            text = fh.read()
         try:
             derivation = proof.parse_derivation(text, hyps if args.hyp else None)
         except (ValueError, FormulaSyntaxError) as exc:
@@ -254,6 +251,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception:
         # Any other failure is a fault of the program, never a verdict.
         print("internal error:", file=sys.stderr)

@@ -20,10 +20,11 @@ once, by one walk over the columns that merges each prefix's DNF with the
 DNF of one column or of its negation and prunes below every prefix whose
 merged DNF is empty, and are kept in a cell table that each step over the
 same columns reuses.  The walk counts the nodes it pops in `walk_nodes`,
-the cost meter of `canonical`'s membership queries.  The simplex tableau
-of a step's system is built from the cell masks: a 0/1 indicator row per
-bound, and the masses' non-negativity as variable bounds.  It goes to
-`linarith.solve_tableau`, with no `LinearSystem` built.
+the cost meter of `canonical`'s membership queries.  A step's LP over the
+masses of its cells is stated as 0/1 indicator rows over the cell masks:
+one per mass for its non-negativity, one for the masses' sum and one per
+bound.  `linarith.solve_rows` builds its tableau and solves it, with no
+`LinearSystem` built.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts; each inhabited cell's sub-model is
@@ -39,8 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from . import linarith
 from .formula import And, AtLeast, Formula, Next, Not, Prop
+from .linarith import Rel, solve_rows
 from .models import FiniteDMM
 
 
@@ -243,53 +244,30 @@ def world_sat(pos_bounds: frozenset, neg_bounds: frozenset) -> Optional[tuple]:
     the bounds are unsatisfiable.  The answer is reused for the same bounds
     at another step or beside other propositions."""
     table = _cells(frozenset(column for _, column, _ in pos_bounds | neg_bounds))
-    tableau = _cell_tableau(table, pos_bounds, neg_bounds)
-    point = None if tableau is None else linarith.solve_tableau(*tableau)
+    point = solve_rows(_cell_rows(table, pos_bounds, neg_bounds))
     if point is None:
         return None
     return tuple((d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0)
 
 
-def _cell_tableau(table: _CellTable, pos_bounds, neg_bounds) -> Optional[tuple]:
-    """The tableau `linarith._tableau` builds from the rows  m_i >= 0,
-    sum(m_i) = 1  and one row per literal over the cell masses m_i (or None
-    when a bound fails outright), built from the masks with no `Constraint`
-    and no gcd.  A row sums the masses of some cells, so it is their 0/1
-    indicator: already primitive with a positive lead.  Equal indicators
-    share a slack, numbered in `_tableau`'s order: the all-ones row, then
-    the literals sorted.  A one-cell row bounds that cell's mass, and an
-    empty one is a constant check."""
+def _cell_rows(table: _CellTable, pos_bounds, neg_bounds) -> list:
+    """The LP of a step over the masses m_i of the table's cells, as rows
+    for `solve_rows`: m_i >= 0 for each cell, sum(m_i) = 1, then one row
+    per literal, sorted.  A row sums the masses of some cells, so it is
+    their 0/1 indicator, already primitive with a positive lead."""
     cells = table.cells
-    every = tuple(range(len(cells)))
-    lower = dict.fromkeys(every, (Fraction(0), Fraction(0)))
-    upper: dict = {}
-    rows: dict = {}  # slack -> (1, its indicator row)
-    slack_of: dict = {}  # indicator row, as a tuple of cells -> slack
+    zero = Fraction(0)
+    rows = [(((i, 1),), zero, Rel.GE, True) for i in range(len(cells))]
+    rows.append((tuple((i, 1) for i in range(len(cells))), Fraction(1), Rel.EQ, True))
     literals = [(table.column_of[c], r, negated, True) for r, c, negated in pos_bounds]
     literals += [(table.column_of[c], r, negated, False) for r, c, negated in neg_bounds]
-    # (cells summed, bound, relation, whether the bound is a lower one) per
-    # row.  With m(c) the mass of the cells inside column c, L[r] c reads
+    # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
-    bounded = [(every, Fraction(1), linarith.Rel.EQ, True)]
     for b, r, negated, positive in sorted(literals):
-        inside = tuple(i for i, (mask, _) in enumerate(cells) if mask >> b & 1)
-        relation = linarith.Rel.GE if positive else linarith.Rel.GT
-        bounded.append((inside, 1 - r if negated else r, relation, positive != negated))
-    for inside, bound, relation, rising in bounded:
-        if not inside:  # a mass of 0
-            if not linarith.constant_holds(-bound if rising else bound, relation):
-                return None
-            continue
-        if len(inside) == 1:
-            var = inside[0]
-        else:
-            var = slack_of.get(inside)
-            if var is None:
-                var = slack_of[inside] = -1 - len(slack_of)
-                rows[var] = (1, dict.fromkeys(inside, 1))
-        if not linarith.tighten(lower, upper, var, bound, relation, rising):
-            return None
-    return lower, upper, rows, set(every)
+        inside = tuple((i, 1) for i, (mask, _) in enumerate(cells) if mask >> b & 1)
+        relation = Rel.GE if positive else Rel.GT
+        rows.append((inside, 1 - r if negated else r, relation, positive != negated))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ and the constant.  `solve` (and `feasible`) decide a system with a general
 simplex under Bland's rule, handling strict rows with delta-rationals.
 The simplex is fraction-free: its rows are integer vectors over a positive
 integer denominator, and only values, bounds and delta are `Fraction`s.
-`solve` is the general front end: it turns a `LinearSystem` into variable
-bounds and slack rows.  A caller that already holds its rows as primitive
-integer vectors, such as `decide`'s cell step, builds that tableau itself
-with `tighten` and hands it to `solve_tableau`, the one pivot loop.
+Every front end states its problem as bounded rows: primitive integer
+vectors, each with a bound, a relation and a direction.  One builder,
+`_build`, turns them into a tableau, and only this module knows its format
+and which slack stands for which row; one pivot loop, `_solve_tableau`,
+solves it.  `solve` states one row per constraint of a `LinearSystem`, and
+a caller that holds its rows already, such as `decide`'s cell step, hands
+them to `solve_rows`.
 All arithmetic is exact over `int` and `fractions.Fraction` -- no floats
 anywhere.  Coefficients may be `int`s or `Fraction`s.  (Fourier-Motzkin
 elimination, and the `Fraction`-tableau simplex that the integer rows
@@ -67,7 +70,7 @@ def eq(coeffs: dict[int, Fraction], constant=Fraction(0)) -> Constraint:
     return _constraint(coeffs, constant, Rel.EQ)
 
 
-def constant_holds(value: Fraction, relation: Rel) -> bool:
+def _constant_holds(value: Fraction, relation: Rel) -> bool:
     """Whether `value relation 0` holds."""
     if relation is Rel.GE:
         return value >= 0
@@ -95,69 +98,69 @@ _ZERO = Fraction(0)
 
 
 def _tableau(system: LinearSystem):
-    """Bounds and slack rows of a system for `solve_tableau`; None when a
-    constant row fails or some variable's bounds cross.
+    """The tableau of a system, one row per constraint.  The coefficients,
+    scaled by the lcm of their denominators and divided by their gcd, become
+    a primitive integer vector p with a positive lead p_1, and the constant,
+    scaled alike and negated, bounds sum(p_j x_j) below, or above when the
+    scale is negative; rows equal up to a rational scale share one vector,
+    so one slack.  That sum is p_1 times the row scaled to lead 1, so every
+    pivot, and the point, are those of the rows scaled to lead 1."""
+    rows = []
+    for c in system.constraints:
+        coeffs = c.coeffs
+        scale = lcm(*(a.denominator for _, a in coeffs))
+        ints = [a.numerator * (scale // a.denominator) for _, a in coeffs]
+        g = gcd(*ints) or 1  # no coefficient: the empty row
+        if ints and ints[0] < 0:
+            g = -g
+        row = tuple((v, n // g) for (v, _), n in zip(coeffs, ints))
+        rows.append((row, c.constant * -scale / g, c.relation, g > 0))
+    return _build(rows)
 
-    A single-variable row bounds that variable itself.  A longer row,
-    scaled by the lcm of its coefficient denominators and divided by their
-    gcd, becomes a primitive integer vector p with a positive leading entry
-    p_1, and bounds the slack s = sum(p_j x_j) below, or above when the
-    scale is negative.  Rows equal up to a rational scale have one vector
-    and share one slack, so the tableau has one row per distinct
-    multi-variable term.  The slack is p_1 times the row scaled to a leading
-    coefficient of 1, so a strict bound on it moves by p_1 deltas: every
-    pivot, and the point, are those of the rows scaled to lead 1.
+
+def _build(rows) -> Optional[tuple]:
+    """Bounds and slack rows for `_solve_tableau`, or None when a constant
+    row fails or some variable's bounds cross.
+
+    A row (p, bound, relation, rising) reads  sum(p_j x_j) >= bound  when
+    rising and  <= bound  when not, strict for `Rel.GT`, and  = bound  for
+    `Rel.EQ`; p = ((x_j, p_j), ...) is a primitive integer vector sorted by
+    variable, with p_1 > 0.  An empty row is a constant check, and a
+    one-variable row ((x, 1),) bounds x itself.  Each distinct longer row
+    gets one slack s = sum(p_j x_j), numbered -1, -2, ... in row order, and
+    a strict bound moves p_1 deltas inward.  A bound only ever tightens.
     """
     lower: dict = {}
     upper: dict = {}
-    rows: dict = {}  # basic variable -> (den, {nonbasic variable: numerator})
-    slack_of: dict = {}  # primitive integer row -> slack variable (negative id)
+    tableau: dict = {}  # basic variable -> (den, {nonbasic variable: numerator})
+    slack_of: dict = {}  # row of two or more variables -> slack (negative id)
     originals: set[int] = set()
-    for c in system.constraints:
-        coeffs = c.coeffs
-        if not coeffs:
-            if not constant_holds(c.constant, c.relation):
+    for row, bound, relation, rising in rows:
+        if not row:
+            if not _constant_holds(-bound if rising else bound, relation):
                 return None
             continue
-        if len(coeffs) == 1:
-            var, lead = coeffs[0]
-            bound = c.constant / -lead if c.constant else _ZERO
-            rising, unit = lead > 0, 1
+        if len(row) == 1:
+            var = row[0][0]
+            originals.add(var)
         else:
-            scale = lcm(*(a.denominator for _, a in coeffs))
-            ints = [a.numerator * (scale // a.denominator) for _, a in coeffs]
-            g = gcd(*ints)
-            if ints[0] < 0:
-                g = -g
-            key = tuple((v, n // g) for (v, _), n in zip(coeffs, ints))
-            var = slack_of.get(key)
+            var = slack_of.get(row)
             if var is None:
-                var = slack_of[key] = -1 - len(slack_of)
-                rows[var] = (1, dict(key))
-            bound = c.constant * -scale / g
-            rising, unit = g > 0, key[0][1]
-        originals.update(v for v, _ in coeffs)
-        if not tighten(lower, upper, var, bound, c.relation, rising, unit):
+                var = slack_of[row] = -1 - len(slack_of)
+                tableau[var] = (1, dict(row))
+                originals.update(v for v, _ in row)
+        strict = Fraction(row[0][1]) if relation is Rel.GT else _ZERO
+        if relation is Rel.EQ or rising:
+            lo = (bound, strict)
+            if var not in lower or lower[var] < lo:
+                lower[var] = lo
+        if relation is Rel.EQ or not rising:
+            hi = (bound, -strict)
+            if var not in upper or upper[var] > hi:
+                upper[var] = hi
+        if var in lower and var in upper and lower[var] > upper[var]:
             return None
-    return lower, upper, rows, originals
-
-
-def tighten(lower: dict, upper: dict, var, bound, relation: Rel, rising: bool, unit=1):
-    """Narrow the bounds of `var` by one row: var >= bound when `rising`,
-    var <= bound when not, and both for an equality.  A strict row moves
-    its bound `unit` deltas inward, and a bound only ever tightens.  False
-    when the bounds of `var` cross."""
-    strict = Fraction(unit) if relation is Rel.GT else _ZERO
-    if relation is Rel.EQ or rising:
-        lo = (bound, strict)
-        if var not in lower or lower[var] < lo:
-            lower[var] = lo
-    if relation is Rel.EQ or not rising:
-        hi = (bound, -strict)
-        if var not in upper or upper[var] > hi:
-            upper[var] = hi
-    lo, hi = lower.get(var), upper.get(var)
-    return lo is None or hi is None or lo <= hi
+    return lower, upper, tableau, originals
 
 
 def _shift(value, step_c, step_k):
@@ -203,13 +206,17 @@ def _pivot(rows: dict, value: dict, s, x, target) -> None:
 
 def solve(system: LinearSystem) -> Optional[dict[int, Fraction]]:
     """A satisfying rational point, or None when infeasible."""
-    tableau = _tableau(system)
-    return None if tableau is None else solve_tableau(*tableau)
+    return _solve_tableau(_tableau(system))
 
 
-def solve_tableau(lower: dict, upper: dict, rows: dict, originals) -> Optional[dict]:
-    """The point of a tableau built as `_tableau` builds one, or None when
-    it is infeasible; the pivot loop of every front end.  It consumes `rows`.
+def solve_rows(rows) -> Optional[dict[int, Fraction]]:
+    """A rational point satisfying rows as `_build` reads them, or None."""
+    return _solve_tableau(_build(rows))
+
+
+def _solve_tableau(tableau: Optional[tuple]) -> Optional[dict]:
+    """The point of a tableau built by `_build`, or None when there is none
+    or it is infeasible; the one pivot loop.  It consumes the slack rows.
 
     The tableau rows are integer vectors over a positive denominator, and a
     pivot updates them by integer cross-multiplication and one gcd per row;
@@ -221,6 +228,9 @@ def solve_tableau(lower: dict, upper: dict, rows: dict, originals) -> Optional[d
     is then fixed to the largest value in (0, 1] that keeps every bound, so
     the result is exact.
     """
+    if tableau is None:
+        return None
+    lower, upper, rows, originals = tableau
     zero = (_ZERO, _ZERO)
     value: dict = {}
     for var in originals:
@@ -288,7 +298,7 @@ def feasible(system: LinearSystem) -> bool:
 def satisfies(system: LinearSystem, assignment: dict[int, Fraction]) -> bool:
     """Exact substitution check."""
     return all(
-        constant_holds(
+        _constant_holds(
             c.constant + sum((a * assignment[v] for v, a in c.coeffs), Fraction(0)),
             c.relation,
         )

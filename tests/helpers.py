@@ -7,6 +7,7 @@ import random
 import resource
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 from probnext import (
     And,
@@ -365,6 +366,90 @@ def fraction_simplex(system: LinearSystem):
     return {var: value[var][0] + value[var][1] * delta for var in originals}
 
 
+
+# ---------------------------------------------------------------------------
+# The tableau of `linarith` as the general front end built it straight from
+# `Constraint`s, before every front end stated bounded rows for one builder.
+# Kept, with the two helpers it called, as the oracle of the row builder: the
+# tableau of a system, slack ids included, must not change.
+
+_ZERO = Fraction(0)
+
+
+def constant_holds(value: Fraction, relation: Rel) -> bool:
+    """Whether `value relation 0` holds."""
+    if relation is Rel.GE:
+        return value >= 0
+    if relation is Rel.GT:
+        return value > 0
+    return value == 0
+
+
+def tighten(lower: dict, upper: dict, var, bound, relation: Rel, rising: bool, unit=1):
+    """Narrow the bounds of `var` by one row: var >= bound when `rising`,
+    var <= bound when not, and both for an equality.  A strict row moves
+    its bound `unit` deltas inward, and a bound only ever tightens.  False
+    when the bounds of `var` cross."""
+    strict = Fraction(unit) if relation is Rel.GT else _ZERO
+    if relation is Rel.EQ or rising:
+        lo = (bound, strict)
+        if var not in lower or lower[var] < lo:
+            lower[var] = lo
+    if relation is Rel.EQ or not rising:
+        hi = (bound, -strict)
+        if var not in upper or upper[var] > hi:
+            upper[var] = hi
+    lo, hi = lower.get(var), upper.get(var)
+    return lo is None or hi is None or lo <= hi
+
+
+def tableau_by_constraints(system: LinearSystem):
+    """Bounds and slack rows of a system for `solve_tableau`; None when a
+    constant row fails or some variable's bounds cross.
+
+    A single-variable row bounds that variable itself.  A longer row,
+    scaled by the lcm of its coefficient denominators and divided by their
+    gcd, becomes a primitive integer vector p with a positive leading entry
+    p_1, and bounds the slack s = sum(p_j x_j) below, or above when the
+    scale is negative.  Rows equal up to a rational scale have one vector
+    and share one slack, so the tableau has one row per distinct
+    multi-variable term.  The slack is p_1 times the row scaled to a leading
+    coefficient of 1, so a strict bound on it moves by p_1 deltas: every
+    pivot, and the point, are those of the rows scaled to lead 1.
+    """
+    lower: dict = {}
+    upper: dict = {}
+    rows: dict = {}  # basic variable -> (den, {nonbasic variable: numerator})
+    slack_of: dict = {}  # primitive integer row -> slack variable (negative id)
+    originals: set[int] = set()
+    for c in system.constraints:
+        coeffs = c.coeffs
+        if not coeffs:
+            if not constant_holds(c.constant, c.relation):
+                return None
+            continue
+        if len(coeffs) == 1:
+            var, lead = coeffs[0]
+            bound = c.constant / -lead if c.constant else _ZERO
+            rising, unit = lead > 0, 1
+        else:
+            scale = lcm(*(a.denominator for _, a in coeffs))
+            ints = [a.numerator * (scale // a.denominator) for _, a in coeffs]
+            g = gcd(*ints)
+            if ints[0] < 0:
+                g = -g
+            key = tuple((v, n // g) for (v, _), n in zip(coeffs, ints))
+            var = slack_of.get(key)
+            if var is None:
+                var = slack_of[key] = -1 - len(slack_of)
+                rows[var] = (1, dict(key))
+            bound = c.constant * -scale / g
+            rising, unit = g > 0, key[0][1]
+        originals.update(v for v, _ in coeffs)
+        if not tighten(lower, upper, var, bound, c.relation, rising, unit):
+            return None
+    return lower, upper, rows, originals
+
 def calkin_wilf_rationals():
     """The rational enumeration by Newman's successor q -> 1/(2*floor(q) - q + 1)
     on the Calkin-Wilf sequence: 0, 1, then every value below 1 in order.
@@ -551,8 +636,8 @@ def witnessed(table):
 
 def cell_system(table, pos_bounds, neg_bounds) -> LinearSystem:
     """The former LP of `decide.world_sat` over a cell table, kept as the
-    oracle of `decide._cell_tableau`: `linarith._tableau` of this system is
-    the tableau that the cell step builds from the masks."""
+    oracle of `decide._cell_rows`: `tableau_by_constraints` of this system
+    is the tableau that `linarith` builds from the cell rows."""
     sat_cells, column_of = table.cells, table.column_of
     system = LinearSystem(num_vars=len(sat_cells))
     system.constraints.append(eq(dict.fromkeys(range(len(sat_cells)), 1), -1))

@@ -320,6 +320,23 @@ def test_negative_step_reference_is_malformed_input(text, tmp_path, capsys):
     assert "not a natural number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "p0", "--out", "/nonexistent/d/m.json"],
+        ["lindenbaum", "p0", "--budget", "3", "--out", "/nonexistent/d/p.json"],
+        ["prove", "--check", "NOT_UTF8"],
+    ],
+)
+def test_file_errors_are_input_errors(argv, tmp_path, capsys):
+    not_utf8 = tmp_path / "derivation.txt"
+    not_utf8.write_bytes(b"\xff\xfe")
+    argv = [str(not_utf8) if arg == "NOT_UTF8" else arg for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_thirty_atom_tautology_answers_or_hits_the_limit(tmp_path):
     # a truth table over 30 atoms would hang, where two case splits decide
     # it; the timeout only turns a hang into a failure

@@ -19,6 +19,7 @@ from helpers import (
     random_bound_conjunction,
     random_formula,
     random_nested_bounds,
+    tableau_by_constraints,
     witnessed,
     world_sat_all_cells,
 )
@@ -537,9 +538,10 @@ CELL_TABLEAU_EDGES = [
 
 
 def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
-    """The tableau built from the masks is the one `linarith._tableau`
-    builds from the former `LinearSystem` of the cells, slack ids included,
-    and `world_sat` answers with the masses `solve` finds for that system."""
+    """The tableau `linarith` builds from the cell rows is the one the
+    former constraint front end built from the former `LinearSystem` of the
+    cells, slack ids included, and `world_sat` answers with the masses
+    `solve` finds for that system."""
     rng = random.Random(1717)
     formulas = [parse(text) for text in CELL_TABLEAU_EDGES]
     formulas += [parse(lp_chain(k)) for k in range(2, 7)]
@@ -553,8 +555,8 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     for pos_bounds, neg_bounds in calls:
         table = decide._cells(frozenset(c for _, c, _ in pos_bounds | neg_bounds))
         system = cell_system(table, pos_bounds, neg_bounds)
-        tableau = decide._cell_tableau(table, pos_bounds, neg_bounds)
-        assert tableau == linarith._tableau(system), (pos_bounds, neg_bounds)
+        tableau = linarith._build(decide._cell_rows(table, pos_bounds, neg_bounds))
+        assert tableau == tableau_by_constraints(system), (pos_bounds, neg_bounds)
         point = linarith.solve(system)
         cells = None if point is None else tuple(
             (d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0

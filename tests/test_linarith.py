@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probnext import decide, parse, push_next
+from probnext import decide, linarith, parse, push_next
 from probnext.decide import group_steps, to_disjuncts, world_sat
 from probnext.linarith import LinearSystem, Rel, eq, feasible, ge, gt, satisfies, solve
 
@@ -19,6 +19,7 @@ from helpers import (
     random_fractional_system,
     random_linear_system as _random_system,
     system_variables,
+    tableau_by_constraints,
     tidy,
 )
 
@@ -238,6 +239,29 @@ def test_solve_returns_the_fraction_simplex_point(generator):
         assert opposed > 100  # shared slacks bounded from both sides occur
 
 
+def test_row_builder_gives_the_tableau_of_the_constraints():
+    """`_tableau` states one row per constraint for the row builder, and
+    gets the tableau the former constraint front end built, slack ids
+    included, on random systems that reach each kind of row."""
+    rng = random.Random(1919)
+    systems = [_random_system(rng) for _ in range(500)]
+    systems += [random_fractional_system(rng) for _ in range(500)]
+    cases = dict.fromkeys(["negative one", "strict one", "lead above 1", "constant", "shared"], 0)
+    for system in systems:
+        tableau = linarith._tableau(system)
+        assert tableau == tableau_by_constraints(system), system
+        for c in system.constraints:
+            if len(c.coeffs) == 1:
+                cases["negative one"] += c.coeffs[0][1] < 0
+                cases["strict one"] += c.relation is Rel.GT
+            cases["constant"] += not c.coeffs
+        if tableau is not None:
+            _, _, rows, _ = tableau
+            cases["lead above 1"] += any(row[min(row)] > 1 for _, row in rows.values())
+            cases["shared"] += len(rows) < sum(len(c.coeffs) > 1 for c in system.constraints)
+    assert all(cases.values()), cases
+
+
 def test_fractional_generator_mixes_coefficient_types():
     rng = random.Random(11)
     kinds = set()
@@ -252,23 +276,23 @@ def test_fractional_generator_mixes_coefficient_types():
 
 
 def _world_systems(monkeypatch, formulas) -> list[LinearSystem]:
-    """The system of every cell tableau `world_sat` builds on the steps of
-    the formulas' disjuncts, from cold caches, stated as `cell_system`."""
+    """The system of every cell LP `world_sat` states on the steps of the
+    formulas' disjuncts, from cold caches, stated as `cell_system`."""
     systems = []
-    real = decide._cell_tableau
+    real = decide._cell_rows
 
     def record(table, pos_bounds, neg_bounds):
         systems.append(cell_system(table, pos_bounds, neg_bounds))
         return real(table, pos_bounds, neg_bounds)
 
     decide.clear_caches()
-    monkeypatch.setattr(decide, "_cell_tableau", record)
+    monkeypatch.setattr(decide, "_cell_rows", record)
     for f in formulas:
         for disjunct in to_disjuncts(push_next(f)):
             for _, _, pos_bounds, neg_bounds in group_steps(disjunct):
                 if pos_bounds or neg_bounds:
                     world_sat(pos_bounds, neg_bounds)
-    monkeypatch.setattr(decide, "_cell_tableau", real)
+    monkeypatch.setattr(decide, "_cell_rows", real)
     decide.clear_caches()
     return systems
 
