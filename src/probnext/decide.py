@@ -1,30 +1,30 @@
 """The decision procedure.
 
-Pipeline:  expand the formula into a pruned DNF over time-stamped atoms (a
-next-operator raises the time stamp of the atoms below it), group each
-disjunct's literals by time step (`group_steps`), and decide every step
-independently.  A probability atom is read over its canonical column: the
-`push_next` normal form of its body up to one leading negation (L[r] !c
-bounds 1 - m(c)), so bodies equal up to moving next-operators through !
-and & share one atom.  The vacuous bound is settled in the DNF: L[0] b is
-true and !L[0] b false.  A world's valuation is independent of its
-kernel, so a step is decided by its probability bounds alone, in one call
-of `world_sat` cached per set of bounds (a step with none holds at once):
-by carving the state space into cells over the distinct columns and
-solving an exact linear system over the satisfiable cells' masses.  A
-cell is a bitmask over the columns, kept with its witnessing disjunct:
-the first satisfiable disjunct of its DNF.  A valid column fixes its bit
-to 1 and an unsatisfiable one to 0, so only the cells over the contingent
-columns are decided.  The satisfiable cells of a column set are found
-once, by one walk over the columns that merges each prefix's DNF with the
-DNF of one column or of its negation and prunes below every prefix whose
-merged DNF is empty, and are kept in a cell table that each step over the
-same columns reuses.  The walk counts the nodes it pops in `walk_nodes`,
-the cost meter of `canonical`'s membership queries.  A step's LP over the
-masses of its cells is stated as 0/1 indicator rows over the cell masks:
-one per mass for its non-negativity, one for the masses' sum and one per
-bound.  `linarith.solve_rows` builds its tableau and solves it, with no
-`LinearSystem` built.
+Pipeline: expand the formula into a pruned DNF of literals (polarity, time
+step, atom), where a next-operator raises the step of the atoms below it,
+group each disjunct's literals by step (`group_steps`), and decide every
+step independently.  An atom is an interned node: a proposition, or a
+bound in `push_next` normal form, so bounds equal up to moving
+next-operators through ! and & are one atom.  A bound L[r] b is over its
+column, b up to one leading ! (L[r] !c bounds 1 - m(c)).  The DNF settles
+L[0] b as true and !L[0] b as false.  A world's valuation is independent
+of its kernel, so a step is decided by its signed bounds (polarity, bound
+atom) alone, in one call of `world_sat` cached per set of them (a step
+with none holds at once): by carving the state space into cells over the
+distinct columns and solving an exact linear system over the satisfiable
+cells' masses.  A cell is a bitmask over the columns, kept with its
+witnessing disjunct: the first satisfiable disjunct of its DNF.  A valid
+column fixes its bit to 1 and an unsatisfiable one to 0, so only the cells
+over the contingent columns are decided.  The satisfiable cells of a
+column set are found once, by one walk over the columns that merges each
+prefix's DNF with the DNF of one column or of its negation and prunes
+below every prefix whose merged DNF is empty, and are kept in a cell table
+that each step over the same columns reuses.  The walk counts the nodes it
+pops in `walk_nodes`, the cost meter of `canonical`'s membership queries.
+A step's LP over the masses of its cells is stated as 0/1 indicator rows
+over the cell masks: one per mass for its non-negativity, one for the
+masses' sum and one per bound.  `linarith.solve_rows` builds its tableau
+and solves it, with no `LinearSystem` built.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts; each inhabited cell's sub-model is
@@ -90,21 +90,19 @@ def _shift(g: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # DNF over time-stamped atoms
 #
-# An atom is ("p", step, prop_id) or ("L", step, bound, column, negated),
-# the bound L[bound] over column, or over !column when negated; a literal is
-# (polarity, atom); a disjunct is a frozenset of literals with no clashing
-# pair.  Disjunct lists are kept as subset-minimal antichains: dropping a
-# superset of another disjunct preserves logical equivalence of the
-# disjunction.
+# An atom is an interned node: a `Prop`, or a bound `AtLeast` in `push_next`
+# normal form; a literal is (polarity, step, atom); a disjunct is a
+# frozenset of literals with no clashing pair.  Disjunct lists are kept as
+# subset-minimal antichains: dropping a superset of another disjunct
+# preserves logical equivalence of the disjunction.
 
 Disjunct = frozenset
 
 
 def _antichain(disjuncts) -> list[Disjunct]:
     # first-seen order, not a set's: it must not depend on string hashing
-    ordered = sorted(dict.fromkeys(disjuncts), key=len)
     kept: list[Disjunct] = []
-    for d in ordered:
+    for d in sorted(dict.fromkeys(disjuncts), key=len):
         if not any(k <= d for k in kept):
             kept.append(d)
     return kept
@@ -114,7 +112,7 @@ def _merge(left: list[Disjunct], right: list[Disjunct]) -> list[Disjunct]:
     out = []
     for a in left:
         for b in right:
-            clash = any((not pol, atom) in a for pol, atom in b)
+            clash = any((not pol, step, atom) in a for pol, step, atom in b)
             if not clash:
                 out.append(a | b)
     return _antichain(out)
@@ -132,20 +130,17 @@ def _dnf(f: Formula, polarity: bool, step: int) -> list[Disjunct]:
         right = _dnf(f.right, polarity, step)
         return _merge(left, right) if polarity else _antichain(left + right)
     if isinstance(f, Prop):
-        return [frozenset({(polarity, ("p", step, f.index))})]
+        return [frozenset({(polarity, step, f)})]
     if isinstance(f, AtLeast):
         if f.bound == 0:  # L[0] b holds at every world
             return [frozenset()] if polarity else []
-        body = push_next(f.body)
-        negated = isinstance(body, Not)
-        column = body.body if negated else body
-        return [frozenset({(polarity, ("L", step, f.bound, column, negated))})]
+        return [frozenset({(polarity, step, push_next(f))})]
     raise TypeError(f"not a formula: {f!r}")
 
 
 def to_disjuncts(f: Formula) -> list[Disjunct]:
-    """Pruned DNF of f over time-stamped atoms whose probability atoms are
-    over canonical columns.  The order is the expansion's first-seen one,
+    """Pruned DNF of f over time-stamped atoms whose bounds are in
+    `push_next` normal form.  The order is the expansion's first-seen one,
     so it does not depend on string hashing."""
     return _dnf(f, True, 0)
 
@@ -155,21 +150,19 @@ def to_disjuncts(f: Formula) -> list[Disjunct]:
 
 
 def group_steps(disjunct: Disjunct) -> list[tuple]:
-    """One (step, true propositions, positive bounds, negative bounds) per
-    time index occurring in the disjunct, in step order; a bound is
-    (bound, column, negated).  A negative proposition needs nothing: a
-    disjunct has no clashing pair, and the witness leaves every proposition
-    it does not list false."""
-    buckets: dict[int, tuple[list, list, list]] = {}
-    for polarity, atom in disjunct:
-        props, pos, neg = buckets.setdefault(atom[1], ([], [], []))
-        if atom[0] == "L":
-            (pos if polarity else neg).append(atom[2:])
+    """One (step, true proposition indices, bounds) per time index of the
+    disjunct, in step order, the bounds one frozenset of (polarity, atom).
+    A negative proposition needs nothing: a disjunct has no clashing pair,
+    and the witness leaves every proposition it does not list false."""
+    buckets: dict[int, tuple[list, list]] = {}
+    for polarity, step, atom in disjunct:
+        props, bounds = buckets.setdefault(step, ([], []))
+        if not isinstance(atom, Prop):
+            bounds.append((polarity, atom))
         elif polarity:
-            props.append(atom[2])
+            props.append(atom.index)
     return [
-        (step, props, frozenset(pos), frozenset(neg))
-        for step, (props, pos, neg) in sorted(buckets.items())
+        (step, props, frozenset(bounds)) for step, (props, bounds) in sorted(buckets.items())
     ]
 
 
@@ -238,19 +231,24 @@ def _cells(columns: frozenset) -> _CellTable:
 
 
 @lru_cache(maxsize=None)
-def world_sat(pos_bounds: frozenset, neg_bounds: frozenset) -> Optional[tuple]:
-    """Decide a step by its probability bounds, of which there is at least
-    one: the inhabited cells as (witnessing disjunct, mass), or None when
-    the bounds are unsatisfiable.  The answer is reused for the same bounds
-    at another step or beside other propositions."""
-    table = _cells(frozenset(column for _, column, _ in pos_bounds | neg_bounds))
-    point = solve_rows(_cell_rows(table, pos_bounds, neg_bounds))
+def world_sat(bounds: frozenset) -> Optional[tuple]:
+    """Decide a step by its signed bounds, of which there is at least one:
+    the inhabited cells as (witnessing disjunct, mass), or None when they
+    are unsatisfiable, reused at any step and beside any propositions."""
+    table = _cells(frozenset(_column(atom)[0] for _, atom in bounds))
+    point = solve_rows(_cell_rows(table, bounds))
     if point is None:
         return None
     return tuple((d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0)
 
 
-def _cell_rows(table: _CellTable, pos_bounds, neg_bounds) -> list:
+def _column(atom: AtLeast) -> tuple[Formula, bool]:
+    """A bound atom's column, and whether it bounds the column's negation."""
+    body = atom.body
+    return (body.body, True) if isinstance(body, Not) else (body, False)
+
+
+def _cell_rows(table: _CellTable, bounds) -> list:
     """The LP of a step over the masses m_i of the table's cells, as rows
     for `solve_rows`: m_i >= 0 for each cell, sum(m_i) = 1, then one row
     per literal, sorted.  A row sums the masses of some cells, so it is
@@ -259,8 +257,10 @@ def _cell_rows(table: _CellTable, pos_bounds, neg_bounds) -> list:
     zero = Fraction(0)
     rows = [(((i, 1),), zero, Rel.GE, True) for i in range(len(cells))]
     rows.append((tuple((i, 1) for i in range(len(cells))), Fraction(1), Rel.EQ, True))
-    literals = [(table.column_of[c], r, negated, True) for r, c, negated in pos_bounds]
-    literals += [(table.column_of[c], r, negated, False) for r, c, negated in neg_bounds]
+    literals = []
+    for positive, atom in bounds:
+        column, negated = _column(atom)
+        literals.append((table.column_of[column], atom.bound, negated, positive))
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
     for b, r, negated, positive in sorted(literals):
@@ -284,8 +284,8 @@ def _plans(disjunct: Disjunct) -> Optional[dict[int, tuple]]:
     disjunct, as {step: (props, cells)}, or None as soon as one step is
     unsatisfiable.  A step with no bounds inhabits no cell."""
     plans = {}
-    for step, props, pos_bounds, neg_bounds in group_steps(disjunct):
-        cells = world_sat(pos_bounds, neg_bounds) if pos_bounds or neg_bounds else ()
+    for step, props, bounds in group_steps(disjunct):
+        cells = world_sat(bounds) if bounds else ()
         if cells is None:
             return None
         plans[step] = props, cells

@@ -169,7 +169,6 @@ class CheckResult:
 def check_derivation(d: Derivation) -> CheckResult:
     from_hypotheses = d.hypotheses is not None
     for idx, (formula, just) in enumerate(d.steps):
-        earlier = [f for f, _ in d.steps[:idx]]
         if any(r >= idx for r in just.refs):
             return CheckResult(False, idx, "reference to a later step")
         if any(r < 0 for r in just.refs):
@@ -186,9 +185,9 @@ def check_derivation(d: Derivation) -> CheckResult:
                 return CheckResult(False, idx, "mp needs two premises")
             i, j = just.refs
             parts: dict[int, Formula] = {}
-            if not _match(_IMPLIES, earlier[i], parts, []):
+            if not _match(_IMPLIES, d.steps[i][0], parts, []):
                 return CheckResult(False, idx, f"step {i} is not an implication")
-            if (parts[0], parts[1]) != (earlier[j], formula):
+            if (parts[0], parts[1]) != (d.steps[j][0], formula):
                 return CheckResult(False, idx, "mp premises do not match")
         elif just.kind in ("nec_l1", "nec_next"):
             if from_hypotheses:
@@ -199,9 +198,9 @@ def check_derivation(d: Derivation) -> CheckResult:
                 return CheckResult(False, idx, "necessitation needs one premise")
             (i,) = just.refs
             if just.kind == "nec_l1":
-                expected = AtLeast(Fraction(1), earlier[i])
+                expected = AtLeast(Fraction(1), d.steps[i][0])
             else:
-                expected = Next(earlier[i])
+                expected = Next(d.steps[i][0])
             if formula != expected:
                 return CheckResult(False, idx, f"{just.kind} shape mismatch")
         elif just.kind == "hyp":

@@ -502,9 +502,10 @@ def push_then_dnf(f):
     """The former DNF of `decide`, kept as the oracle of `to_disjuncts`: move
     every next-operator down to the atoms with `push_next`, then strip the
     leading next-operators off each atom to read its time stamp.  Same
-    literals and same pruning as `to_disjuncts(push_next(f))`: a bound is
-    over its body with one leading negation stripped, L[0] b is true and
-    !L[0] b false.  The disjuncts are not in `to_disjuncts`'s order."""
+    literals and same pruning as `to_disjuncts(push_next(f))`: an atom is
+    the proposition or the normalized bound below those next-operators,
+    L[0] b is true and !L[0] b false.  The disjuncts are not in
+    `to_disjuncts`'s order."""
 
     def strip_next(g):
         steps = 0
@@ -515,13 +516,8 @@ def push_then_dnf(f):
 
     def atom_of(g):
         steps, core = strip_next(g)
-        if isinstance(core, Prop):
-            return ("p", steps, core.index)
-        if isinstance(core, AtLeast):
-            body = core.body
-            if isinstance(body, Not):
-                return ("L", steps, core.bound, body.body, True)
-            return ("L", steps, core.bound, body, False)
+        if isinstance(core, (Prop, AtLeast)):
+            return steps, core
         raise ValueError(f"not normalized: {g!r}")
 
     def antichain(disjuncts):
@@ -542,12 +538,12 @@ def push_then_dnf(f):
                 a | b
                 for a in left
                 for b in right
-                if not any((not pol, atom) in a for pol, atom in b)
+                if not any((not pol, step, atom) in a for pol, step, atom in b)
             )
-        atom = atom_of(g)
-        if atom[0] == "L" and atom[2] == 0:
+        step, atom = atom_of(g)
+        if isinstance(atom, AtLeast) and atom.bound == 0:
             return [frozenset()] if polarity else []
-        return [frozenset({(polarity, atom)})]
+        return [frozenset({(polarity, step, atom)})]
 
     return dnf(push_next(f), True)
 
@@ -559,22 +555,29 @@ def witnessing(cell):
 
 
 def clash_free(disjunct) -> bool:
-    """No atom of the disjunct occurs with both polarities."""
-    return not any((not polarity, atom) in disjunct for polarity, atom in disjunct)
-
-
-def world_sat_all_cells(pos_bounds, neg_bounds):
-    """The former cell step of `decide.world_sat`, kept as its oracle: one
-    column per distinct `push_next` body, negated bodies included, and
-    `sat_status` on every one of the 2^k cells.  Takes `world_sat`'s
-    arguments, each bound (bound, column, negated) read as the bound on its
-    body as written, `!column` when negated.  Returns the inhabited cells as
-    (witnessing disjunct, mass), or None, as `world_sat` does."""
-    pos_bounds, neg_bounds = (
-        tuple((bound, Not(column) if negated else column) for bound, column, negated in lits)
-        for lits in (pos_bounds, neg_bounds)
+    """No atom of the disjunct occurs at one step with both polarities."""
+    return not any(
+        (not polarity, step, atom) in disjunct for polarity, step, atom in disjunct
     )
-    columns = [push_next(body) for _, body in pos_bounds + neg_bounds]
+
+
+def bound_column(atom):
+    """The column of a bound atom and whether the bound is over its
+    negation: its body up to one leading `!`."""
+    body = atom.body
+    return (body.body, True) if isinstance(body, Not) else (body, False)
+
+
+def world_sat_all_cells(bounds):
+    """The former cell step of `decide.world_sat`, kept as its oracle: one
+    column per distinct bound body, negated bodies included, and
+    `sat_status` on every one of the 2^k cells.  Takes `world_sat`'s
+    argument, the (polarity, bound atom) pairs, each bound read over its
+    body as it stands, already in `push_next` normal form.  Returns the
+    inhabited cells as (witnessing disjunct, mass), or None, as `world_sat`
+    does."""
+    bounds = tuple(bounds)
+    columns = [atom.body for _, atom in bounds]
     bodies = sorted(set(columns), key=render)
     sat_cells = []  # (bitmask over bodies, cell formula)
     for mask in range(1 << len(bodies)):
@@ -585,13 +588,13 @@ def world_sat_all_cells(pos_bounds, neg_bounds):
     system = LinearSystem(num_vars=n)
     system.constraints.append(eq({i: Fraction(1) for i in range(n)}, Fraction(-1)))
     system.constraints.extend(ge({i: Fraction(1)}) for i in range(n))
-    for k, ((bound, _), body) in enumerate(zip(pos_bounds + neg_bounds, columns)):
+    for (positive, atom), body in zip(bounds, columns):
         b = bodies.index(body)
         inside = [i for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)]
-        if k < len(pos_bounds):
-            system.constraints.append(ge({i: Fraction(1) for i in inside}, -bound))
+        if positive:
+            system.constraints.append(ge({i: Fraction(1) for i in inside}, -atom.bound))
         else:
-            system.constraints.append(gt({i: Fraction(-1) for i in inside}, bound))
+            system.constraints.append(gt({i: Fraction(-1) for i in inside}, atom.bound))
     point = solve(system)
     if point is None:
         return None
@@ -634,7 +637,7 @@ def witnessed(table):
     return decide._CellTable(table.column_of, cells)
 
 
-def cell_system(table, pos_bounds, neg_bounds) -> LinearSystem:
+def cell_system(table, bounds) -> LinearSystem:
     """The former LP of `decide.world_sat` over a cell table, kept as the
     oracle of `decide._cell_rows`: `tableau_by_constraints` of this system
     is the tableau that `linarith` builds from the cell rows."""
@@ -645,9 +648,11 @@ def cell_system(table, pos_bounds, neg_bounds) -> LinearSystem:
         system.constraints.append(ge({i: 1}))
     # L[r] reads  e - r >= 0  and  !L[r] reads  -(e - r) > 0,  where e is
     # m(c), or 1 - m(c) for a negated column.  The rows follow the columns,
-    # whatever order the literal sets iterate in.
-    literals = [(column_of[c], bound, negated, 1) for bound, c, negated in pos_bounds]
-    literals += [(column_of[c], bound, negated, -1) for bound, c, negated in neg_bounds]
+    # whatever order the bounds iterate in.
+    literals = []
+    for positive, atom in bounds:
+        c, negated = bound_column(atom)
+        literals.append((column_of[c], atom.bound, negated, 1 if positive else -1))
     for b, bound, negated, polarity in sorted(literals):
         sign, constant = (-1, 1 - bound) if negated else (1, -bound)
         relation = ge if polarity > 0 else gt

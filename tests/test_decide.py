@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    bound_column,
     cell_system,
     cells_by_conj,
     clash_free,
@@ -78,12 +79,12 @@ def test_disjuncts_of_a_formula_as_written():
     # body's column, the normal form up to one leading negation
     f = parse("X !(p0 & L[1/2] X p1)")
     assert to_disjuncts(f) == [
-        frozenset({(False, ("p", 1, 0))}),
-        frozenset({(False, ("L", 1, Fraction(1, 2), Next(Prop(1)), False))}),
+        frozenset({(False, 1, Prop(0))}),
+        frozenset({(False, 1, AtLeast(Fraction(1, 2), Next(Prop(1))))}),
     ]
-    atom = ("L", 0, Fraction(1, 2), Next(Prop(0)), True)
-    assert to_disjuncts(parse("L[1/2] X !p0")) == [frozenset({(True, atom)})]
-    assert to_disjuncts(parse("L[1/2] !X p0")) == [frozenset({(True, atom)})]
+    atom = AtLeast(Fraction(1, 2), Not(Next(Prop(0))))
+    assert to_disjuncts(parse("L[1/2] X !p0")) == [frozenset({(True, 0, atom)})]
+    assert to_disjuncts(parse("L[1/2] !X p0")) == [frozenset({(True, 0, atom)})]
     # the vacuous bound is settled: L[0] b is true and !L[0] b false
     assert to_disjuncts(parse("L[0] p0")) == [frozenset()]
     assert to_disjuncts(parse("!L[0] p0")) == []
@@ -99,9 +100,9 @@ def test_disjuncts_agree_with_the_push_then_dnf_oracle():
             assert len(got) == len(expected) and set(got) == set(expected)
         verdict = any(
             all(
-                world_sat(pos_bounds, neg_bounds) is not None
-                for _, _, pos_bounds, neg_bounds in group_steps(d)
-                if pos_bounds or neg_bounds
+                world_sat(bounds) is not None
+                for _, _, bounds in group_steps(d)
+                if bounds
             )
             for d in expected
         )
@@ -464,6 +465,28 @@ def test_disjuncts_and_conjoined_disjuncts_are_clash_free():
         before = dnf
 
 
+def test_deciding_from_warm_step_caches_hashes_no_fraction(monkeypatch):
+    """A literal's atom is an interned node, whose hash is stored: once the
+    steps' LPs are cached, deciding and witnessing again hashes no bound."""
+    f = parse("L[1/2] (p0 | p1) & !L[1/3] X p1 & X L[2/3] !p2")
+    assert sat_status(f) and witness(f) is not None
+    sat_status.cache_clear()
+    calls = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert sat_status(f) and witness(f) is not None
+    monkeypatch.setattr(Fraction, "__hash__", real)
+    assert calls == []
+    # bounds equal up to moving X through ! are one atom
+    [(left,)], [(right,)] = (to_disjuncts(parse(t)) for t in ("L[1/2] X !p0", "L[1/2] !X p0"))
+    assert left[2] is right[2]
+
+
 def test_propositional_context_reuses_the_lp_of_its_bounds():
     decide.clear_caches()
     assert sat_status(parse("p0 & L[1/2] p1"))
@@ -552,16 +575,16 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     formulas += [parse(lp_bounds_text(random.Random(f"lp-bounds/{j}"))) for j in range(100)]
     calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(witness, formulas)))
     edges = dict.fromkeys(["one cell", "empty", "one-cell", "negated", "shared"], 0)
-    for pos_bounds, neg_bounds in calls:
-        table = decide._cells(frozenset(c for _, c, _ in pos_bounds | neg_bounds))
-        system = cell_system(table, pos_bounds, neg_bounds)
-        tableau = linarith._build(decide._cell_rows(table, pos_bounds, neg_bounds))
-        assert tableau == tableau_by_constraints(system), (pos_bounds, neg_bounds)
+    for (bounds,) in calls:
+        table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
+        system = cell_system(table, bounds)
+        tableau = linarith._build(decide._cell_rows(table, bounds))
+        assert tableau == tableau_by_constraints(system), bounds
         point = linarith.solve(system)
         cells = None if point is None else tuple(
             (d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0
         )
-        assert world_sat(pos_bounds, neg_bounds) == cells, (pos_bounds, neg_bounds)
+        assert world_sat(bounds) == cells, bounds
         # the all-ones row, then the literal rows, as sets of cells
         sums = [tuple(v for v, _ in c.coeffs) for c in system.constraints]
         del sums[1 : 1 + len(table.cells)]
@@ -569,7 +592,7 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
         edges["one cell"] += len(table.cells) == 1
         edges["empty"] += any(not row for row in sums)
         edges["one-cell"] += any(len(row) == 1 for row in sums[1:])
-        edges["negated"] += any(negated for _, _, negated in pos_bounds | neg_bounds)
+        edges["negated"] += any(bound_column(atom)[1] for _, atom in bounds)
         edges["shared"] += len(set(longer)) < len(longer)
     assert len(calls) > 300
     assert all(edges.values()), edges

@@ -173,13 +173,12 @@ def test_world_plans_are_vertices():
     plans = 0
     for f in formulas:
         for disjunct in to_disjuncts(push_next(f)):
-            for _, _, pos_bounds, neg_bounds in group_steps(disjunct):
-                if not (pos_bounds or neg_bounds):
+            for _, _, bounds in group_steps(disjunct):
+                if not bounds:
                     continue  # a step with no bounds inhabits no cell
-                cells = world_sat(pos_bounds, neg_bounds)
+                cells = world_sat(bounds)
                 if cells:
-                    literals = len(pos_bounds) + len(neg_bounds)
-                    assert len(cells) <= 1 + literals
+                    assert len(cells) <= 1 + len(bounds)
                     plans += 1
     assert plans > 100
 
@@ -281,17 +280,17 @@ def _world_systems(monkeypatch, formulas) -> list[LinearSystem]:
     systems = []
     real = decide._cell_rows
 
-    def record(table, pos_bounds, neg_bounds):
-        systems.append(cell_system(table, pos_bounds, neg_bounds))
-        return real(table, pos_bounds, neg_bounds)
+    def record(table, bounds):
+        systems.append(cell_system(table, bounds))
+        return real(table, bounds)
 
     decide.clear_caches()
     monkeypatch.setattr(decide, "_cell_rows", record)
     for f in formulas:
         for disjunct in to_disjuncts(push_next(f)):
-            for _, _, pos_bounds, neg_bounds in group_steps(disjunct):
-                if pos_bounds or neg_bounds:
-                    world_sat(pos_bounds, neg_bounds)
+            for _, _, bounds in group_steps(disjunct):
+                if bounds:
+                    world_sat(bounds)
     monkeypatch.setattr(decide, "_cell_rows", real)
     decide.clear_caches()
     return systems

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,21 @@ p1        ; mp:1,0
     result = check_derivation(parse_derivation(text, hypotheses=[parse("p0 -> p1")]))
     assert not result.accepted
     assert result.step == 0
+
+
+def test_long_derivation_checks_in_linear_time():
+    # each step reads its premises where they stand, not from a copy of the
+    # steps before it, which made 50 000 steps take over 20 s
+    text = "p0 ; hyp\np0 -> p0 ; hyp\n" + "p0 ; mp:1,0\n" * 49_998
+    hyps = [parse("p0"), parse("p0 -> p0")]
+    derivation = parse_derivation(text, hypotheses=hyps)
+    assert len(derivation.steps) == 50_000
+    start = time.perf_counter()
+    assert check_derivation(derivation).accepted
+    assert time.perf_counter() - start < 5
+    # a bad last premise is still reported at its own step
+    bad = parse_derivation(text + "p0 ; mp:0,1\n", hypotheses=hyps)
+    assert check_derivation(bad) == CheckResult(False, 50_000, "step 0 is not an implication")
 
 
 def test_next_necessitation():
