@@ -10,16 +10,18 @@ existence is guaranteed by the generalized Archimedean rule).
 
 The stage set is kept only as its pruned DNF (`decide.conjoin`): each
 stage merges the DNF of the formula or negation it adds, and drops the
-disjuncts that become unsatisfiable.  An entailment query merges only the
-DNF of the negated query, so no traversal walks the whole stage set.
+disjuncts that become unsatisfiable, the rule by which the cell walk keeps
+each prefix's DNF.  An entailment query merges only the DNF of the negated
+query, so no traversal walks the whole stage set.
 
 Membership queries beyond the built budget are answered exactly whenever
 the current stage set already entails the formula or its negation (this
 provably agrees with the staged bit), and otherwise by actually running
 the remaining stages one at a time -- but only within two limits: a cap
 on the number of stages, because stage indices grow exponentially with
-formula size, and a budget of cell-walk nodes (`decide.walk_nodes`),
-because the stages past about 1060 walk ever larger cell tables.
+formula size, and a budget of cell-walk nodes (`decide.walk_nodes`, each
+one a merge checked against the theory), because the stages past about
+1060 walk ever larger cell tables.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ from .parser import parse, render
 
 # Stages one membership query may run past the built budget, and nodes of
 # the cell walk (`decide.walk_nodes`) it may pop, before it gives up, as
-# `proof._TAUT_SPLITS` bounds the tautology check.
+# `proof._TAUT_SPLITS` bounds the tautology check.  Each node checks its
+# disjuncts against the theory: from budget 1000 of L[1/2] p0 & X p1,
+# member(L[1] X !X p0) stops at stage 1088 after 1.2-1.6 s (at stage 1092
+# after 4.9-5.3 s with 2^18 nodes; Python 3.11, 2 vCPU).
 _MAX_EXTENSION = 4096
-_MEMBER_NODES = 1 << 18
+_MEMBER_NODES = 1 << 16
 
 
 class InconsistentSeed(ValueError):

@@ -13,12 +13,11 @@ atom) alone, in one call of `world_sat` cached per set of them (a step
 with none holds at once): by carving the state space into cells over the
 distinct columns and solving an exact linear system over the satisfiable
 cells' masses.  A cell is a bitmask over the columns, kept with its
-witnessing disjunct: the first satisfiable disjunct of its DNF.  A valid
-column fixes its bit to 1 and an unsatisfiable one to 0, so only the cells
-over the contingent columns are decided.  The satisfiable cells of a
-column set are found once, by one walk over the columns that merges each
-prefix's DNF with the DNF of one column or of its negation and prunes
-below every prefix whose merged DNF is empty, and are kept in a cell table
+witnessing disjunct: the first satisfiable disjunct of its DNF.  The
+satisfiable cells of a column set are found once, by one walk over the
+columns that merges each prefix's DNF with the DNF of one column or of its
+negation, keeps only the satisfiable disjuncts of the merge, as `conjoin`
+does, and cuts every prefix left with none.  They are kept in a cell table
 that each step over the same columns reuses.  The walk counts the nodes it
 pops in `walk_nodes`, the cost meter of `canonical`'s membership queries.
 A step's LP over the masses of its cells is stated as 0/1 indicator rows
@@ -190,42 +189,24 @@ def _cells(columns: frozenset) -> _CellTable:
     # Ordered by the stored hash, which no interpreter run changes, so that a
     # column set always yields the same cells.
     bodies = sorted(columns, key=hash)
-
-    # A valid body fixes its bit to 1 and an unsatisfiable one to 0; only
-    # the cells over the contingent bodies are tried.  Each body's options
-    # are (bit, DNF of the body or of its negation).
-    options = []
-    for i, b in enumerate(bodies):
-        without, within = _dnf(b, False, 0), _dnf(b, True, 0)
-        if _witnessing(without) is None:
-            options.append([(1 << i, within)])
-        elif _witnessing(within) is not None:
-            options.append([(0, without), (1 << i, within)])
-        else:
-            options.append([(0, without)])
-
-    # A cell's DNF is its prefix's DNF merged with its last body's option,
-    # so the walk extends each prefix by one option; an empty merged DNF
-    # refutes every cell below its prefix.  A leaf is kept with the first
-    # satisfiable disjunct of its DNF.
+    # each body's options: (bit, DNF of its negation or of itself)
+    options = [[(0, _dnf(b, False, 0)), (1 << i, _dnf(b, True, 0))] for i, b in enumerate(bodies)]
+    # A prefix keeps the satisfiable disjuncts of its merged DNF, and one
+    # with none is cut: every disjunct below it is a superset of one of
+    # them.  A leaf's first kept disjunct is its witnessing disjunct.
     cells = []
-    # (bodies chosen, mask, merged DNF)
-    stack = [(1, bit, dnf) for bit, dnf in options[0]]
+    stack = [(0, 0, [frozenset()])]  # (bodies chosen, mask, kept disjuncts)
     global walk_nodes
     while stack:
         depth, mask, dnf = stack.pop()
         walk_nodes += 1
         if depth == len(bodies):
-            d = _witnessing(dnf)
-            if d is not None:
-                cells.append((mask, d))
+            cells.append((mask, dnf[0]))
             continue
         for bit, option_dnf in options[depth]:
-            merged = _merge(dnf, option_dnf)
-            if merged:
-                stack.append((depth + 1, mask | bit, merged))
-    # The fixed bits are shared, so mask order is the order of the choices
-    # over the contingent bodies.
+            kept = list(_satisfiable_merge(dnf, option_dnf))
+            if kept:
+                stack.append((depth + 1, mask | bit, kept))
     cells.sort(key=lambda cell: cell[0])
     return _CellTable({b: i for i, b in enumerate(bodies)}, tuple(cells))
 
@@ -297,6 +278,11 @@ def _witnessing(disjuncts: list[Disjunct]) -> Optional[Disjunct]:
     return next((d for d in disjuncts if _plans(d) is not None), None)
 
 
+def _satisfiable_merge(left: list[Disjunct], right: list[Disjunct]) -> Iterator[Disjunct]:
+    """The satisfiable disjuncts of the merge of two pruned DNFs, lazily."""
+    return (d for d in _merge(left, right) if _plans(d) is not None)
+
+
 @lru_cache(maxsize=None)
 def sat_status(f: Formula) -> bool:
     """True iff f is satisfiable in some dynamic Markov model."""
@@ -315,7 +301,7 @@ def conjoin(disjuncts: list[Disjunct], f: Formula) -> Iterator[Disjunct]:
     """The satisfiable disjuncts of the conjunction of f with a pruned DNF,
     lazily.  `[frozenset()]` is the DNF of the empty conjunction, and an
     empty result means the conjunction is unsatisfiable."""
-    return (d for d in _merge(disjuncts, to_disjuncts(f)) if _plans(d) is not None)
+    return _satisfiable_merge(disjuncts, to_disjuncts(f))
 
 
 def sat(f: Formula) -> Verdict:

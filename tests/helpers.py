@@ -630,6 +630,38 @@ def cells_by_conj(columns):
     return decide._CellTable({b: i for i, b in enumerate(bodies)}, tuple(sat_cells))
 
 
+def cells_by_walk(columns):
+    """The former cell walk of `decide._cells`, kept as its oracle: a valid
+    column fixed to 1 and an unsatisfiable one to 0, a prefix cut only when
+    its merged DNF is empty (a propositional clash), and each leaf checked
+    for a satisfiable disjunct.  Returns the `decide._CellTable`."""
+    bodies = sorted(columns, key=hash)
+    options = []
+    for i, b in enumerate(bodies):
+        without, within = decide._dnf(b, False, 0), decide._dnf(b, True, 0)
+        if decide._witnessing(without) is None:
+            options.append([(1 << i, within)])
+        elif decide._witnessing(within) is not None:
+            options.append([(0, without), (1 << i, within)])
+        else:
+            options.append([(0, without)])
+    cells = []
+    stack = [(1, bit, dnf) for bit, dnf in options[0]]
+    while stack:
+        depth, mask, dnf = stack.pop()
+        if depth == len(bodies):
+            d = decide._witnessing(dnf)
+            if d is not None:
+                cells.append((mask, d))
+            continue
+        for bit, option_dnf in options[depth]:
+            merged = decide._merge(dnf, option_dnf)
+            if merged:
+                stack.append((depth + 1, mask | bit, merged))
+    cells.sort(key=lambda cell: cell[0])
+    return decide._CellTable({b: i for i, b in enumerate(bodies)}, tuple(cells))
+
+
 def witnessed(table):
     """A `cells_by_conj` table with each cell formula replaced by its
     witnessing disjunct."""

@@ -13,6 +13,7 @@ import probnext
 from helpers import (
     and_chain_lindenbaum,
     cap_address_space,
+    cells_by_walk,
     clash_free,
     random_formula,
     world_sat_all_cells,
@@ -272,9 +273,9 @@ def test_stage_that_hits_a_limit_is_not_recorded(monkeypatch):
 def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypatch):
     # L[1/2] p1 is stage 261 and independent of the seed, so member runs
     # the stages up to it; from empty caches their cell walks pop far more
-    # than 8 nodes, and the first query stops at stage 61.  (At 16 nodes it
-    # stops at stage 62, whose stage set already refutes L[1/2] p1, so
-    # member_or would answer False.)
+    # than 8 nodes, and the first query stops at stage 60.  (At 16 nodes it
+    # stops at stage 61; one stage later the stage set refutes L[1/2] p1,
+    # and member_or would answer False.)
     decide.clear_caches()
     monkeypatch.setattr(probnext.canonical, "_MEMBER_NODES", 8)
     w = lindenbaum(parse("p0"), 5)
@@ -368,15 +369,32 @@ def test_canonical_columns_keep_the_cells_to_stage_1000_few():
     # Counts, not times: with each bound over its body as written, and the
     # L[0] bounds reaching the cell step, these stages enumerated 222 072
     # cells (2^k per set of bounds over k contingent columns), and 20 302
-    # over the canonical columns.  The cell walks pop 2034 nodes.
+    # over the canonical columns.  The cell walks popped 2034 nodes while
+    # they cut a prefix only at a propositional clash; cutting every prefix
+    # with no satisfiable disjunct, they pop 1667.
     decide.clear_caches()
     start = decide.walk_nodes
     lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
-    assert decide.walk_nodes - start < 5000
+    assert decide.walk_nodes - start < 2000
+
+
+def test_budget_1070_agrees_with_the_walk_oracle(monkeypatch):
+    """Past stage 1050 the cell tables reach about 50 columns, which only a
+    walk can enumerate: the former walk, patched in for the cell tables,
+    decides every stage as the walk cut by the theory does."""
+    seed = parse("L[1/2] p0 & X p1")
+    decide.clear_caches()
+    built = _bits_and_extras(lindenbaum(seed, 1070))
+    monkeypatch.setattr(decide, "_cells", lru_cache(maxsize=None)(cells_by_walk))
+    decide.clear_caches()
+    try:
+        assert _bits_and_extras(lindenbaum(seed, 1070)) == built
+    finally:
+        decide.clear_caches()
 
 
 def test_member_past_stage_1060_answers_within_the_walk_budget():
-    # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 4164 walk nodes in
+    # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 3240 walk nodes in
     # about 0.3 s, where the former meter of 2^k cells per set of bounds
     # passed 2^18 at stage 1063 and refused the query.
     decide.clear_caches()

@@ -13,6 +13,7 @@ from helpers import (
     bound_column,
     cell_system,
     cells_by_conj,
+    cells_by_walk,
     clash_free,
     independent_bounds,
     lp_chain,
@@ -32,6 +33,7 @@ from probnext import (
     Not,
     Prop,
     conj,
+    lindenbaum,
     parse,
     push_next,
     random_model,
@@ -530,6 +532,33 @@ def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
             assert decide._cells(columns) == witnessed(cells_by_conj(columns)), columns
     # p0..p7 and their union: every valuation of the props is one cell.
     assert [len(decide._cells(*args).cells) for args in calls] == [1 << 8]
+
+
+def test_cell_tables_agree_with_the_walk_oracle(monkeypatch):
+    """The walk that cuts every prefix with no satisfiable disjunct keeps the
+    cells, in the order and with the witnessing disjuncts, that the former
+    walk kept, which cut a prefix only at a propositional clash and checked
+    each leaf.  The Lindenbaum seeds reach tables past what `cells_by_conj`
+    can enumerate."""
+    rng = random.Random(2121)
+    mix = [parse(text) for (_, text), _ in _mix_pool(MIX_ENTRIES)]
+    nested = [random_nested_bounds(rng) for _ in range(300)]
+    expected = json.loads((BENCH / "expected" / "lindenbaum.json").read_text())
+    seeds = [entry["seed"] for entry in expected["seeds"]]
+    runs = [
+        lambda: list(map(sat_status, mix)),
+        lambda: list(map(sat_status, nested)),
+        lambda: sat_status(parse(independent_bounds(8))),
+        lambda: [lindenbaum(parse(seed), 300) for seed in seeds],
+    ]
+    widest = 0
+    for run in runs:
+        calls = _distinct_calls(monkeypatch, "_cells", run)
+        assert calls
+        for (columns,) in calls:
+            assert decide._cells(columns) == cells_by_walk(columns), columns
+            widest = max(widest, len(columns))
+    assert widest >= 16
 
 
 def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
