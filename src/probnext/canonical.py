@@ -14,6 +14,10 @@ disjuncts that become unsatisfiable, the rule by which the cell walk keeps
 each prefix's DNF.  An entailment query merges only the DNF of the negated
 query, so no traversal walks the whole stage set.
 
+The construction is deterministic: the enumeration is fixed, and each
+cell table orders its columns by their prefix spellings, never by a hash,
+so a seed and a budget give the same prefix in every run.
+
 Membership queries beyond the built budget are answered exactly whenever
 the current stage set already entails the formula or its negation (this
 provably agrees with the staged bit), and otherwise by actually running
@@ -47,10 +51,10 @@ from .parser import parse, render
 # the cell walk (`decide.walk_nodes`) it may pop, before it gives up, as
 # `proof._TAUT_SPLITS` bounds the tautology check.  Each node checks its
 # disjuncts against the theory: from budget 1000 of L[1/2] p0 & X p1,
-# member(L[1] X !X p0) stops at stage 1088 after 1.2-1.6 s (at stage 1092
-# after 4.9-5.3 s with 2^18 nodes; Python 3.11, 2 vCPU).
+# member(L[1] X !X p0) stops at stage 1090 after 1.4-2.0 s (at stage 1092
+# after 3.0-3.6 s with 2^16 nodes; Python 3.11, 2 vCPU).
 _MAX_EXTENSION = 4096
-_MEMBER_NODES = 1 << 16
+_MEMBER_NODES = 1 << 15
 
 
 class InconsistentSeed(ValueError):

@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # malformed arguments exit 2
-        if args.command == "prove" and not args.check and args.formula is None:
-            print("error: prove needs a formula or --check FILE", file=sys.stderr)
+        if args.command == "prove" and (args.check is None) == (args.formula is None):
+            print("error: prove needs a formula or --check FILE, not both", file=sys.stderr)
             return 2
         return args.func(args)
     except SystemExit as exc:

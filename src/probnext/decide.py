@@ -15,7 +15,8 @@ distinct columns and solving an exact linear system over the satisfiable
 cells' masses.  A cell is a bitmask over the columns, kept with its
 witnessing disjunct: the first satisfiable disjunct of its DNF.  The
 satisfiable cells of a column set are found once, by one walk over the
-columns that merges each prefix's DNF with the DNF of one column or of its
+columns in the order of their prefix spellings (`enumeration.spelling`)
+that merges each prefix's DNF with the DNF of one column or of its
 negation, keeps only the satisfiable disjuncts of the merge, as `conjoin`
 does, and cuts every prefix left with none.  They are kept in a cell table
 that each step over the same columns reuses.  The walk counts the nodes it
@@ -39,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
+from .enumeration import spelling
 from .formula import And, AtLeast, Formula, Next, Not, Prop
 from .linarith import Rel, solve_rows
 from .models import FiniteDMM
@@ -99,7 +101,8 @@ Disjunct = frozenset
 
 
 def _antichain(disjuncts) -> list[Disjunct]:
-    # first-seen order, not a set's: it must not depend on string hashing
+    # first-seen order, not a set's: a node hashes by its address, so a set's
+    # order changes from run to run
     kept: list[Disjunct] = []
     for d in sorted(dict.fromkeys(disjuncts), key=len):
         if not any(k <= d for k in kept):
@@ -140,7 +143,7 @@ def _dnf(f: Formula, polarity: bool, step: int) -> list[Disjunct]:
 def to_disjuncts(f: Formula) -> list[Disjunct]:
     """Pruned DNF of f over time-stamped atoms whose bounds are in
     `push_next` normal form.  The order is the expansion's first-seen one,
-    so it does not depend on string hashing."""
+    so it does not depend on hashing."""
     return _dnf(f, True, 0)
 
 
@@ -172,8 +175,8 @@ def group_steps(disjunct: Disjunct) -> list[tuple]:
 @dataclass(frozen=True, slots=True)
 class _CellTable:
     """The satisfiable cells over one set of columns.  `column_of` maps each
-    column to its index, in stored-hash order; `cells` holds (bitmask over
-    the columns, the cell's witnessing disjunct) in increasing mask order."""
+    column to its index, in spelling order; `cells` holds (bitmask over the
+    columns, the cell's witnessing disjunct) in increasing mask order."""
 
     column_of: dict
     cells: tuple[tuple[int, Disjunct], ...]
@@ -186,9 +189,9 @@ walk_nodes = 0
 
 @lru_cache(maxsize=None)
 def _cells(columns: frozenset) -> _CellTable:
-    # Ordered by the stored hash, which no interpreter run changes, so that a
-    # column set always yields the same cells.
-    bodies = sorted(columns, key=hash)
+    # Ordered by their spellings, which no interpreter run changes, so that
+    # a column set always yields the same cells.
+    bodies = sorted(columns, key=spelling)
     # each body's options: (bit, DNF of its negation or of itself)
     options = [[(0, _dnf(b, False, 0)), (1 << i, _dnf(b, True, 0))] for i, b in enumerate(bodies)]
     # A prefix keeps the satisfiable disjuncts of its merged DNF, and one

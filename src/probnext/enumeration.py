@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .formula import And, AtLeast, Formula, Next, Not, Prop
+from .formula import And, AtLeast, Formula, Next, Not, Prop, prefix
 
 
 class ExtensionLimitExceeded(RuntimeError):
@@ -87,45 +87,44 @@ def _runs(r: Fraction):
 
 
 def weight(f: Formula) -> int:
-    if isinstance(f, Prop):
-        return f.index + 1
-    if isinstance(f, (Not, Next)):
-        return 1 + weight(f.body)
-    if isinstance(f, And):
-        return 1 + weight(f.left) + weight(f.right)
-    if isinstance(f, AtLeast):
-        # a bound at depth d of the tree has an index of at least 2^(d-1):
-        # refuse a deep one before spelling that integer
-        if sum(k for k, _ in _runs(f.bound)) > _WEIGHT_LIMIT:
-            raise ExtensionLimitExceeded(f"bound {f.bound} is past the weight limit")
-        return 1 + rational_index(f.bound) + weight(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    total = 0
+    for g in prefix(f):
+        if isinstance(g, Prop):
+            total += g.index + 1
+        elif isinstance(g, AtLeast):
+            # a bound at depth d of the tree has an index of at least 2^(d-1):
+            # refuse a deep one before spelling that integer
+            if sum(k for k, _ in _runs(g.bound)) > _WEIGHT_LIMIT:
+                raise ExtensionLimitExceeded(f"bound {g.bound} is past the weight limit")
+            total += 1 + rational_index(g.bound)
+        else:
+            total += 1
+    return total
+
+
+def spelling(f: Formula) -> tuple:
+    """The prefix spelling of f as symbol codes in the order of the tie
+    break, each bound followed by its Fraction, not by its rank: distinct
+    formulas spell differently, and no bound's rank is computed."""
+    out: list = []
+    for g in prefix(f):
+        if isinstance(g, Not):
+            out.append(0)
+        elif isinstance(g, And):
+            out.append(1)
+        elif isinstance(g, AtLeast):
+            out += 2, g.bound
+        elif isinstance(g, Next):
+            out.append(3)
+        else:
+            out.append(4 + g.index)
+    return tuple(out)
 
 
 def sort_key(f: Formula) -> tuple[int, ...]:
-    """Flattened prefix spelling used for the lexicographic tie break."""
-    out: list[int] = []
-
-    def emit(g: Formula) -> None:
-        if isinstance(g, Not):
-            out.append(0)
-            emit(g.body)
-        elif isinstance(g, And):
-            out.append(1)
-            emit(g.left)
-            emit(g.right)
-        elif isinstance(g, AtLeast):
-            out.append(2)
-            out.append(rational_index(g.bound))
-            emit(g.body)
-        elif isinstance(g, Next):
-            out.append(3)
-            emit(g.body)
-        else:
-            out.append(4 + g.index)
-
-    emit(f)
-    return tuple(out)
+    """Flattened prefix spelling used for the lexicographic tie break: the
+    spelling with each bound replaced by its rational_index."""
+    return tuple(rational_index(s) if isinstance(s, Fraction) else s for s in spelling(f))
 
 
 def _symbols(slots: int, w: int):

@@ -6,8 +6,10 @@ of the body is at least r") and the next-time operator.  Everything
 else (disjunction, implication, the dual "at most" operator, the
 constants) is desugared into this core by the parser.
 
-The core is hash-consed: equal formulas are one node, equality is
-identity, and each node stores its hash, computed from its children's.
+The core is hash-consed: equal formulas are one node, so equality is
+identity and a node hashes by identity too.  `prefix` walks a formula's
+nodes in its prefix (Polish) spelling, with no recursion, for the
+traversals that only read the spelling.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class Formula:
     """An immutable, interned node; its fields are its subclass's slots."""
 
-    __slots__ = ("_hash", "__weakref__")
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -56,15 +55,12 @@ def _interned(cls, *fields) -> Formula:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
-        # A fixed tag stands for the class: a name's hash varies per process.
-        object.__setattr__(node, "_hash", hash((cls._tag, *fields)))
         _TABLE[key] = node
     return node
 
 
 class Prop(Formula):
     __slots__ = ("index",)
-    _tag = 1
 
     def __new__(cls, index: int):
         if index < 0:
@@ -74,7 +70,6 @@ class Prop(Formula):
 
 class Not(Formula):
     __slots__ = ("body",)
-    _tag = 2
 
     def __new__(cls, body: Formula):
         return _interned(cls, body)
@@ -82,7 +77,6 @@ class Not(Formula):
 
 class And(Formula):
     __slots__ = ("left", "right")
-    _tag = 3
 
     def __new__(cls, left: Formula, right: Formula):
         return _interned(cls, left, right)
@@ -92,7 +86,6 @@ class AtLeast(Formula):
     """Probability of `body` is at least `bound`."""
 
     __slots__ = ("bound", "body")
-    _tag = 4
 
     def __new__(cls, bound: Fraction, body: Formula):
         bound = Fraction(bound)
@@ -103,7 +96,6 @@ class AtLeast(Formula):
 
 class Next(Formula):
     __slots__ = ("body",)
-    _tag = 5
 
     def __new__(cls, body: Formula):
         return _interned(cls, body)
@@ -172,26 +164,24 @@ def dyn_depth(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def prefix(f: Formula):
+    """The nodes of f in prefix (Polish) order: each node before its
+    children, left before right.  A stack, not recursion, so no nesting
+    depth is too deep; TypeError on a node that is not a formula."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += g.right, g.left
+        elif isinstance(g, (Not, Next, AtLeast)):
+            stack.append(g.body)
+        elif not isinstance(g, Prop):
+            raise TypeError(f"not a formula: {g!r}")
+        yield g
+
+
 def props_of(f: Formula) -> frozenset[int]:
-    if isinstance(f, Prop):
-        return frozenset((f.index,))
-    if isinstance(f, (Not, Next, AtLeast)):
-        return props_of(f.body)
-    if isinstance(f, And):
-        return props_of(f.left) | props_of(f.right)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _index_denominators(f: Formula) -> set[int]:
-    if isinstance(f, Prop):
-        return set()
-    if isinstance(f, (Not, Next)):
-        return _index_denominators(f.body)
-    if isinstance(f, And):
-        return _index_denominators(f.left) | _index_denominators(f.right)
-    if isinstance(f, AtLeast):
-        return {f.bound.denominator} | _index_denominators(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.index for g in prefix(f) if isinstance(g, Prop))
 
 
 class LanguageProfile(NamedTuple):
@@ -206,7 +196,7 @@ class LanguageProfile(NamedTuple):
 
 
 def profile(f: Formula) -> LanguageProfile:
-    denoms = _index_denominators(f)
+    denoms = {g.bound.denominator for g in prefix(f) if isinstance(g, AtLeast)}
     q = lcm(*denoms) if denoms else 1
     return LanguageProfile(
         props=props_of(f),

@@ -11,6 +11,7 @@ Grammar (whitespace-insensitive)::
              | "L[" rational "]" unary | "M[" rational "]" unary | atom
     atom    := "p" digits | "T" | "F" | "(" formula ")"
     rational := digits "/" digits | digits
+    digits  := [0-9]+                  (ASCII digits only)
 
 Derived connectives are desugared during parsing; `render` emits only the
 core grammar, so `parse(render(f)) == f` holds structurally.
@@ -46,8 +47,9 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"at position {position}: expected {expected}, found {found}")
 
 
+# [0-9], not \d: \d matches every Unicode digit, which int() would read.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<prop>p\d+)|(?P<lbound>[LM]\[\s*\d+(?:\s*/\s*\d+)?\s*\])"
+    r"\s*(?:(?P<prop>p[0-9]+)|(?P<lbound>[LM]\[\s*[0-9]+(?:\s*/\s*[0-9]+)?\s*\])"
     r"|(?P<op><->|->|[!&|XTF()]))"
 )
 

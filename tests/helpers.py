@@ -25,7 +25,7 @@ from probnext import (
     render,
 )
 from probnext.canonical import _bound_stack_pattern, _rebuild_stack
-from probnext.enumeration import enum_formula, enum_rational, sort_key
+from probnext.enumeration import enum_formula, enum_rational, sort_key, spelling
 from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies, solve
 from probnext.prokhorov import FiniteMeasure, IncompatibleSupports, _dist, _merged_table
 
@@ -605,12 +605,12 @@ def world_sat_all_cells(bounds):
 
 def cells_by_conj(columns):
     """The former cell enumeration of `decide.world_sat`, kept as the oracle
-    of `decide._cells`: the columns in stored-hash order, a valid one fixed
+    of `decide._cells`: the columns in spelling order, a valid one fixed
     to 1 and an unsatisfiable one to 0, and for each of the 2^k choices over
     the k contingent columns, in order, a fresh `conj` over every column
     and `sat_status` on it.  Returns a `decide._CellTable` that holds each
     cell's formula; `witnessed` maps them to the table `_cells` keeps."""
-    bodies = sorted(columns, key=hash)
+    bodies = sorted(columns, key=spelling)
     fixed = 0
     free = []
     for i, b in enumerate(bodies):
@@ -631,11 +631,12 @@ def cells_by_conj(columns):
 
 
 def cells_by_walk(columns):
-    """The former cell walk of `decide._cells`, kept as its oracle: a valid
-    column fixed to 1 and an unsatisfiable one to 0, a prefix cut only when
-    its merged DNF is empty (a propositional clash), and each leaf checked
-    for a satisfiable disjunct.  Returns the `decide._CellTable`."""
-    bodies = sorted(columns, key=hash)
+    """The former cell walk of `decide._cells`, kept as its oracle: the
+    columns in spelling order, a valid column fixed to 1 and an
+    unsatisfiable one to 0, a prefix cut only when its merged DNF is empty
+    (a propositional clash), and each leaf checked for a satisfiable
+    disjunct.  Returns the `decide._CellTable`."""
+    bodies = sorted(columns, key=spelling)
     options = []
     for i, b in enumerate(bodies):
         without, within = decide._dnf(b, False, 0), decide._dnf(b, True, 0)

@@ -371,7 +371,8 @@ def test_canonical_columns_keep_the_cells_to_stage_1000_few():
     # cells (2^k per set of bounds over k contingent columns), and 20 302
     # over the canonical columns.  The cell walks popped 2034 nodes while
     # they cut a prefix only at a propositional clash; cutting every prefix
-    # with no satisfiable disjunct, they pop 1667.
+    # with no satisfiable disjunct, they pop 1667, and 1290 with the columns
+    # in spelling order.
     decide.clear_caches()
     start = decide.walk_nodes
     lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
@@ -394,7 +395,7 @@ def test_budget_1070_agrees_with_the_walk_oracle(monkeypatch):
 
 
 def test_member_past_stage_1060_answers_within_the_walk_budget():
-    # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 3240 walk nodes in
+    # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 2118 walk nodes in
     # about 0.3 s, where the former meter of 2^k cells per set of bounds
     # passed 2^18 at stage 1063 and refused the query.
     decide.clear_caches()

@@ -292,6 +292,18 @@ def test_prove_semantic(capsys):
     assert main(["prove"]) == 2
 
 
+def test_prove_with_a_formula_and_check_is_an_input_error(capsys):
+    # the formula would be ignored, and any file, even an empty one, accepted
+    assert main(["prove", "p0", "--check", os.devnull]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["p\u0663", "L[\uff11/2] p0"])
+def test_digits_outside_ascii_are_an_input_error(text, capsys):
+    assert main(["sat", text]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_prove_checks_derivation_files(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text(

@@ -191,6 +191,12 @@ def test_long_conjunction_chain_decides():
     assert sat_status(conj([*(Prop(i % 3) for i in range(600)), Not(Prop(1))])) is False
 
 
+def test_deep_column_decides():
+    # The cell step orders the columns X^900 p0 and p1 by their spellings,
+    # which a stack walks: a recursive key would reach the recursion limit.
+    assert sat(parse("L[1/2] " + "X " * 900 + "p0 & L[1/3] p1")).status == "SAT"
+
+
 # SAT formulas with several distinct bodies at a step, some in more than one
 # disjunct.
 MULTI_BODY = [
@@ -202,9 +208,11 @@ MULTI_BODY = [
 
 
 def test_answers_do_not_depend_on_the_hash_seed():
-    # No step sorts by spelling: the DNF keeps its first-seen order, and the
-    # cell step orders its columns by their stored hashes.  A disjunct is a
-    # set, so it is compared as its sorted literals.
+    # A node hashes by its address and a string by the hash seed, both of
+    # which may change from one interpreter to the next, so no step orders
+    # by a hash: the DNF keeps its first-seen order, and the cell step
+    # orders its columns by their spellings.  A disjunct is a set, so it is
+    # compared as its sorted literals.
     code = (
         "import json\n"
         "from probnext import lindenbaum, parse, prefix_to_dict, witness\n"
@@ -221,14 +229,14 @@ def test_answers_do_not_depend_on_the_hash_seed():
     )
     package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
     outputs = []
-    for seed in ("1", "2"):
+    for seed in ("1", "2", "3"):
         env = dict(os.environ, PYTHONPATH=package_parent, PYTHONHASHSEED=seed)
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env,
         )
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_duality_of_sat_and_valid():
@@ -468,8 +476,9 @@ def test_disjuncts_and_conjoined_disjuncts_are_clash_free():
 
 
 def test_deciding_from_warm_step_caches_hashes_no_fraction(monkeypatch):
-    """A literal's atom is an interned node, whose hash is stored: once the
-    steps' LPs are cached, deciding and witnessing again hashes no bound."""
+    """A literal's atom is an interned node, which hashes by identity: once
+    the steps' LPs are cached, deciding and witnessing again hashes no
+    bound."""
     f = parse("L[1/2] (p0 | p1) & !L[1/3] X p1 & X L[2/3] !p2")
     assert sat_status(f) and witness(f) is not None
     sat_status.cache_clear()

@@ -14,7 +14,7 @@ from probnext.enumeration import (
     sort_key,
     weight,
 )
-from probnext import And, AtLeast, Next, Not, Prop
+from probnext import And, AtLeast, Next, Not, Prop, props_of
 
 
 def test_rational_enumeration_prefix():
@@ -75,6 +75,15 @@ def test_unit_fractions_rank_in_closed_form(d):
 def test_rational_index_rejects_out_of_range():
     with pytest.raises(ValueError):
         rational_index(Fraction(5, 4))
+
+
+def test_spelling_walks_need_no_recursion():
+    f = Prop(1)
+    for _ in range(10**4):
+        f = Not(f)
+    assert weight(f) == 10**4 + 2
+    assert sort_key(f) == (0,) * 10**4 + (5,)
+    assert props_of(f) == frozenset({1})
 
 
 def test_weight_definition():

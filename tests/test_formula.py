@@ -1,16 +1,12 @@
 import copy
 import gc
-import os
 import pickle
-import subprocess
-import sys
 import time
 import weakref
 from fractions import Fraction
 
 import pytest
 
-import probnext
 from probnext import formula
 from probnext import (
     And,
@@ -76,6 +72,13 @@ def test_depths():
     assert dyn_depth(f) == 1
     assert prob_depth(Next(Not(Prop(5)))) == 0
     assert dyn_depth(Next(Next(Prop(0)))) == 2
+
+
+def test_prefix_spells_each_node_before_its_children_left_to_right():
+    f = And(Not(Prop(0)), Next(AtLeast(Fraction(1, 2), Prop(1))))
+    assert list(formula.prefix(f)) == [f, f.left, Prop(0), f.right, f.right.body, Prop(1)]
+    with pytest.raises(TypeError):
+        list(formula.prefix("p0"))
 
 
 def test_props_of():
@@ -161,26 +164,6 @@ def test_nodes_are_read_only(f):
     for name in type(f).__slots__:
         with pytest.raises(AttributeError):
             delattr(f, name)
-
-
-def test_hash_is_the_same_in_every_interpreter():
-    # The hash is built from the children's hashes and fixed class tags, not
-    # from ids or names, so sets of formulas iterate in the same order in
-    # every run.
-    code = (
-        "from probnext import parse\n"
-        "print(hash(parse('L[1/3] (p0 & X !p2) | !X L[2/5] p1')))"
-    )
-    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
-    hashes = set()
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=package_parent, PYTHONHASHSEED=seed)
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert done.returncode == 0, done.stderr
-        hashes.add(int(done.stdout))
-    assert hashes == {hash(probnext.parse("L[1/3] (p0 & X !p2) | !X L[2/5] p1"))}
 
 
 def test_deep_conjunctions_hash_and_compare_at_once():

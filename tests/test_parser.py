@@ -75,6 +75,13 @@ def test_syntax_error_reports_position():
     assert exc.value.expected == "a nonzero denominator"
 
 
+# Digits are ASCII: a regex \d and int() would read these as p3 and L[1/2] p0.
+@pytest.mark.parametrize("text", ["p\u0663", "L[\uff11/2] p0"])
+def test_digits_outside_ascii_are_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError):
+        parse(text)
+
+
 def test_bound_out_of_range_rejected():
     with pytest.raises(IndexOutOfRange):
         parse("L[3/2] p0")
