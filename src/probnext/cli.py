@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     except (
         canonical.ExtensionLimitExceeded,
         canonical.NotFoundWithinBound,
-        RecursionError,  # input nested deeper than the recursive traversals reach
+        RecursionError,  # nested deeper than push_next, _dnf or render can recurse
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

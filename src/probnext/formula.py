@@ -6,10 +6,13 @@ of the body is at least r") and the next-time operator.  Everything
 else (disjunction, implication, the dual "at most" operator, the
 constants) is desugared into this core by the parser.
 
-The core is hash-consed: equal formulas are one node, so equality is
-identity and a node hashes by identity too.  `prefix` walks a formula's
-nodes in its prefix (Polish) spelling, with no recursion, for the
-traversals that only read the spelling.
+The core is hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): equal formulas are one node, so equality is
+identity and a node hashes by identity too.  The unique table holds
+its nodes weakly, so a node that nothing else references leaves it.
+`prefix` walks a formula's nodes in its prefix (Polish) spelling, and
+the depths walk a stack of nodes, with no recursion, so no nesting is
+too deep for them.
 """
 
 from __future__ import annotations
@@ -24,9 +27,24 @@ class IndexOutOfRange(ValueError):
     """Probability index outside [0, 1]."""
 
 
-# The unique table: one live node per class and fields.  Its values are
-# weak, so a node that nothing else references leaves it.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The unique table: one live node per key, the key being the class and
+# fields, with an AtLeast bound keyed by its numerator and denominator
+# (ints hash in C, a Fraction in Python).  The value is an _Entry, a weak
+# reference to the node that carries its key, so a hit is C calls only.
+# All entries share one callback, which drops a dead node's entry; a
+# closure per entry would make every entry larger.
+_TABLE: dict = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    # A constructor that ran between the node's death and this callback
+    # has stored a new entry under the key; only the dead one goes.
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
 
 
 class Formula:
@@ -47,15 +65,20 @@ class Formula:
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
-def _interned(cls, *fields) -> Formula:
-    """The node of class `cls` with these validated fields."""
-    key = (cls, *fields)  # children hash in O(1) and compare by identity
-    node = _TABLE.get(key)
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(node, name, value)
-        _TABLE[key] = node
+def _interned(cls, key: tuple, *fields) -> Formula:
+    """The live node under `key`, else a new node of class `cls` with
+    these validated fields, entered under `key`."""
+    entry = _TABLE.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    entry = _Entry(node, _drop)
+    entry.key = key  # children hash in O(1) and compare by identity
+    _TABLE[key] = entry
     return node
 
 
@@ -65,21 +88,21 @@ class Prop(Formula):
     def __new__(cls, index: int):
         if index < 0:
             raise ValueError("proposition ids are naturals")
-        return _interned(cls, index)
+        return _interned(cls, (cls, index), index)
 
 
 class Not(Formula):
     __slots__ = ("body",)
 
     def __new__(cls, body: Formula):
-        return _interned(cls, body)
+        return _interned(cls, (cls, body), body)
 
 
 class And(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        return _interned(cls, left, right)
+        return _interned(cls, (cls, left, right), left, right)
 
 
 class AtLeast(Formula):
@@ -88,17 +111,19 @@ class AtLeast(Formula):
     __slots__ = ("bound", "body")
 
     def __new__(cls, bound: Fraction, body: Formula):
-        bound = Fraction(bound)
-        if not 0 <= bound <= 1:
+        if bound.__class__ is not Fraction:
+            bound = Fraction(bound)
+        num, den = bound.as_integer_ratio()
+        if not 0 <= num <= den:
             raise IndexOutOfRange(f"probability index {bound} outside [0, 1]")
-        return _interned(cls, bound, body)
+        return _interned(cls, (cls, num, den, body), bound, body)
 
 
 class Next(Formula):
     __slots__ = ("body",)
 
     def __new__(cls, body: Formula):
-        return _interned(cls, body)
+        return _interned(cls, (cls, body), body)
 
 
 # Fixed encodings of the constants; the bottom constant must be expressible
@@ -136,32 +161,34 @@ def conj(formulas) -> Formula:
     return acc
 
 
+def _depth(f: Formula, counted: type) -> int:
+    """Most `counted` nodes on one path from f down to a proposition.  A
+    stack of (node, depth), not recursion, so no nesting is too deep."""
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, depth), (g.left, depth)
+        elif isinstance(g, (Not, Next, AtLeast)):
+            stack.append((g.body, depth + isinstance(g, counted)))
+        elif isinstance(g, Prop):
+            deepest = max(deepest, depth)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return deepest
+
+
 def prob_depth(f: Formula) -> int:
     """Nesting depth of probability operators; negation and next are
     transparent."""
-    if isinstance(f, Prop):
-        return 0
-    if isinstance(f, (Not, Next)):
-        return prob_depth(f.body)
-    if isinstance(f, And):
-        return max(prob_depth(f.left), prob_depth(f.right))
-    if isinstance(f, AtLeast):
-        return prob_depth(f.body) + 1
-    raise TypeError(f"not a formula: {f!r}")
+    return _depth(f, AtLeast)
 
 
 def dyn_depth(f: Formula) -> int:
     """Nesting depth of next operators; negation and probability bounds are
     transparent."""
-    if isinstance(f, Prop):
-        return 0
-    if isinstance(f, (Not, AtLeast)):
-        return dyn_depth(f.body)
-    if isinstance(f, And):
-        return max(dyn_depth(f.left), dyn_depth(f.right))
-    if isinstance(f, Next):
-        return dyn_depth(f.body) + 1
-    raise TypeError(f"not a formula: {f!r}")
+    return _depth(f, Next)
 
 
 def prefix(f: Formula):

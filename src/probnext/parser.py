@@ -1,4 +1,4 @@
-"""Concrete syntax: a recursive-descent parser and a minimal-paren printer.
+"""Concrete syntax: an operator-precedence parser and a minimal-paren printer.
 
 Grammar (whitespace-insensitive)::
 
@@ -32,7 +32,6 @@ from .formula import (
     Not,
     Prop,
     TOP,
-    at_most,
     iff,
     implies,
     lor,
@@ -71,112 +70,85 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _fail(token, expected: str):
+    kind, value, pos = token
+    found = "end of input" if kind == "end" else repr(value)
+    raise FormulaSyntaxError(pos, expected, found)
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _bound_prefix(value: str, pos: int) -> list:
+    """The prefixes an `L[r]` or `M[r]` token stands for: the AtLeast
+    bound, and for `M[r]`, which is `L[1-r]` of the negation, a Not."""
+    num, _, den = value[2:-1].replace(" ", "").partition("/")
+    n, d = int(num), int(den or 1)
+    if d == 0:
+        raise FormulaSyntaxError(pos, "a nonzero denominator", repr(value))
+    if n > d:
+        raise IndexOutOfRange(
+            f"at position {pos}: probability index {Fraction(n, d)} outside [0, 1]"
+        )
+    if value[0] == "L":
+        return [Fraction(n, d)]
+    return [Fraction(d - n, d), Not]
 
-    def fail(self, expected: str):
-        kind, value, pos = self.peek()
-        found = "end of input" if kind == "end" else repr(value)
-        raise FormulaSyntaxError(pos, expected, found)
 
-    def parse(self) -> Formula:
-        f = self.iff()
-        if self.peek()[0] != "end":
-            self.fail("end of input")
-        return f
-
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek()[1] == "<->":
-            self.advance()
-            f = iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        parts = [self.lor()]
-        while self.peek()[1] == "->":
-            self.advance()
-            parts.append(self.lor())
-        f = parts[-1]
-        for left in reversed(parts[:-1]):
-            f = implies(left, f)
-        return f
-
-    def lor(self) -> Formula:
-        f = self.land()
-        while self.peek()[1] == "|":
-            self.advance()
-            f = lor(f, self.land())
-        return f
-
-    def land(self) -> Formula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if value == "!":
-            self.advance()
-            return Not(self.unary())
-        if value == "X":
-            self.advance()
-            return Next(self.unary())
-        if kind == "lbound":
-            self.advance()
-            inner = value[2:-1].replace(" ", "")
-            if "/" in inner:
-                num, den = inner.split("/")
-                if int(den) == 0:
-                    raise FormulaSyntaxError(pos, "a nonzero denominator", repr(value))
-                bound = Fraction(int(num), int(den))
-            else:
-                bound = Fraction(int(inner))
-            if not 0 <= bound <= 1:
-                raise IndexOutOfRange(
-                    f"at position {pos}: probability index {bound} outside [0, 1]"
-                )
-            body = self.unary()
-            if value[0] == "L":
-                return AtLeast(bound, body)
-            return at_most(bound, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "prop":
-            self.advance()
-            return Prop(int(value[1:]))
-        if value == "T":
-            self.advance()
-            return TOP
-        if value == "F":
-            self.advance()
-            return BOTTOM
-        if value == "(":
-            self.advance()
-            f = self.iff()
-            if self.peek()[1] != ")":
-                self.fail("')'")
-            self.advance()
-            return f
-        self.fail("a formula")
+# Binary connectives by binding power; "->" alone is right associative.
+_BINARY = {"<->": (1, iff), "->": (2, implies), "|": (3, lor), "&": (4, And)}
+_OPEN = (0, None, None)
 
 
 def parse(text: str) -> Formula:
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    # The pending operators, innermost last.  A prefix (Not, Next, or the
+    # Fraction bound of an AtLeast) waits for its operand; a triple
+    # (power, connective, left) for its right operand; _OPEN for the ")"
+    # of a parenthesis, or, at the bottom, for the end of the input.
+    stack = [_OPEN]
+    i = 0
+    while True:
+        token = kind, value, pos = tokens[i]
+        i += 1
+        if kind == "prop":
+            f = Prop(int(value[1:]))
+        elif value == "T":
+            f = TOP
+        elif value == "F":
+            f = BOTTOM
+        else:
+            if value == "!":
+                stack.append(Not)
+            elif value == "X":
+                stack.append(Next)
+            elif value == "(":
+                stack.append(_OPEN)
+            elif kind == "lbound":
+                stack += _bound_prefix(value, pos)
+            else:
+                _fail(token, "a formula")
+            continue
+        while True:  # f is a complete operand
+            while stack[-1].__class__ is not tuple:
+                prefix = stack.pop()
+                f = AtLeast(prefix, f) if prefix.__class__ is Fraction else prefix(f)
+            token = tokens[i]
+            i += 1
+            power, connective = _BINARY.get(token[1], (0, None))
+            # Close the operators that bind at least as tightly as this one
+            # (all of them before a ")" or the end); "->" leaves its equals.
+            floor = power + (connective is implies) or 1
+            while stack[-1][0] >= floor:
+                _, build, left = stack.pop()
+                f = build(left, f)
+            if power:
+                stack.append((power, connective, f))
+                break
+            stack.pop()
+            if not stack:
+                if token[0] != "end":
+                    _fail(token, "end of input")
+                return f
+            if token[1] != ")":
+                _fail(token, "')'")
 
 
 def _render_bound(bound: Fraction) -> str:

@@ -4,17 +4,23 @@ and the replaced algorithms kept as differential oracles."""
 from __future__ import annotations
 
 import random
+import re
 import resource
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
 from probnext import (
+    BOTTOM,
+    TOP,
     And,
     AtLeast,
+    FormulaSyntaxError,
+    IndexOutOfRange,
     Next,
     Not,
     Prop,
+    at_most,
     conj,
     decide,
     iff,
@@ -449,6 +455,141 @@ def tableau_by_constraints(system: LinearSystem):
         if not tighten(lower, upper, var, bound, c.relation, rising, unit):
             return None
     return lower, upper, rows, originals
+
+
+# The recursive-descent parser that parser.parse's precedence loop
+# replaced, kept as its oracle: one method per grammar level.
+# [0-9], not \d: \d matches every Unicode digit, which int() would read.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<prop>p[0-9]+)|(?P<lbound>[LM]\[\s*[0-9]+(?:\s*/\s*[0-9]+)?\s*\])"
+    r"|(?P<op><->|->|[!&|XTF()]))"
+)
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise FormulaSyntaxError(at, "a token", repr(stripped[0]))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, expected: str):
+        kind, value, pos = self.peek()
+        found = "end of input" if kind == "end" else repr(value)
+        raise FormulaSyntaxError(pos, expected, found)
+
+    def parse(self) -> Formula:
+        f = self.iff()
+        if self.peek()[0] != "end":
+            self.fail("end of input")
+        return f
+
+    def iff(self) -> Formula:
+        f = self.imp()
+        while self.peek()[1] == "<->":
+            self.advance()
+            f = iff(f, self.imp())
+        return f
+
+    def imp(self) -> Formula:
+        parts = [self.lor()]
+        while self.peek()[1] == "->":
+            self.advance()
+            parts.append(self.lor())
+        f = parts[-1]
+        for left in reversed(parts[:-1]):
+            f = implies(left, f)
+        return f
+
+    def lor(self) -> Formula:
+        f = self.land()
+        while self.peek()[1] == "|":
+            self.advance()
+            f = lor(f, self.land())
+        return f
+
+    def land(self) -> Formula:
+        f = self.unary()
+        while self.peek()[1] == "&":
+            self.advance()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        kind, value, pos = self.peek()
+        if value == "!":
+            self.advance()
+            return Not(self.unary())
+        if value == "X":
+            self.advance()
+            return Next(self.unary())
+        if kind == "lbound":
+            self.advance()
+            inner = value[2:-1].replace(" ", "")
+            if "/" in inner:
+                num, den = inner.split("/")
+                if int(den) == 0:
+                    raise FormulaSyntaxError(pos, "a nonzero denominator", repr(value))
+                bound = Fraction(int(num), int(den))
+            else:
+                bound = Fraction(int(inner))
+            if not 0 <= bound <= 1:
+                raise IndexOutOfRange(
+                    f"at position {pos}: probability index {bound} outside [0, 1]"
+                )
+            body = self.unary()
+            if value[0] == "L":
+                return AtLeast(bound, body)
+            return at_most(bound, body)
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, value, pos = self.peek()
+        if kind == "prop":
+            self.advance()
+            return Prop(int(value[1:]))
+        if value == "T":
+            self.advance()
+            return TOP
+        if value == "F":
+            self.advance()
+            return BOTTOM
+        if value == "(":
+            self.advance()
+            f = self.iff()
+            if self.peek()[1] != ")":
+                self.fail("')'")
+            self.advance()
+            return f
+        self.fail("a formula")
+
+
+def parse_by_descent(text: str):
+    return _Parser(text).parse()
+
 
 def calkin_wilf_rationals():
     """The rational enumeration by Newman's successor q -> 1/(2*floor(q) - q + 1)

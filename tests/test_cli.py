@@ -98,14 +98,19 @@ def test_huge_nested_denominator_answers():
     [
         "!" * 1200 + "p0",
         "X " * 1500 + "p0",
-        "(" * 1500 + "p0" + ")" * 1500,
         " & ".join(["p0"] * 3000),
     ],
-    ids=["negations", "nexts", "parentheses", "conjunction-chain"],
+    ids=["negations", "nexts", "conjunction-chain"],
 )
 def test_too_deeply_nested_input_is_a_limit(text, capsys):
     assert main(["sat", "--", text]) == 3
     assert "recursion" in capsys.readouterr().err
+
+
+def test_deeply_parenthesized_input_decides(capsys):
+    # The parser keeps its own stack, and parentheses leave no node behind.
+    assert main(["sat", "--", "(" * 1500 + "p0" + ")" * 1500]) == 0
+    assert capsys.readouterr().out.strip() == "SAT"
 
 
 _TOKENS = ["p0", "p1", "!", "&", "|", "->", "<->", "X", "L[1/2]", "M[2/3]", "(", ")", "T", "F"]

@@ -14,7 +14,7 @@ from probnext.enumeration import (
     sort_key,
     weight,
 )
-from probnext import And, AtLeast, Next, Not, Prop, props_of
+from probnext import And, AtLeast, Next, Not, Prop, dyn_depth, prob_depth, profile, props_of
 
 
 def test_rational_enumeration_prefix():
@@ -84,6 +84,12 @@ def test_spelling_walks_need_no_recursion():
     assert weight(f) == 10**4 + 2
     assert sort_key(f) == (0,) * 10**4 + (5,)
     assert props_of(f) == frozenset({1})
+    g = Prop(0)
+    for _ in range(10**4):
+        g = AtLeast(Fraction(1, 2), Next(g))
+    assert (prob_depth(g), dyn_depth(g)) == (10**4, 10**4)
+    both = profile(And(f, g))
+    assert (both.prob_depth_bound, both.dyn_depth_bound) == (10**4, 10**4)
 
 
 def test_weight_definition():

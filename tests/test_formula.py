@@ -37,6 +37,8 @@ def test_bound_is_normalized_to_fraction():
     f = AtLeast(Fraction(2, 4), Prop(0))
     assert f.bound == Fraction(1, 2)
     assert AtLeast(1, Prop(0)).bound == Fraction(1)
+    assert type(AtLeast(1, Prop(0)).bound) is Fraction
+    assert type(AtLeast(0.5, Prop(0)).bound) is Fraction
 
 
 @pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(-1, 4), 2])
@@ -154,6 +156,23 @@ def test_unreferenced_nodes_leave_the_table():
     gc.collect()
     assert ref() is None
     assert (Prop, 987_654) not in formula._TABLE  # the whole chain went
+
+
+def test_an_entry_made_after_its_node_died_survives_the_stale_callback():
+    # Of a dying node's weak references, a later one is called back first.
+    # Here it builds the node again before the table's own callback runs,
+    # which must then leave the new node's entry in place.
+    reborn = []
+    f = Not(Prop(424_242))
+    ref = weakref.ref(f, lambda _: reborn.append(Not(Prop(424_242))))
+    del f
+    gc.collect()
+    assert ref() is None and len(reborn) == 1
+    assert Not(Prop(424_242)) is reborn[0]
+    assert (Not, Prop(424_242)) in formula._TABLE
+    reborn.clear()
+    gc.collect()
+    assert (Not, Prop(424_242)) not in formula._TABLE
 
 
 @pytest.mark.parametrize("f", _NODES, ids=repr)

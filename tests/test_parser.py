@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_formula
+from helpers import parse_by_descent, random_formula
 from probnext import (
     And,
     AtLeast,
     BOTTOM,
+    Formula,
     FormulaSyntaxError,
     IndexOutOfRange,
     Next,
@@ -98,3 +99,90 @@ def test_roundtrip_on_random_formulas():
     for _ in range(200):
         f = random_formula(rng)
         assert parse(render(f)) == f
+
+
+def test_deep_nesting_parses_without_recursion():
+    depth = 10**5
+    for prefix, build in [
+        ("!", Not),
+        ("X ", Next),
+        ("L[1/2] ", lambda f: AtLeast(Fraction(1, 2), f)),
+    ]:
+        f = Prop(0)
+        for _ in range(depth):
+            f = build(f)
+        assert parse(prefix * depth + "p0") is f
+    assert parse("(" * depth + "p0" + ")" * depth) is Prop(0)
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse("(" * depth + "p0" + ")" * (depth - 1))
+    assert (exc.value.expected, exc.value.found) == ("')'", "end of input")
+
+
+_SOUP = [
+    "p0", "p1", "p12", "T", "F", "!", "X", "&", "|", "->", "<->", "(", ")", "(", ")",
+    "L[1/2]", "M[2/3]", "L[ 4 / 6 ]", "M[1]", "L[0]", "L[3/2]", "M[5]", "L[1/0]",
+]
+_STRAY = ["-", "q", "@", "\u0663"]  # no token starts with these
+_GAPS = ["", " ", " ", "  ", "\t", "\n"]
+
+
+def _spelled(rng: random.Random, size: int) -> str:
+    """A random formula in the surface syntax: every connective, prefix and
+    spacing the grammar allows, so the precedences and associativities
+    all come into play."""
+    if size <= 1:
+        return rng.choice(["p0", "p1", "p7", "T", "F"])
+    pick = rng.random()
+    if pick < 0.3:
+        prefix = rng.choice(["!", "X ", "L[1/2] ", "M[ 2/3 ]", "L[1]", "M[0/5] "])
+        return prefix + _spelled(rng, size - 1)
+    if pick < 0.8:
+        split = rng.randint(1, size - 1)
+        op = rng.choice([" & ", "&", " | ", " -> ", "->", " <-> "])
+        return _spelled(rng, split) + op + _spelled(rng, size - split)
+    return "(" + _spelled(rng, size - 1) + ")"
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """Text with a random token inserted, or a random span deleted or
+    repeated."""
+    i = rng.randint(0, len(text))
+    j = rng.randint(i, min(len(text), i + 4))
+    pick = rng.randrange(3)
+    if pick == 0:
+        return text[:i] + rng.choice(_GAPS) + rng.choice(_SOUP + _STRAY) + text[i:]
+    if pick == 1:
+        return text[:i] + text[j:]
+    return text[:j] + text[i:]
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ValueError as exc:
+        fields = (getattr(exc, name, None) for name in ("position", "expected", "found"))
+        return (type(exc), *fields, str(exc))
+
+
+def test_precedence_loop_agrees_with_recursive_descent():
+    rng = random.Random(20261019)
+    texts = [render(random_formula(rng)) for _ in range(2000)]
+    for _ in range(8000):
+        texts.append("".join(rng.choice(_GAPS) + rng.choice(_SOUP)
+                             for _ in range(rng.randint(0, 12))))
+    for _ in range(12000):
+        text = _spelled(rng, rng.randint(1, 8))
+        for _ in range(rng.randint(0, 2)):
+            text = _mutated(rng, text)
+        texts.append(text)
+    kinds = {}
+    for text in texts:
+        got, want = _outcome(parse, text), _outcome(parse_by_descent, text)
+        if isinstance(want, Formula):
+            assert got is want, text
+            kinds[Formula] = kinds.get(Formula, 0) + 1
+        else:
+            assert got == want, text
+            kinds[want[0]] = kinds.get(want[0], 0) + 1
+    # every outcome is well represented: nodes, syntax and range errors
+    assert min(kinds[k] for k in (Formula, FormulaSyntaxError, IndexOutOfRange)) > 500, kinds
