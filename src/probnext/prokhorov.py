@@ -12,19 +12,26 @@ There the worst gap max_A mu(A) - nu(A^eps) is the mass that a maximum flow
 from mu to nu along the pairs at most lo apart cannot move (Gale 1957;
 Strassen 1965), and by symmetry the second condition's worst gap is the
 same.  The gap does not grow from one interval to the next while hi does, so
-a binary search finds the first interval that admits its gap in O(log n)
-flows on n support points.  The masses and the distances are each scaled
-once to integers by the lcm of their denominators, so the flows and the
-comparisons run on exact ints, and only the answer is a `Fraction` again.
+the answer lies in the first interval that admits its gap.
+
+The intervals are visited in increasing order, and their graphs only gain
+edges, so one flow grows through all of them: a flow that is maximum at one
+level is feasible at the next (the monotone case of parametric max flow;
+Gallo, Grigoriadis & Tarjan 1989).  The residual search that failed is kept,
+and a new edge i -> j extends it from j when it already reaches i; a search
+starts afresh only after an augmenting path.  On n support points the setup
+sorts the n(n-1)/2 distances, each augmenting path costs one search of
+O(n^2), and the failed searches between two paths share O(n^2) in all.  The
+masses and the distances are each scaled once to integers by the lcm of
+their denominators, so the flow and the comparisons run on exact ints, and
+only the answer is a `Fraction` again.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -74,6 +81,12 @@ class FiniteMeasure:
         problems = []
         total = Fraction(0)
         listed = set(self.points)
+        if len(listed) != len(self.points):
+            problems.append("duplicate point names")
+        # `measure_to_dict` spells a distance key a|b
+        for x in sorted(listed.union(*self.distance)):
+            if "|" in x:
+                problems.append(f"point name {x!r} contains |")
         for x, wt in self.weights.items():
             if x not in listed:
                 problems.append(f"weight on unlisted point {x}")
@@ -124,58 +137,14 @@ def _triangle_failures(table: dict) -> list[str]:
 
 
 def _merged_table(mu: FiniteMeasure, nu: FiniteMeasure) -> dict:
+    if mu.distance == nu.distance:  # C-speed, and identical values compare first
+        return mu.distance
     table = dict(mu.distance)
     for pair, d in nu.distance.items():
         if pair in table and table[pair] != d:
             raise IncompatibleSupports(f"conflicting distances for {pair}")
         table[pair] = d
     return table
-
-
-def _unsent(supply: list[int], demand: list[int], linked: list) -> int:
-    """The supply that a maximum flow leaves unsent, from point i's supply to
-    point j's demand along the uncapped edges i -> j of `linked[i]`: shortest
-    augmenting paths (Edmonds-Karp), searched breadth-first from every point
-    with supply left.  Node i < n is supply i, node n + j is demand j."""
-    n = len(supply)
-    spare, need = list(supply), list(demand)
-    sources = [i for i in range(n) if spare[i] > 0]
-    sinks = {j for j in range(n) if need[j] > 0}
-    carried: list[dict[int, int]] = [{} for _ in range(n)]  # j: {i: flow > 0}
-    while True:
-        parent = dict.fromkeys(sources)
-        queue = list(parent)
-        for v in queue:
-            # forward along an edge, or back along one that carries flow
-            for w in [n + j for j in linked[v]] if v < n else list(carried[v - n]):
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-                    if w - n in sinks:
-                        break
-            if queue[-1] - n in sinks:
-                break
-        else:
-            return sum(spare)
-        path = [queue[-1]]  # demand, supply, demand, ..., supply
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        ahead = [(i, j - n) for i, j in zip(path[1::2], path[0::2])]
-        back = [(i, j - n) for i, j in zip(path[1::2], path[2::2])]
-        first, last = path[-1], path[0] - n
-        amount = min([spare[first], need[last]] + [carried[j][i] for i, j in back])
-        for i, j in ahead:
-            carried[j][i] = carried[j].get(i, 0) + amount
-        for i, j in back:
-            carried[j][i] -= amount
-            if not carried[j][i]:
-                del carried[j][i]
-        spare[first] -= amount
-        need[last] -= amount
-        if not spare[first]:
-            sources.remove(first)
-        if not need[last]:
-            sinks.remove(last)
 
 
 def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
@@ -187,28 +156,86 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
         [mu.weights.get(x, Fraction(0)) for x in points]
         + [nu.weights.get(x, Fraction(0)) for x in points]
     )
-    supply, demand = masses[:n], masses[n:]
-    if sum(supply) != sum(demand):  # the one-way gap stands for both only then
+    spare, need = masses[:n], masses[n:]  # supply i and demand j left
+    if sum(spare) != sum(need):  # the one-way gap stands for both only then
         raise ValueError("the measures have different total masses")
-    flat, dist_scale = _integers([_dist(table, a, b) for a in points for b in points])
+    pairs = list(combinations(range(n), 2))  # keyed as `_pair` keys them
+    try:
+        dists = [table[points[i], points[j]] for i, j in pairs]
+    except KeyError:
+        for i, j in pairs:  # the first missing pair raises
+            _dist(table, points[i], points[j])
+        raise
+    flat, dist_scale = _integers(dists)
     lows = sorted({0}.union(flat))  # 0, then the pairwise distances
     rank = {lo: k for k, lo in enumerate(lows)}
-    ranks = [[rank[d] for d in flat[i * n : (i + 1) * n]] for i in range(n)]
+    edges = [[] for _ in lows]  # level k: the edges i -> j with d(i, j) = lows[k]
+    edges[rank[0]] = [(i, i) for i in range(n)]
+    for (i, j), d in zip(pairs, flat):
+        edges[rank[d]] += ((i, j), (j, i))
 
-    @cache  # the search and the answer often ask for the same interval
-    def gap(k: int) -> int:
-        # for eps in (lows[k], lows[k + 1]]:  A^eps = { x | d(x, A) <= lows[k] }
-        linked = [[j for j, r in enumerate(row) if r <= k] for row in ranks]
-        return _unsent(supply, demand, linked)
-
-    # the first interval that admits its gap; the last one always does, and
-    # gap / mass_scale <= lows[k + 1] / dist_scale is compared in integers
-    k = bisect_left(
-        range(len(lows) - 1),
-        True,
-        key=lambda k: gap(k) * dist_scale <= lows[k + 1] * mass_scale,
-    )
-    return max(Fraction(gap(k), mass_scale), Fraction(lows[k], dist_scale))
+    # One maximum flow from supply i to demand j along the uncapped edges
+    # i -> j of `linked[i]`, grown level by level: node i < n is supply i,
+    # node n + j is demand j.  `parent` and `queue[:head]` are the last
+    # breadth-first search of the residual graph from the supplies left;
+    # once it fails, new edges only extend it, and it starts afresh only
+    # after an augmenting path.
+    linked: list[list[int]] = [[] for _ in range(n)]
+    carried: list[dict[int, int]] = [{} for _ in range(n)]  # j: {i: flow > 0}
+    parent = {i: None for i in range(n) if spare[i]}
+    queue, head = list(parent), 0
+    for k, level in enumerate(edges):
+        found = None
+        for i, j in level:
+            linked[i].append(j)
+            if i in parent and n + j not in parent:  # the search reaches j now
+                parent[n + j] = i
+                queue.append(n + j)
+                if need[j]:
+                    found = n + j
+        while True:
+            while found is None and head < len(queue):
+                v = queue[head]
+                head += 1
+                if v >= n:  # back along the edges that carry flow into v
+                    for i in carried[v - n]:
+                        if i not in parent:
+                            parent[i] = v
+                            queue.append(i)
+                    continue
+                for j in linked[v]:  # forward along the edges out of v
+                    if n + j not in parent:
+                        parent[n + j] = v
+                        if need[j]:
+                            found = n + j
+                            break
+                        queue.append(n + j)
+            if found is None:
+                break
+            path = [found]  # demand, supply, demand, ..., supply
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            ahead = [(i, j - n) for i, j in zip(path[1::2], path[0::2])]
+            back = [(i, j - n) for i, j in zip(path[1::2], path[2::2])]
+            first, last = path[-1], path[0] - n
+            amount = min([spare[first], need[last]] + [carried[j][i] for i, j in back])
+            for i, j in ahead:
+                carried[j][i] = carried[j].get(i, 0) + amount
+            for i, j in back:
+                carried[j][i] -= amount
+                if not carried[j][i]:
+                    del carried[j][i]
+            spare[first] -= amount
+            need[last] -= amount
+            parent = {i: None for i in range(n) if spare[i]}
+            queue, head, found = list(parent), 0, None
+        # for eps in (lows[k], lows[k + 1]]:  A^eps = { x | d(x, A) <= lows[k] },
+        # and the worst gap is the supply left; the last interval always
+        # admits it, and gap / mass_scale <= lows[k + 1] / dist_scale is
+        # compared in integers
+        gap = sum(spare)
+        if k + 1 == len(lows) or gap * dist_scale <= lows[k + 1] * mass_scale:
+            return max(Fraction(gap, mass_scale), Fraction(lows[k], dist_scale))
 
 
 def measure_to_dict(m: FiniteMeasure) -> dict:

@@ -6,7 +6,9 @@ from __future__ import annotations
 import random
 import re
 import resource
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -33,7 +35,13 @@ from probnext import (
 from probnext.canonical import _bound_stack_pattern, _rebuild_stack
 from probnext.enumeration import enum_formula, enum_rational, sort_key, spelling
 from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies, solve
-from probnext.prokhorov import FiniteMeasure, IncompatibleSupports, _dist, _merged_table
+from probnext.prokhorov import (
+    FiniteMeasure,
+    IncompatibleSupports,
+    _dist,
+    _integers,
+    _merged_table,
+)
 
 
 def cap_address_space():
@@ -1188,6 +1196,87 @@ def prokhorov_subset_scan(mu, nu) -> Fraction:
     raise AssertionError("unreachable: last interval always admits the infimum")
 
 
+def _unsent(supply: list[int], demand: list[int], linked: list) -> int:
+    """The supply that a maximum flow leaves unsent, from point i's supply to
+    point j's demand along the uncapped edges i -> j of `linked[i]`: shortest
+    augmenting paths (Edmonds-Karp), searched breadth-first from every point
+    with supply left.  Node i < n is supply i, node n + j is demand j."""
+    n = len(supply)
+    spare, need = list(supply), list(demand)
+    sources = [i for i in range(n) if spare[i] > 0]
+    sinks = {j for j in range(n) if need[j] > 0}
+    carried: list[dict[int, int]] = [{} for _ in range(n)]  # j: {i: flow > 0}
+    while True:
+        parent = dict.fromkeys(sources)
+        queue = list(parent)
+        for v in queue:
+            # forward along an edge, or back along one that carries flow
+            for w in [n + j for j in linked[v]] if v < n else list(carried[v - n]):
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+                    if w - n in sinks:
+                        break
+            if queue[-1] - n in sinks:
+                break
+        else:
+            return sum(spare)
+        path = [queue[-1]]  # demand, supply, demand, ..., supply
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        ahead = [(i, j - n) for i, j in zip(path[1::2], path[0::2])]
+        back = [(i, j - n) for i, j in zip(path[1::2], path[2::2])]
+        first, last = path[-1], path[0] - n
+        amount = min([spare[first], need[last]] + [carried[j][i] for i, j in back])
+        for i, j in ahead:
+            carried[j][i] = carried[j].get(i, 0) + amount
+        for i, j in back:
+            carried[j][i] -= amount
+            if not carried[j][i]:
+                del carried[j][i]
+        spare[first] -= amount
+        need[last] -= amount
+        if not spare[first]:
+            sources.remove(first)
+        if not need[last]:
+            sinks.remove(last)
+
+
+def prokhorov_by_bisection(mu, nu) -> Fraction:
+    """The former max-flow `prokhorov`, which binary-searches the intervals
+    between pairwise distances with one Edmonds-Karp flow from zero per
+    probe, kept as the oracle of the one growing flow."""
+    table = _merged_table(mu, nu)
+    points = sorted(set(mu.support()) | set(nu.support()))
+    n = len(points)
+    masses, mass_scale = _integers(
+        [mu.weights.get(x, Fraction(0)) for x in points]
+        + [nu.weights.get(x, Fraction(0)) for x in points]
+    )
+    supply, demand = masses[:n], masses[n:]
+    if sum(supply) != sum(demand):  # the one-way gap stands for both only then
+        raise ValueError("the measures have different total masses")
+    flat, dist_scale = _integers([_dist(table, a, b) for a in points for b in points])
+    lows = sorted({0}.union(flat))  # 0, then the pairwise distances
+    rank = {lo: k for k, lo in enumerate(lows)}
+    ranks = [[rank[d] for d in flat[i * n : (i + 1) * n]] for i in range(n)]
+
+    @cache  # the search and the answer often ask for the same interval
+    def gap(k: int) -> int:
+        # for eps in (lows[k], lows[k + 1]]:  A^eps = { x | d(x, A) <= lows[k] }
+        linked = [[j for j, r in enumerate(row) if r <= k] for row in ranks]
+        return _unsent(supply, demand, linked)
+
+    # the first interval that admits its gap; the last one always does, and
+    # gap / mass_scale <= lows[k + 1] / dist_scale is compared in integers
+    k = bisect_left(
+        range(len(lows) - 1),
+        True,
+        key=lambda k: gap(k) * dist_scale <= lows[k + 1] * mass_scale,
+    )
+    return max(Fraction(gap(k), mass_scale), Fraction(lows[k], dist_scale))
+
+
 def triangle_scan(table: dict) -> list[str]:
     """The former triangle check of `FiniteMeasure.validate`, with three
     `Fraction` lookups per triple of named points, kept as the oracle of the
@@ -1250,3 +1339,26 @@ def random_metric_measures(rng: random.Random, n: int, line=None):
         return FiniteMeasure(points, weights, distance)
 
     return measure(), measure()
+
+
+def distinct_distance_line(n: int):
+    """Two probability measures, all of whose weights are positive, on n
+    points of a line whose n(n-1)/2 distances are all distinct: point i sits
+    at 2pi + (i^2 mod p) for a prime p >= n (Erdos and Turan's Sidon set),
+    scaled into [0, 1]."""
+    p = next(q for q in range(max(n, 2), 2 * n + 3) if all(q % r for r in range(2, q)))
+    xs = [2 * p * i + i * i % p for i in range(n)]
+    points = [f"x{i}" for i in range(n)]
+    distance = {
+        (points[i], points[j]): Fraction(xs[j] - xs[i], xs[-1] or 1)
+        for i, j in combinations(range(n), 2)
+    }
+
+    def measure(raw):
+        weights = {x: Fraction(w, sum(raw)) for x, w in zip(points, raw)}
+        return FiniteMeasure(points, weights, distance)
+
+    return (
+        measure([1 + i % 7 for i in range(n)]),
+        measure([1 + i * i % 5 for i in range(n)]),
+    )

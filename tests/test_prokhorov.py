@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     MALFORMED_MEASURES,
+    distinct_distance_line,
+    prokhorov_by_bisection,
     prokhorov_subset_scan,
     prokhorov_two_way,
     random_distance_table,
@@ -23,9 +25,11 @@ import probnext
 from probnext import (
     FiniteMeasure,
     IncompatibleSupports,
+    load_measure,
     measure_from_dict,
     measure_to_dict,
     prokhorov,
+    save_measure,
 )
 from probnext.models import fraction_to_str
 from probnext.prokhorov import _triangle_failures
@@ -204,6 +208,91 @@ def test_a_pair_listed_both_ways_must_agree():
         measure_from_dict(data)
 
 
+def test_validate_reports_names_that_cannot_be_saved():
+    # `measure_to_dict` writes a|b|c for this pair, which no loader can split
+    weights = {"a": F(1, 2), "b|c": F(1, 2)}
+    m = FiniteMeasure(["a", "b|c"], weights, {("a", "b|c"): F(1)})
+    assert m.validate() == ["point name 'b|c' contains |"]
+    with pytest.raises(ValueError):
+        measure_from_dict(measure_to_dict(m))
+    twice = FiniteMeasure(["a", "a"], {"a": F(1)}, {})
+    assert twice.validate() == ["duplicate point names"]
+
+
+def test_every_measure_that_validates_survives_json():
+    rng = random.Random(14)
+    names = ["a", "b", "c", "", "|", "a|b", "b|"]
+    valid = refused = 0
+    for _ in range(2000):
+        points = rng.choices(names, k=rng.randint(1, 4))
+        raw = [rng.randint(0, 3) for _ in points]
+        raw[0] += 1
+        weights = {x: F(w, sum(raw)) for x, w in zip(points, raw)}
+        # distinct positions on a line, so every distance is positive
+        at = {
+            x: F(rng.randint(0, 12), rng.randint(1, 3)) + F(i, 100)
+            for i, x in enumerate(names)
+        }
+        distance = {
+            (a, b): abs(at[a] - at[b])
+            for a, b in combinations(sorted(set(points)), 2)
+            if rng.random() < 0.8
+        }
+        m = FiniteMeasure(points, weights, distance)
+        problems = m.validate()
+        if len(set(points)) < len(points) or any("|" in x for x in points):
+            assert problems, m
+            refused += 1
+        if not problems:
+            assert measure_from_dict(json.loads(json.dumps(measure_to_dict(m)))) == m
+            valid += 1
+    assert valid > 300 and refused > 300, (valid, refused)
+
+
+def test_equal_tables_that_are_distinct_objects_answer_as_one(tmp_path):
+    # two loads give equal tables of distinct objects, which the shortcut
+    # compares value by value
+    mu, nu = random_metric_measures(random.Random(17), 7)
+    shared = prokhorov(mu, nu)
+    save_measure(mu, tmp_path / "mu.json")
+    save_measure(nu, tmp_path / "nu.json")
+    mu2, nu2 = load_measure(tmp_path / "mu.json"), load_measure(tmp_path / "nu.json")
+    assert mu2.distance == nu2.distance
+    assert all(d is not nu2.distance[pair] for pair, d in mu2.distance.items())
+    assert prokhorov(mu2, nu2) == prokhorov(nu2, mu2) == shared
+
+
+def test_a_conflict_outside_the_joint_support_is_refused():
+    points = ["a", "b", "c", "d"]
+    table = {pair: F(1) for pair in combinations(points, 2)}
+    mu = FiniteMeasure(points, {"a": F(1)}, table)
+    nu = FiniteMeasure(points, {"b": F(1)}, {**table, ("c", "d"): F(2)})
+    assert prokhorov(mu, mu) == 0
+    with pytest.raises(IncompatibleSupports, match="conflicting distances"):
+        prokhorov(mu, nu)
+    with pytest.raises(IncompatibleSupports, match="conflicting distances"):
+        prokhorov(nu, mu)
+
+
+def test_a_missing_pair_names_the_first_one_missing():
+    def measures(table):
+        return (
+            FiniteMeasure(["a", "b", "c"], {"a": F(1)}, table),
+            FiniteMeasure(["a", "b", "c"], {"b": F(1, 2), "c": F(1, 2)}, table),
+        )
+
+    for table, missing in [
+        ({("a", "c"): F(1), ("b", "c"): F(1)}, "a|b"),
+        ({("a", "b"): F(1), ("b", "c"): F(1)}, "a|c"),
+        ({("a", "b"): F(1), ("a", "c"): F(1)}, "b|c"),
+        ({}, "a|b"),
+    ]:
+        for pair in (measures(table), measures(table)[::-1]):
+            with pytest.raises(IncompatibleSupports) as caught:
+                prokhorov(*pair)
+            assert str(caught.value) == f"no distance for {missing}"
+
+
 def test_one_direction_scan_agrees_with_the_two_way_oracle():
     rng = random.Random(10)
     for k in range(1000):
@@ -239,6 +328,35 @@ def test_max_flow_agrees_with_the_subset_scan(line):
         n = 2 + k % 5 if k % 20 else 7 + k // 20 % 2
         mu, nu = random_metric_measures(rng, n, line)
         assert prokhorov(mu, nu) == prokhorov_subset_scan(mu, nu), (mu, nu)
+
+
+@pytest.mark.parametrize("line", [True, False], ids=["line", "shortest-paths"])
+def test_growing_flow_agrees_with_the_bisection(line):
+    rng = random.Random(15 if line else 16)
+    for k in range(500):
+        # supports of 1 to 12 points, every 10th of 13 to 40
+        n = 1 + k % 12 if k % 10 else 13 + k // 10 % 28
+        mu, nu = random_metric_measures(rng, n, line)
+        assert prokhorov(mu, nu) == prokhorov_by_bisection(mu, nu), (mu, nu)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_growing_flow_agrees_with_the_bisection_on_the_bench_instances(n):
+    inputs = _bench_inputs()
+    for index in range(8):
+        points, w1, w2, distance = inputs.prokhorov_instance(n, index)
+        mu = FiniteMeasure(points, w1, distance)
+        nu = FiniteMeasure(points, w2, distance)
+        assert prokhorov(mu, nu) == prokhorov_by_bisection(mu, nu), index
+
+
+def test_growing_flow_agrees_with_the_bisection_on_300_distinct_distances():
+    # 44 851 levels, of which the flow grows through the first 500
+    mu, nu = distinct_distance_line(300)
+    assert len(set(mu.distance.values())) == 300 * 299 // 2
+    d = prokhorov(mu, nu)
+    assert d == prokhorov_by_bisection(mu, nu)
+    assert d == prokhorov(nu, mu)
 
 
 def test_coprime_denominators_are_scaled_exactly():
