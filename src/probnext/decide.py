@@ -22,9 +22,10 @@ does, and cuts every prefix left with none.  They are kept in a cell table
 that each step over the same columns reuses.  The walk counts the nodes it
 pops in `walk_nodes`, the cost meter of `canonical`'s membership queries.
 A step's LP over the masses of its cells is stated as 0/1 indicator rows
-over the cell masks: one per mass for its non-negativity, one for the
-masses' sum and one per bound.  `linarith.solve_rows` builds its tableau
-and solves it, with no `LinearSystem` built.
+over the cell masks: one for the masses' sum and one per bound.
+`linarith.solve_rows` states the masses' non-negativity in bulk, builds
+the tableau and solves it, with no `LinearSystem` built, and returns the
+nonzero masses alone: the inhabited cells.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts; each inhabited cell's sub-model is
@@ -220,10 +221,11 @@ def world_sat(bounds: frozenset) -> Optional[tuple]:
     the inhabited cells as (witnessing disjunct, mass), or None when they
     are unsatisfiable, reused at any step and beside any propositions."""
     table = _cells(frozenset(_column(atom)[0] for _, atom in bounds))
-    point = solve_rows(_cell_rows(table, bounds))
+    cells = table.cells
+    point = solve_rows(_cell_rows(table, bounds), range(len(cells)))
     if point is None:
         return None
-    return tuple((d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0)
+    return tuple((cells[i][1], mass) for i, mass in point.items())
 
 
 def _column(atom: AtLeast) -> tuple[Formula, bool]:
@@ -234,13 +236,12 @@ def _column(atom: AtLeast) -> tuple[Formula, bool]:
 
 def _cell_rows(table: _CellTable, bounds) -> list:
     """The LP of a step over the masses m_i of the table's cells, as rows
-    for `solve_rows`: m_i >= 0 for each cell, sum(m_i) = 1, then one row
-    per literal, sorted.  A row sums the masses of some cells, so it is
+    for `solve_rows`, which states m_i >= 0 itself: sum(m_i) = 1, then one
+    row per literal, sorted.  A row sums the masses of some cells, so it is
     their 0/1 indicator, already primitive with a positive lead."""
     cells = table.cells
-    zero = Fraction(0)
-    rows = [(((i, 1),), zero, Rel.GE, True) for i in range(len(cells))]
-    rows.append((tuple((i, 1) for i in range(len(cells))), Fraction(1), Rel.EQ, True))
+    ones = tuple((i, 1) for i in range(len(cells)))  # its entries serve every row
+    rows = [(ones, 1, Rel.EQ, True)]
     literals = []
     for positive, atom in bounds:
         column, negated = _column(atom)
@@ -248,8 +249,9 @@ def _cell_rows(table: _CellTable, bounds) -> list:
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
     for b, r, negated, positive in sorted(literals):
-        inside = tuple((i, 1) for i, (mask, _) in enumerate(cells) if mask >> b & 1)
         relation = Rel.GE if positive else Rel.GT
+        # the cells inside column b, read off their masks
+        inside = tuple([entry for entry, (mask, _) in zip(ones, cells) if mask >> b & 1])
         rows.append((inside, 1 - r if negated else r, relation, positive != negated))
     return rows
 

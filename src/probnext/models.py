@@ -28,20 +28,22 @@ class FiniteDMM:
     kernel: dict[str, dict[str, Fraction]] = field(default_factory=dict)
     successor: dict[str, str] = field(default_factory=dict)
 
-    def extension(self, f: Formula, _cache: dict | None = None) -> frozenset[str]:
+    def extension(self, f: Formula) -> frozenset[str]:
         """Worlds where f holds."""
-        if _cache is None:
-            _cache = {}
-        if f in _cache:
-            return _cache[f]
+        return self._extension(f, frozenset(self.worlds), {})
+
+    def _extension(self, f: Formula, everywhere: frozenset, cache: dict) -> frozenset[str]:
+        if f in cache:
+            return cache[f]
         if isinstance(f, Prop):
             result = frozenset(self.valuation.get(f.index, set()))
         elif isinstance(f, Not):
-            result = frozenset(self.worlds) - self.extension(f.body, _cache)
+            result = everywhere - self._extension(f.body, everywhere, cache)
         elif isinstance(f, And):
-            result = self.extension(f.left, _cache) & self.extension(f.right, _cache)
+            left = self._extension(f.left, everywhere, cache)
+            result = left & self._extension(f.right, everywhere, cache)
         elif isinstance(f, AtLeast):
-            body_ext = self.extension(f.body, _cache)
+            body_ext = self._extension(f.body, everywhere, cache)
             result = frozenset(
                 w
                 for w in self.worlds
@@ -52,11 +54,11 @@ class FiniteDMM:
                 >= f.bound
             )
         elif isinstance(f, Next):
-            body_ext = self.extension(f.body, _cache)
+            body_ext = self._extension(f.body, everywhere, cache)
             result = frozenset(w for w in self.worlds if self.successor[w] in body_ext)
         else:
             raise TypeError(f"not a formula: {f!r}")
-        _cache[f] = result
+        cache[f] = result
         return result
 
     def check(self, world: str, f: Formula) -> bool:

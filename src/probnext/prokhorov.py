@@ -75,9 +75,14 @@ class FiniteMeasure:
         return sum((self.weights.get(x, Fraction(0)) for x in subset), Fraction(0))
 
     def support(self) -> list[str]:
-        return [x for x in self.points if self.weights.get(x, 0) > 0]
+        # an int and a Fraction both carry a numerator, with the weight's
+        # sign: cheaper than a Fraction comparison
+        return [x for x in self.points if self.weights.get(x, 0).numerator > 0]
 
-    def validate(self) -> list[str]:
+    def validate(self, *, triangles: bool = True) -> list[str]:
+        """Empty list when the measure is well formed, else diagnostics; the
+        cubic triangle-inequality scan of the distance table is left out
+        when `triangles` is false."""
         problems = []
         total = Fraction(0)
         listed = set(self.points)
@@ -100,7 +105,7 @@ class FiniteMeasure:
                 problems.append(f"self distance listed for {a}")
             elif d <= 0:
                 problems.append(f"non-positive distance {d} for {a}|{b}")
-        return problems + _triangle_failures(self.distance)
+        return problems + _triangle_failures(self.distance) if triangles else problems
 
 
 def _integers(values: list) -> tuple[list[int], int]:

@@ -380,6 +380,216 @@ def fraction_simplex(system: LinearSystem):
     return {var: value[var][0] + value[var][1] * delta for var in originals}
 
 
+# ---------------------------------------------------------------------------
+# The simplex of `linarith` as it was while only its rows were integers: its
+# values, bounds and delta were `Fraction`s, and the cell LP stated one row
+# per mass for the masses' non-negativity.  Kept as the oracle of the
+# integer-valued pivot loop, which must pivot alike and return the same point.
+
+
+def fraction_valued_build(rows):
+    """Bounds and slack rows for `fraction_valued_solve`, or None when a
+    constant row fails or some variable's bounds cross.
+
+    A row (p, bound, relation, rising) reads  sum(p_j x_j) >= bound  when
+    rising and  <= bound  when not, strict for `Rel.GT`, and  = bound  for
+    `Rel.EQ`; p = ((x_j, p_j), ...) is a primitive integer vector sorted by
+    variable, with p_1 > 0.  An empty row is a constant check, and a
+    one-variable row ((x, 1),) bounds x itself.  Each distinct longer row
+    gets one slack s = sum(p_j x_j), numbered -1, -2, ... in row order, and
+    a strict bound moves p_1 deltas inward.  A bound only ever tightens.
+    """
+    lower: dict = {}
+    upper: dict = {}
+    tableau: dict = {}  # basic variable -> (den, {nonbasic variable: numerator})
+    slack_of: dict = {}  # row of two or more variables -> slack (negative id)
+    originals: set[int] = set()
+    for row, bound, relation, rising in rows:
+        if not row:
+            if not constant_holds(-bound if rising else bound, relation):
+                return None
+            continue
+        if len(row) == 1:
+            var = row[0][0]
+            originals.add(var)
+        else:
+            var = slack_of.get(row)
+            if var is None:
+                var = slack_of[row] = -1 - len(slack_of)
+                tableau[var] = (1, dict(row))
+                originals.update(v for v, _ in row)
+        strict = Fraction(row[0][1]) if relation is Rel.GT else _ZERO
+        if relation is Rel.EQ or rising:
+            lo = (bound, strict)
+            if var not in lower or lower[var] < lo:
+                lower[var] = lo
+        if relation is Rel.EQ or not rising:
+            hi = (bound, -strict)
+            if var not in upper or upper[var] > hi:
+                upper[var] = hi
+        if var in lower and var in upper and lower[var] > upper[var]:
+            return None
+    return lower, upper, tableau, originals
+
+
+def _shift_pair(value, step_c, step_k):
+    return (value[0] + step_c, value[1] + step_k)
+
+
+def _fraction_valued_pivot(rows: dict, value: dict, s, x, target) -> None:
+    """Move basic `s` onto `target` through nonbasic `x`, then swap the two
+    in the basis."""
+    d, row = rows.pop(s)
+    n = row.pop(x)
+    # s = (n x + sum(row)) / d, so  x = (d s - sum(row)) / n
+    step_c = (target[0] - value[s][0]) * d / n
+    step_k = (target[1] - value[s][1]) * d / n
+    value[s] = target
+    value[x] = _shift_pair(value[x], step_c, step_k)
+    sign = 1 if n > 0 else -1
+    new = {v: -sign * b for v, b in row.items()}
+    new[s] = sign * d
+    den = sign * n  # the row of s had no common factor, so neither has this
+    for r, (e, other) in rows.items():
+        b = other.pop(x, None)
+        if b is None:
+            continue
+        value[r] = _shift_pair(value[r], b * step_c / e, b * step_k / e)
+        # r = (sum(other) + b x) / e = (den sum(other) + b sum(new)) / (den e)
+        if den != 1:
+            for v in other:
+                other[v] *= den
+        for v, a in new.items():
+            t = other.get(v, 0) + b * a
+            if t:
+                other[v] = t
+            else:
+                del other[v]
+        g = gcd(e * den, *other.values())
+        if g != 1:
+            for v in other:
+                other[v] //= g
+        rows[r] = (e * den // g, other)
+    rows[x] = (den, new)
+
+
+def fraction_valued_solve(tableau):
+    """The point of a tableau built by `fraction_valued_build`, or None when
+    there is none or it is infeasible.  It consumes the slack rows.
+
+    The tableau rows are integer vectors over a positive denominator, and a
+    pivot updates them by integer cross-multiplication and one gcd per row;
+    only values, bounds and delta are `Fraction`s.  Bland's rule (smallest
+    variable first, for both the leaving and the entering variable)
+    guarantees termination.  Nonbasic variables stay at 0 or at one of
+    their bounds, so the point is a vertex: beyond the variables pinned by
+    their own bounds, at most one nonzero variable per tableau row.  Delta
+    is then fixed to the largest value in (0, 1] that keeps every bound, so
+    the result is exact.
+    """
+    if tableau is None:
+        return None
+    lower, upper, rows, originals = tableau
+    zero = (_ZERO, _ZERO)
+    value: dict = {}
+    for var in originals:
+        lo, hi = lower.get(var), upper.get(var)
+        if lo is not None and lo > zero:
+            value[var] = lo
+        elif hi is not None and hi < zero:
+            value[var] = hi
+        else:
+            value[var] = zero
+    moved = [var for var in originals if value[var] is not zero]
+    for s, (_, row) in rows.items():  # every slack row starts with den 1
+        c = k = _ZERO
+        for x in moved:
+            a = row.get(x)
+            if a is not None:
+                c += a * value[x][0]
+                k += a * value[x][1]
+        value[s] = (c, k)
+
+    while True:
+        for s in sorted(rows):
+            lo, hi = lower.get(s), upper.get(s)
+            if lo is not None and value[s] < lo:
+                target, rise = lo, True
+                break
+            if hi is not None and value[s] > hi:
+                target, rise = hi, False
+                break
+        else:
+            break
+        _, row = rows[s]
+        for x in sorted(row):
+            if (row[x] > 0) == rise:  # x must increase
+                hi = upper.get(x)
+                if hi is None or value[x] < hi:
+                    break
+            else:
+                lo = lower.get(x)
+                if lo is None or value[x] > lo:
+                    break
+        else:
+            return None  # s is stuck short of its bound: the rows conflict
+        _fraction_valued_pivot(rows, value, s, x, target)
+
+    delta = Fraction(1)
+    for var, (c, k) in value.items():
+        lo, hi = lower.get(var), upper.get(var)
+        if lo is not None and lo[1] > k:
+            delta = min(delta, (c - lo[0]) / (lo[1] - k))
+        if hi is not None and hi[1] < k:
+            delta = min(delta, (hi[0] - c) / (k - hi[1]))
+    point = {}
+    for var in originals:
+        c, k = value[var]
+        point[var] = c + k * delta if k else c
+    return point
+
+
+def cell_rows_with_masses(table, bounds) -> list:
+    """The LP of a step over the masses m_i of the table's cells, as rows
+    for `fraction_valued_build`: m_i >= 0 for each cell, sum(m_i) = 1, then
+    one row per literal, sorted.  A row sums the masses of some cells, so it
+    is their 0/1 indicator, already primitive with a positive lead."""
+    cells = table.cells
+    zero = Fraction(0)
+    rows = [(((i, 1),), zero, Rel.GE, True) for i in range(len(cells))]
+    rows.append((tuple((i, 1) for i in range(len(cells))), Fraction(1), Rel.EQ, True))
+    literals = []
+    for positive, atom in bounds:
+        column, negated = bound_column(atom)
+        literals.append((table.column_of[column], atom.bound, negated, positive))
+    # With m(c) the mass of the cells inside column c, L[r] c reads
+    # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
+    for b, r, negated, positive in sorted(literals):
+        inside = tuple((i, 1) for i, (mask, _) in enumerate(cells) if mask >> b & 1)
+        relation = Rel.GE if positive else Rel.GT
+        rows.append((inside, 1 - r if negated else r, relation, positive != negated))
+    return rows
+
+
+def scale_bounds(tableau, scale):
+    """A `fraction_valued_build` or `tableau_by_constraints` tableau stated
+    as `linarith._build` states it: every bound times `scale`, and the
+    scale.  None stays None."""
+    if tableau is None:
+        return None
+    lower, upper, rows, originals = tableau
+
+    def times(bounds):
+        return {var: (c * scale, k * scale) for var, (c, k) in bounds.items()}
+
+    return times(lower), times(upper), rows, originals, scale
+
+
+def nonzero_coordinates(point):
+    """The nonzero coordinates of a point as a list of (variable, value), in
+    variable order; None stays None."""
+    return None if point is None else [(v, x) for v, x in sorted(point.items()) if x]
+
 
 # ---------------------------------------------------------------------------
 # The tableau of `linarith` as the general front end built it straight from
@@ -1113,6 +1323,34 @@ HAND_WRITTEN_SCHEMES = {
     "Func": _is_func,
     "Conj": _is_conj,
 }
+
+
+def former_extension(model, f, cache=None) -> frozenset:
+    """`FiniteDMM.extension` as it was while it built the set of all worlds
+    afresh at every negation; kept as its oracle."""
+    if cache is None:
+        cache = {}
+    if f in cache:
+        return cache[f]
+    if isinstance(f, Prop):
+        result = frozenset(model.valuation.get(f.index, set()))
+    elif isinstance(f, Not):
+        result = frozenset(model.worlds) - former_extension(model, f.body, cache)
+    elif isinstance(f, And):
+        result = former_extension(model, f.left, cache) & former_extension(model, f.right, cache)
+    elif isinstance(f, AtLeast):
+        body = former_extension(model, f.body, cache)
+        result = frozenset(
+            w
+            for w in model.worlds
+            if sum((m for u, m in model.kernel.get(w, {}).items() if u in body), Fraction(0))
+            >= f.bound
+        )
+    else:  # Next
+        body = former_extension(model, f.body, cache)
+        result = frozenset(w for w in model.worlds if model.successor[w] in body)
+    cache[f] = result
+    return result
 
 
 ONE_WORLD = {"worlds": ["w0"], "kernel": {"w0": {"w0": "1"}}, "successor": {"w0": "w0"}}

@@ -432,6 +432,48 @@ def test_dist_prokhorov_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1/4"
 
 
+def test_dist_prokhorov_scans_a_shared_distance_table_once(tmp_path, monkeypatch, capsys):
+    """Two measures that carry one distance table have it scanned for
+    triangles once; two different tables are each scanned, and a failing
+    table is reported under the file that carries it."""
+    module = sys.modules["probnext.prokhorov"]
+    real = module._triangle_failures
+    scanned = []
+
+    def counted(table):
+        scanned.append(table)
+        return real(table)
+
+    monkeypatch.setattr(module, "_triangle_failures", counted)
+    full = {"a|b": "1/4", "a|c": "1/2", "b|c": "1/2"}
+    broken = {"a|b": "1", "a|c": "1/4", "b|c": "1/4"}
+
+    def measure(name, weight_on, distance):
+        path = tmp_path / f"{name}.json"
+        data = {"points": ["a", "b", "c"], "weights": {weight_on: "1"}, "distance": distance}
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    cases = [
+        # (mu's table, nu's table, exit status, scans, the file an error names)
+        (full, full, 0, 1, None),
+        (full, {"a|b": "1/4"}, 0, 2, None),
+        (broken, broken, 2, 1, "mu"),
+        (full, broken, 2, 2, "nu"),
+    ]
+    for mu_table, nu_table, status, scans, named in cases:
+        scanned.clear()
+        mu, nu = measure("mu", "a", mu_table), measure("nu", "b", nu_table)
+        assert main(["dist", "prokhorov", mu, nu]) == status
+        assert len(scanned) == scans
+        out, err = capsys.readouterr()
+        if named is None:
+            assert out.strip() == "1/4" and err == ""
+        else:
+            path = mu if named == "mu" else nu
+            assert err == f"error: {path}: triangle inequality fails on a,b,c\n"
+
+
 def test_dist_prokhorov_zero_denominator_is_an_input_error(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"points": ["a"], "weights": {"a": "1"}}))

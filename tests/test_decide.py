@@ -11,16 +11,21 @@ import pytest
 
 from helpers import (
     bound_column,
+    cell_rows_with_masses,
     cell_system,
     cells_by_conj,
     cells_by_walk,
     clash_free,
+    fraction_valued_build,
+    fraction_valued_solve,
     independent_bounds,
     lp_chain,
+    nonzero_coordinates,
     push_then_dnf,
     random_bound_conjunction,
     random_formula,
     random_nested_bounds,
+    scale_bounds,
     tableau_by_constraints,
     witnessed,
     world_sat_all_cells,
@@ -599,10 +604,11 @@ CELL_TABLEAU_EDGES = [
 
 
 def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
-    """The tableau `linarith` builds from the cell rows is the one the
-    former constraint front end built from the former `LinearSystem` of the
-    cells, slack ids included, and `world_sat` answers with the masses
-    `solve` finds for that system."""
+    """The tableau `linarith` builds from the cell rows and the masses'
+    non-negativity is the one the former constraint front end built from
+    the former `LinearSystem` of the cells, slack ids included, with every
+    bound times the tableau's scale, and `world_sat` answers with the
+    masses `solve` finds for that system."""
     rng = random.Random(1717)
     formulas = [parse(text) for text in CELL_TABLEAU_EDGES]
     formulas += [parse(lp_chain(k)) for k in range(2, 7)]
@@ -616,8 +622,9 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     for (bounds,) in calls:
         table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
         system = cell_system(table, bounds)
-        tableau = linarith._build(decide._cell_rows(table, bounds))
-        assert tableau == tableau_by_constraints(system), bounds
+        tableau = linarith._build(decide._cell_rows(table, bounds), range(len(table.cells)))
+        scale = tableau[4] if tableau else None
+        assert tableau == scale_bounds(tableau_by_constraints(system), scale), bounds
         point = linarith.solve(system)
         cells = None if point is None else tuple(
             (d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0
@@ -634,3 +641,66 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
         edges["shared"] += len(set(longer)) < len(longer)
     assert len(calls) > 300
     assert all(edges.values()), edges
+
+
+def _lp_bounds_pool() -> list[str]:
+    """The 1000 distinct texts of the lp-bounds workload's pool."""
+    lp_bounds_text = _bench_inputs().lp_bounds_text
+    texts: dict = {}
+    j = 0
+    while len(texts) < 1000:
+        texts.setdefault(lp_bounds_text(random.Random(f"lp-bounds/{j}")))
+        j += 1
+    return list(texts)
+
+
+def test_cell_points_are_the_fraction_valued_points(monkeypatch):
+    """On every cell LP `world_sat` states for the tableau edge cases, the
+    lp-bounds pool and the first 2000 decide-mix entries, the integer-valued
+    pivot loop returns, in cell order, the nonzero masses of the point the
+    `Fraction`-valued loop finds for the former rows, one per mass."""
+    formulas = [parse(text) for text in CELL_TABLEAU_EDGES + _lp_bounds_pool()]
+    entries = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
+
+    def run():
+        list(map(witness, formulas))
+        for kind, f in entries:
+            probnext.derives([], f) if kind == "derives" else witness(f)
+
+    calls = _distinct_calls(monkeypatch, "world_sat", run)
+    solved = 0
+    for (bounds,) in calls:
+        table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
+        point = linarith.solve_rows(decide._cell_rows(table, bounds), range(len(table.cells)))
+        oracle = fraction_valued_solve(fraction_valued_build(cell_rows_with_masses(table, bounds)))
+        assert nonzero_coordinates(point) == nonzero_coordinates(oracle), bounds
+        if point is not None:
+            assert list(point) == sorted(point)
+            assert all(type(mass) is Fraction and mass > 0 for mass in point.values())
+            solved += 1
+    assert len(calls) > 2000 and solved > 1500, (len(calls), solved)
+
+
+def test_a_cell_lp_makes_fractions_only_for_its_nonzero_masses(monkeypatch):
+    """Solving an lp-bounds cell LP builds, pivots and fixes delta on
+    integers: `linarith` makes one `Fraction` per inhabited cell, and no
+    other.  The tableau edge cases and nested bounds add LPs that inhabit
+    several cells."""
+    rng = random.Random(2626)
+    formulas = [parse(text) for text in _lp_bounds_pool()[:100] + CELL_TABLEAU_EDGES]
+    formulas += [random_nested_bounds(rng) for _ in range(300)]
+    calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(witness, formulas)))
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linarith, "Fraction", counted)
+    inhabited = []
+    for (bounds,) in calls:
+        made.clear()
+        cells = world_sat.__wrapped__(bounds) or ()
+        assert len(made) == len(cells), bounds
+        inhabited.append(len(cells))
+    assert len(calls) > 100 and max(inhabited) > 1, inhabited

@@ -14,10 +14,13 @@ from helpers import (
     eliminate,
     fm_feasible,
     fraction_simplex,
+    fraction_valued_solve,
     lp_chain,
+    nonzero_coordinates,
     random_formula,
     random_fractional_system,
     random_linear_system as _random_system,
+    scale_bounds,
     system_variables,
     tableau_by_constraints,
     tidy,
@@ -219,16 +222,24 @@ def _opposed_rows(system) -> bool:
 
 @pytest.mark.parametrize("generator", [_random_system, random_fractional_system])
 def test_solve_returns_the_fraction_simplex_point(generator):
-    # The integer rows pivot exactly as the Fraction rows did, so the point
-    # is the same, not only the verdict; both agree with elimination.
+    # The integer rows pivot exactly as the Fraction rows did, and the
+    # integer values as the Fraction values did on the same tableau, so the
+    # point is the same, not only the verdict; all agree with elimination.
+    # `_solve_tableau` gives the point's nonzero coordinates alone, in
+    # variable order.
     rng = random.Random(2024)
     solved = opposed = 0
     for _ in range(2000):
         system = generator(rng)
         point = solve(system)
         assert point == fraction_simplex(system)
+        assert point == fraction_valued_solve(tableau_by_constraints(system))
+        nonzero = linarith._solve_tableau(linarith._tableau(system))
+        assert nonzero_coordinates(nonzero) == nonzero_coordinates(point)
         assert (point is not None) == fm_feasible(system)
         if point is not None:
+            assert list(nonzero) == sorted(nonzero)
+            assert all(type(value) is Fraction and value for value in nonzero.values())
             full = {v: point.get(v, Fraction(0)) for v in range(system.num_vars)}
             assert satisfies(system, full)
             solved += 1
@@ -241,21 +252,26 @@ def test_solve_returns_the_fraction_simplex_point(generator):
 def test_row_builder_gives_the_tableau_of_the_constraints():
     """`_tableau` states one row per constraint for the row builder, and
     gets the tableau the former constraint front end built, slack ids
-    included, on random systems that reach each kind of row."""
+    included, with every bound a pair of integers: the former bound times
+    the tableau's scale, on random systems that reach each kind of row."""
     rng = random.Random(1919)
     systems = [_random_system(rng) for _ in range(500)]
     systems += [random_fractional_system(rng) for _ in range(500)]
     cases = dict.fromkeys(["negative one", "strict one", "lead above 1", "constant", "shared"], 0)
     for system in systems:
         tableau = linarith._tableau(system)
-        assert tableau == tableau_by_constraints(system), system
+        scale = tableau[4] if tableau else None
+        assert tableau == scale_bounds(tableau_by_constraints(system), scale), system
+        if tableau is not None:
+            pairs = [*tableau[0].values(), *tableau[1].values()]
+            assert all(type(x) is int for pair in pairs for x in pair)
         for c in system.constraints:
             if len(c.coeffs) == 1:
                 cases["negative one"] += c.coeffs[0][1] < 0
                 cases["strict one"] += c.relation is Rel.GT
             cases["constant"] += not c.coeffs
         if tableau is not None:
-            _, _, rows, _ = tableau
+            rows = tableau[2]
             cases["lead above 1"] += any(row[min(row)] > 1 for _, row in rows.values())
             cases["shared"] += len(rows) < sum(len(c.coeffs) > 1 for c in system.constraints)
     assert all(cases.values()), cases

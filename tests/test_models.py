@@ -1,9 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import MALFORMED_MODELS, ONE_WORLD
+from helpers import MALFORMED_MODELS, ONE_WORLD, former_extension, random_formula
 
 from probnext import (
     FiniteDMM,
@@ -143,3 +144,17 @@ def test_well_formed_one_world_model_reads_back():
     model = model_from_dict(dict(ONE_WORLD, valuation={"p0": ["w0"], "p12": []}))
     assert model.valuation == {0: {"w0"}, 12: set()}
     assert not model.validate()
+
+
+def test_check_agrees_with_the_former_extension():
+    """`extension` builds the set of all worlds once per call, and answers
+    as the former one that built it again at every negation."""
+    rng = random.Random(2828)
+    for seed in range(100):
+        model = random_model(seed, rng.randint(1, 6), 3, 4)
+        for _ in range(20):
+            f = random_formula(rng)
+            former = former_extension(model, f)
+            assert model.extension(f) == former
+            for w in model.worlds:
+                assert model.check(w, f) is (w in former)

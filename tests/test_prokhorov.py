@@ -441,3 +441,21 @@ def test_distance_laws_on_random_metrics(seed, n):
     assert 0 <= d <= 1
     assert d == prokhorov(nu, mu)
     assert prokhorov(mu, mu) == 0
+
+
+def test_support_is_unchanged_on_random_measures_with_zero_weights():
+    """`support` reads each weight's numerator, which an `int` and a
+    `Fraction` both carry, and lists what the weight comparison listed."""
+    rng = random.Random(2727)
+    zeros = 0
+    for _ in range(500):
+        points = [f"x{i}" for i in range(rng.randint(1, 8))]
+        weights = {}
+        for x in points:
+            if rng.random() < 0.8:
+                num = rng.randint(-1, 3)
+                weights[x] = num if rng.random() < 0.3 else Fraction(num, rng.randint(1, 5))
+        mu = FiniteMeasure(points, weights)
+        assert mu.support() == [x for x in points if weights.get(x, 0) > 0]
+        zeros += 0 in weights.values()
+    assert zeros > 100
