@@ -218,6 +218,8 @@ class Distance:
 
 def metric_dc(w1: SaturatedPrefix, w2: SaturatedPrefix, budget: int) -> Distance:
     """First-disagreement distance 2^-n0, scanning indices below `budget`."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, not {budget}")
     w1.extend(budget)
     w2.extend(budget)
     for n in range(budget):
@@ -234,6 +236,8 @@ def kernel_bounds(w: SaturatedPrefix, f: Formula, grid: int) -> Interval:
     non-members, which can only widen the bracket (the true value always
     lies inside it).
     """
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, not {grid}")
     lower = Fraction(0)
     for m in range(grid, -1, -1):
         r = Fraction(m, grid)

@@ -12,20 +12,20 @@ of its kernel, so a step is decided by its signed bounds (polarity, bound
 atom) alone, in one call of `world_sat` cached per set of them (a step
 with none holds at once): by carving the state space into cells over the
 distinct columns and solving an exact linear system over the satisfiable
-cells' masses.  A cell is a bitmask over the columns, kept with its
-witnessing disjunct: the first satisfiable disjunct of its DNF.  The
-satisfiable cells of a column set are found once, by one walk over the
+cells' masses.  A cell is a choice of inside or outside for each column,
+and its witnessing disjunct is the first satisfiable disjunct of its DNF.
+The satisfiable cells of a column set are found once, by one walk over the
 columns in the order of their prefix spellings (`enumeration.spelling`)
 that merges each prefix's DNF with the DNF of one column or of its
 negation, keeps only the satisfiable disjuncts of the merge, as `conjoin`
-does, and cuts every prefix left with none.  They are kept in a cell table
-that each step over the same columns reuses.  The walk counts the nodes it
+does, and cuts every prefix left with none.  The walk counts the nodes it
 pops in `walk_nodes`, the cost meter of `canonical`'s membership queries.
-A step's LP over the masses of its cells is stated as 0/1 indicator rows
-over the cell masks: one for the masses' sum and one per bound.
-`linarith.solve_rows` states the masses' non-negativity in bulk, builds
-the tableau and solves it, with no `LinearSystem` built, and returns the
-nonzero masses alone: the inhabited cells.
+A cell table, which each step over the same columns reuses, keeps the
+cells' witnessing disjuncts and the LP's 0/1 indicator rows over them:
+the all-ones row of the masses' sum and one row per column, from which a
+step's LP selects one per bound.  `linarith.solve_rows` states the masses'
+non-negativity in bulk, builds the tableau and solves it, with no
+`LinearSystem` built, and returns the nonzero masses: the inhabited cells.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts; each inhabited cell's sub-model is
@@ -175,12 +175,15 @@ def group_steps(disjunct: Disjunct) -> list[tuple]:
 
 @dataclass(frozen=True, slots=True)
 class _CellTable:
-    """The satisfiable cells over one set of columns.  `column_of` maps each
-    column to its index, in spelling order; `cells` holds (bitmask over the
-    columns, the cell's witnessing disjunct) in increasing mask order."""
+    """The LP data of the satisfiable cells over one set of columns, cell i
+    being the i-th in increasing mask order: `disjuncts` holds each cell's
+    witnessing disjunct, `ones` the all-ones row ((0, 1), (1, 1), ...), and
+    `columns` maps each column to (its index in spelling order, its 0/1
+    indicator row), whose entries are those of `ones`, shared."""
 
-    column_of: dict
-    cells: tuple[tuple[int, Disjunct], ...]
+    disjuncts: tuple[Disjunct, ...]
+    ones: tuple
+    columns: dict
 
 
 # Nodes the cell walk has popped since import, over every table it built:
@@ -212,7 +215,10 @@ def _cells(columns: frozenset) -> _CellTable:
             if kept:
                 stack.append((depth + 1, mask | bit, kept))
     cells.sort(key=lambda cell: cell[0])
-    return _CellTable({b: i for i, b in enumerate(bodies)}, tuple(cells))
+    ones = tuple((i, 1) for i in range(len(cells)))
+    # a column's row shares the entries of `ones`: one pointer a cell
+    rows = [tuple([e for e, (m, _) in zip(ones, cells) if m >> i & 1]) for i in range(len(bodies))]
+    return _CellTable(tuple(d for _, d in cells), ones, dict(zip(bodies, enumerate(rows))))
 
 
 @lru_cache(maxsize=None)
@@ -221,11 +227,11 @@ def world_sat(bounds: frozenset) -> Optional[tuple]:
     the inhabited cells as (witnessing disjunct, mass), or None when they
     are unsatisfiable, reused at any step and beside any propositions."""
     table = _cells(frozenset(_column(atom)[0] for _, atom in bounds))
-    cells = table.cells
-    point = solve_rows(_cell_rows(table, bounds), range(len(cells)))
+    disjuncts = table.disjuncts
+    point = solve_rows(_cell_rows(table, bounds), range(len(disjuncts)))
     if point is None:
         return None
-    return tuple((cells[i][1], mass) for i, mass in point.items())
+    return tuple((disjuncts[i], mass) for i, mass in point.items())
 
 
 def _column(atom: AtLeast) -> tuple[Formula, bool]:
@@ -238,20 +244,19 @@ def _cell_rows(table: _CellTable, bounds) -> list:
     """The LP of a step over the masses m_i of the table's cells, as rows
     for `solve_rows`, which states m_i >= 0 itself: sum(m_i) = 1, then one
     row per literal, sorted.  A row sums the masses of some cells, so it is
-    their 0/1 indicator, already primitive with a positive lead."""
-    cells = table.cells
-    ones = tuple((i, 1) for i in range(len(cells)))  # its entries serve every row
-    rows = [(ones, 1, Rel.EQ, True)]
+    their 0/1 indicator, already primitive with a positive lead: the table's
+    row of the literal's column, selected, not built."""
+    rows = [(table.ones, 1, Rel.EQ, True)]
     literals = []
     for positive, atom in bounds:
         column, negated = _column(atom)
-        literals.append((table.column_of[column], atom.bound, negated, positive))
+        b, inside = table.columns[column]
+        literals.append((b, atom.bound, negated, positive, inside))
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
-    for b, r, negated, positive in sorted(literals):
+    # The first four keys tell every two literals apart.
+    for b, r, negated, positive, inside in sorted(literals):
         relation = Rel.GE if positive else Rel.GT
-        # the cells inside column b, read off their masks
-        inside = tuple([entry for entry, (mask, _) in zip(ones, cells) if mask >> b & 1])
         rows.append((inside, 1 - r if negated else r, relation, positive != negated))
     return rows
 

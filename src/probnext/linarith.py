@@ -14,9 +14,10 @@ vectors, each with a bound, a relation and a direction.  One builder,
 `_build`, turns them into a tableau, and only this module knows its format
 and which slack stands for which row; one pivot loop, `_solve_tableau`,
 solves it.  `solve` states one row per constraint of a `LinearSystem`, and
-a caller that holds its rows already, such as `decide`'s cell step, hands
-them to `solve_rows` with the variables that are at least 0, and gets the
-point's nonzero coordinates back.
+a caller that holds its rows already, such as `decide`'s cell step, whose
+rows come from its cell table, hands them to `solve_rows` with the
+variables that are at least 0, and gets the point's nonzero coordinates
+back.
 All arithmetic is exact over `int` and `fractions.Fraction` -- no floats
 anywhere.  Coefficients may be `int`s or `Fraction`s.  (Fourier-Motzkin
 elimination, the `Fraction`-tableau simplex that the integer rows

@@ -3,6 +3,7 @@ and the replaced algorithms kept as differential oracles."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 import resource
@@ -554,18 +555,19 @@ def cell_rows_with_masses(table, bounds) -> list:
     for `fraction_valued_build`: m_i >= 0 for each cell, sum(m_i) = 1, then
     one row per literal, sorted.  A row sums the masses of some cells, so it
     is their 0/1 indicator, already primitive with a positive lead."""
-    cells = table.cells
+    n = len(table.disjuncts)
     zero = Fraction(0)
-    rows = [(((i, 1),), zero, Rel.GE, True) for i in range(len(cells))]
-    rows.append((tuple((i, 1) for i in range(len(cells))), Fraction(1), Rel.EQ, True))
+    rows = [(((i, 1),), zero, Rel.GE, True) for i in range(n)]
+    rows.append((tuple((i, 1) for i in range(n)), Fraction(1), Rel.EQ, True))
     literals = []
     for positive, atom in bounds:
         column, negated = bound_column(atom)
-        literals.append((table.column_of[column], atom.bound, negated, positive))
+        b, row = table.columns[column]
+        literals.append((b, atom.bound, negated, positive, [i for i, _ in row]))
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
-    for b, r, negated, positive in sorted(literals):
-        inside = tuple((i, 1) for i, (mask, _) in enumerate(cells) if mask >> b & 1)
+    for b, r, negated, positive, cells in sorted(literals):
+        inside = tuple((i, 1) for i in cells)
         relation = Rel.GE if positive else Rel.GT
         rows.append((inside, 1 - r if negated else r, relation, positive != negated))
     return rows
@@ -962,13 +964,83 @@ def world_sat_all_cells(bounds):
     )
 
 
+# The cell step as it was while a cell table kept each cell as its mask
+# over the columns and its witnessing disjunct, and `_cell_rows` read each
+# literal's row off the masks on every call.  Kept as the oracle of the
+# table that states each column's row once.
+
+
+@dataclasses.dataclass(frozen=True)
+class MaskTable:
+    """A cell table in the former layout: `column_of` maps each column to
+    its index, in spelling order; `cells` holds (bitmask over the columns,
+    the cell's witnessing disjunct) in increasing mask order."""
+
+    column_of: dict
+    cells: tuple
+
+
+def cells_with_masks(columns) -> MaskTable:
+    """The former `decide._cells`: the walk over the columns in spelling
+    order that keeps each prefix's satisfiable disjuncts, and each leaf's
+    first one, with the leaf's mask.  It leaves `walk_nodes` as it is."""
+    bodies = sorted(columns, key=spelling)
+    options = [
+        [(0, decide._dnf(b, False, 0)), (1 << i, decide._dnf(b, True, 0))]
+        for i, b in enumerate(bodies)
+    ]
+    cells = []
+    stack = [(0, 0, [frozenset()])]  # (bodies chosen, mask, kept disjuncts)
+    while stack:
+        depth, mask, dnf = stack.pop()
+        if depth == len(bodies):
+            cells.append((mask, dnf[0]))
+            continue
+        for bit, option_dnf in options[depth]:
+            kept = list(decide._satisfiable_merge(dnf, option_dnf))
+            if kept:
+                stack.append((depth + 1, mask | bit, kept))
+    cells.sort(key=lambda cell: cell[0])
+    return MaskTable({b: i for i, b in enumerate(bodies)}, tuple(cells))
+
+
+def cell_rows_by_masks(table: MaskTable, bounds) -> list:
+    """The former `decide._cell_rows`: the all-ones row, then one row per
+    literal, sorted, each built by scanning every cell's mask."""
+    cells = table.cells
+    ones = tuple((i, 1) for i in range(len(cells)))
+    rows = [(ones, 1, Rel.EQ, True)]
+    literals = []
+    for positive, atom in bounds:
+        column, negated = bound_column(atom)
+        literals.append((table.column_of[column], atom.bound, negated, positive))
+    for b, r, negated, positive in sorted(literals):
+        relation = Rel.GE if positive else Rel.GT
+        inside = tuple([entry for entry, (mask, _) in zip(ones, cells) if mask >> b & 1])
+        rows.append((inside, 1 - r if negated else r, relation, positive != negated))
+    return rows
+
+
+def as_cell_table(table: MaskTable):
+    """A mask table in the layout `decide._cells` keeps: the disjuncts in
+    mask order, the all-ones row, and each column's index and indicator
+    row, read off the masks."""
+    ones = tuple((i, 1) for i in range(len(table.cells)))
+    columns = {
+        c: (b, tuple(entry for entry, (mask, _) in zip(ones, table.cells) if mask >> b & 1))
+        for c, b in table.column_of.items()
+    }
+    return decide._CellTable(tuple(d for _, d in table.cells), ones, columns)
+
+
 def cells_by_conj(columns):
     """The former cell enumeration of `decide.world_sat`, kept as the oracle
     of `decide._cells`: the columns in spelling order, a valid one fixed
     to 1 and an unsatisfiable one to 0, and for each of the 2^k choices over
     the k contingent columns, in order, a fresh `conj` over every column
     and `sat_status` on it.  Returns a `decide._CellTable` that holds each
-    cell's formula; `witnessed` maps them to the table `_cells` keeps."""
+    cell's formula for its disjunct; `witnessed` maps them to the table
+    `_cells` keeps."""
     bodies = sorted(columns, key=spelling)
     fixed = 0
     free = []
@@ -986,7 +1058,7 @@ def cells_by_conj(columns):
         delta = conj(b if mask & (1 << i) else Not(b) for i, b in enumerate(bodies))
         if decide.sat_status(delta):
             sat_cells.append((mask, delta))
-    return decide._CellTable({b: i for i, b in enumerate(bodies)}, tuple(sat_cells))
+    return as_cell_table(MaskTable({b: i for i, b in enumerate(bodies)}, tuple(sat_cells)))
 
 
 def cells_by_walk(columns):
@@ -1019,24 +1091,23 @@ def cells_by_walk(columns):
             if merged:
                 stack.append((depth + 1, mask | bit, merged))
     cells.sort(key=lambda cell: cell[0])
-    return decide._CellTable({b: i for i, b in enumerate(bodies)}, tuple(cells))
+    return as_cell_table(MaskTable({b: i for i, b in enumerate(bodies)}, tuple(cells)))
 
 
 def witnessed(table):
     """A `cells_by_conj` table with each cell formula replaced by its
     witnessing disjunct."""
-    cells = tuple((mask, witnessing(cell)) for mask, cell in table.cells)
-    return decide._CellTable(table.column_of, cells)
+    return dataclasses.replace(table, disjuncts=tuple(map(witnessing, table.disjuncts)))
 
 
 def cell_system(table, bounds) -> LinearSystem:
     """The former LP of `decide.world_sat` over a cell table, kept as the
     oracle of `decide._cell_rows`: `tableau_by_constraints` of this system
     is the tableau that `linarith` builds from the cell rows."""
-    sat_cells, column_of = table.cells, table.column_of
-    system = LinearSystem(num_vars=len(sat_cells))
-    system.constraints.append(eq(dict.fromkeys(range(len(sat_cells)), 1), -1))
-    for i in range(len(sat_cells)):
+    n = len(table.disjuncts)
+    system = LinearSystem(num_vars=n)
+    system.constraints.append(eq(dict.fromkeys(range(n), 1), -1))
+    for i in range(n):
         system.constraints.append(ge({i: 1}))
     # L[r] reads  e - r >= 0  and  !L[r] reads  -(e - r) > 0,  where e is
     # m(c), or 1 - m(c) for a negated column.  The rows follow the columns,
@@ -1044,11 +1115,11 @@ def cell_system(table, bounds) -> LinearSystem:
     literals = []
     for positive, atom in bounds:
         c, negated = bound_column(atom)
-        literals.append((column_of[c], atom.bound, negated, 1 if positive else -1))
-    for b, bound, negated, polarity in sorted(literals):
+        b, row = table.columns[c]
+        literals.append((b, atom.bound, negated, 1 if positive else -1, [i for i, _ in row]))
+    for b, bound, negated, polarity, inside in sorted(literals):
         sign, constant = (-1, 1 - bound) if negated else (1, -bound)
         relation = ge if polarity > 0 else gt
-        inside = [i for i, (mask, _) in enumerate(sat_cells) if mask & (1 << b)]
         coeffs = dict.fromkeys(inside, polarity * sign)
         system.constraints.append(relation(coeffs, polarity * constant))
     return system

@@ -198,6 +198,22 @@ def test_kernel_bounds_degenerate_grid():
     assert iv.upper == Fraction(1)
 
 
+@pytest.mark.parametrize("grid", [0, -1, -4])
+def test_kernel_bounds_rejects_a_grid_below_one(grid):
+    # a grid of 0 divided by zero, and a negative one answered [0, 1]
+    w = lindenbaum(parse("L[1/2] p0"), 5)
+    with pytest.raises(ValueError, match="grid"):
+        kernel_bounds(w, parse("p0"), grid)
+
+
+def test_metric_rejects_a_negative_budget():
+    # 2^-1 made Fraction(1, 0.5), a TypeError
+    w1, w2 = lindenbaum(parse("p0"), 0), lindenbaum(parse("!p0"), 0)
+    with pytest.raises(ValueError, match="budget"):
+        metric_dc(w1, w2, -1)
+    assert metric_dc(w1, w2, 0).value == 1
+
+
 def test_basis_intersection_finds_a_conjunction_index():
     from probnext import And
 

@@ -10,11 +10,14 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    as_cell_table,
     bound_column,
+    cell_rows_by_masks,
     cell_rows_with_masses,
     cell_system,
     cells_by_conj,
     cells_by_walk,
+    cells_with_masks,
     clash_free,
     fraction_valued_build,
     fraction_valued_solve,
@@ -288,11 +291,11 @@ def _tables_built(monkeypatch, run) -> list:
     tables = []
     for (columns,) in _distinct_calls(monkeypatch, "_cells", run):
         table = decide._cells(columns)
-        inside = [
-            frozenset(c for c, i in table.column_of.items() if mask >> i & 1)
-            for mask, _ in table.cells
-        ]
-        tables.append((set(table.column_of), set(inside)))
+        inside = [set() for _ in table.disjuncts]
+        for c, (_, row) in table.columns.items():
+            for i, _ in row:
+                inside[i].add(c)
+        tables.append((set(table.columns), set(map(frozenset, inside))))
     return tables
 
 
@@ -545,7 +548,7 @@ def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
         for (columns,) in calls:
             assert decide._cells(columns) == witnessed(cells_by_conj(columns)), columns
     # p0..p7 and their union: every valuation of the props is one cell.
-    assert [len(decide._cells(*args).cells) for args in calls] == [1 << 8]
+    assert [len(decide._cells(*args).disjuncts) for args in calls] == [1 << 8]
 
 
 def test_cell_tables_agree_with_the_walk_oracle(monkeypatch):
@@ -573,6 +576,80 @@ def test_cell_tables_agree_with_the_walk_oracle(monkeypatch):
             assert decide._cells(columns) == cells_by_walk(columns), columns
             widest = max(widest, len(columns))
     assert widest >= 16
+
+
+def test_cell_tables_and_rows_agree_with_the_mask_oracle(monkeypatch):
+    """Every cell table built on the first 2000 decide-mix entries, 300
+    nested bounds, the lp-bounds pool and the Lindenbaum seeds to budget 300
+    holds, in order, the witnessing disjuncts of the former table that kept
+    each cell's mask, and each column's row is the one read off those masks.
+    Every `_cell_rows` call gives the rows the former mask scan gave."""
+    rng = random.Random(2727)
+    mix = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
+    nested = [random_nested_bounds(rng) for _ in range(300)]
+    pool = [parse(text) for text in _lp_bounds_pool()]
+    expected = json.loads((BENCH / "expected" / "lindenbaum.json").read_text())
+    seeds = [parse(entry["seed"]) for entry in expected["seeds"]]
+    runs = [
+        lambda: [probnext.derives([], f) if kind == "derives" else witness(f) for kind, f in mix],
+        lambda: list(map(witness, nested)),
+        lambda: list(map(witness, pool)),
+        lambda: [lindenbaum(seed, 300) for seed in seeds],
+    ]
+    real = decide._cell_rows
+    for run in runs:
+        stated = []
+
+        def record(table, bounds):
+            stated.append((table, bounds))
+            return real(table, bounds)
+
+        monkeypatch.setattr(decide, "_cell_rows", record)
+        calls = _distinct_calls(monkeypatch, "_cells", run)
+        monkeypatch.setattr(decide, "_cell_rows", real)
+        oracles = {}
+        for (columns,) in calls:
+            # the disjuncts in mask order, and each column's index and row
+            masked = oracles[columns] = cells_with_masks(columns)
+            assert decide._cells(columns) == as_cell_table(masked), columns
+        assert calls and len(stated) >= len(calls)
+        for table, bounds in stated:
+            masked = oracles[frozenset(table.columns)]
+            assert real(table, bounds) == cell_rows_by_masks(masked, bounds), bounds
+
+
+def test_cell_rows_share_the_entries_of_the_all_ones_row(monkeypatch):
+    """Each column's row holds the all-ones row's own (cell, 1) entries, so
+    a row costs one pointer a cell: rows of fresh tuples took budget 1100
+    from 53 MB to 142 MB.  `_cell_rows` selects the table's rows, and makes
+    none."""
+    formulas = [parse(text) for text in CELL_TABLEAU_EDGES]
+    real = decide._cell_rows
+    stated = []
+
+    def record(table, bounds):
+        rows = real(table, bounds)
+        stated.append((table, rows))
+        return rows
+
+    def run():
+        list(map(witness, formulas))
+        lindenbaum(parse("L[1/2] p0 & X p1"), 1070)
+
+    monkeypatch.setattr(decide, "_cell_rows", record)
+    calls = _distinct_calls(monkeypatch, "_cells", run)
+    monkeypatch.setattr(decide, "_cell_rows", real)
+    largest = 0
+    for (columns,) in calls:
+        table = decide._cells(columns)
+        for _, row in table.columns.values():
+            assert all(entry is table.ones[entry[0]] for entry in row), columns
+        largest = max(largest, len(table.columns) * len(table.ones))
+    assert largest >= 26 * 192  # budget 1070's widest table: 192 cells over 26 columns
+    for table, rows in stated:
+        assert rows[0][0] is table.ones
+        stored = {id(row) for _, row in table.columns.values()}
+        assert all(id(inside) in stored for inside, *_ in rows[1:])
 
 
 def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
@@ -622,19 +699,19 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     for (bounds,) in calls:
         table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
         system = cell_system(table, bounds)
-        tableau = linarith._build(decide._cell_rows(table, bounds), range(len(table.cells)))
+        tableau = linarith._build(decide._cell_rows(table, bounds), range(len(table.disjuncts)))
         scale = tableau[4] if tableau else None
         assert tableau == scale_bounds(tableau_by_constraints(system), scale), bounds
         point = linarith.solve(system)
         cells = None if point is None else tuple(
-            (d, point[i]) for i, (_, d) in enumerate(table.cells) if point[i] > 0
+            (d, point[i]) for i, d in enumerate(table.disjuncts) if point[i] > 0
         )
         assert world_sat(bounds) == cells, bounds
         # the all-ones row, then the literal rows, as sets of cells
         sums = [tuple(v for v, _ in c.coeffs) for c in system.constraints]
-        del sums[1 : 1 + len(table.cells)]
+        del sums[1 : 1 + len(table.disjuncts)]
         longer = [row for row in sums if len(row) > 1]
-        edges["one cell"] += len(table.cells) == 1
+        edges["one cell"] += len(table.disjuncts) == 1
         edges["empty"] += any(not row for row in sums)
         edges["one-cell"] += any(len(row) == 1 for row in sums[1:])
         edges["negated"] += any(bound_column(atom)[1] for _, atom in bounds)
@@ -671,7 +748,7 @@ def test_cell_points_are_the_fraction_valued_points(monkeypatch):
     solved = 0
     for (bounds,) in calls:
         table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
-        point = linarith.solve_rows(decide._cell_rows(table, bounds), range(len(table.cells)))
+        point = linarith.solve_rows(decide._cell_rows(table, bounds), range(len(table.disjuncts)))
         oracle = fraction_valued_solve(fraction_valued_build(cell_rows_with_masses(table, bounds)))
         assert nonzero_coordinates(point) == nonzero_coordinates(oracle), bounds
         if point is not None:
