@@ -19,9 +19,10 @@ columns in the order of their prefix spellings (`enumeration.spelling`)
 that merges each prefix's DNF with the DNF of one column or of its
 negation, keeps only the satisfiable disjuncts of the merge, as `conjoin`
 does, and cuts every prefix left with none.  The walk counts the nodes it
-pops in `walk_nodes`, the cost meter of `canonical`'s membership queries.
-A cell table, which each step over the same columns reuses, keeps the
-cells' witnessing disjuncts and the LP's 0/1 indicator rows over them:
+pops in `walk_nodes`, the cost meter of `canonical`'s membership queries,
+and raises once it passes the budget of a `walk_budget` block.  A cell
+table, which each step over the same columns reuses, keeps the cells'
+witnessing disjuncts, as tuples, and the LP's 0/1 indicator rows over them:
 the all-ones row of the masses' sum and one row per column, from which a
 step's LP selects one per bound.  `linarith.solve_rows` states the masses'
 non-negativity in bulk, builds the tableau and solves it, with no
@@ -29,19 +30,21 @@ non-negativity in bulk, builds the tableau and solves it, with no
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts; each inhabited cell's sub-model is
-built from its witnessing disjunct.  `conjoin` extends a pruned DNF by
-one more conjunct and keeps only its satisfiable disjuncts, so a long
-conjunction that grows one conjunct at a time can be kept as that list.
+built from its witnessing disjunct, straight into the model.  `conjoin`
+extends a pruned DNF by one more conjunct and keeps only its satisfiable
+disjuncts, so a long conjunction that grows one conjunct at a time can be
+kept as that list.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .enumeration import spelling
+from .enumeration import ExtensionLimitExceeded, spelling
 from .formula import And, AtLeast, Formula, Next, Not, Prop
 from .linarith import Rel, solve_rows
 from .models import FiniteDMM
@@ -177,18 +180,37 @@ def group_steps(disjunct: Disjunct) -> list[tuple]:
 class _CellTable:
     """The LP data of the satisfiable cells over one set of columns, cell i
     being the i-th in increasing mask order: `disjuncts` holds each cell's
-    witnessing disjunct, `ones` the all-ones row ((0, 1), (1, 1), ...), and
-    `columns` maps each column to (its index in spelling order, its 0/1
-    indicator row), whose entries are those of `ones`, shared."""
+    witnessing disjunct as a tuple, `ones` the all-ones row ((0, 1), (1, 1),
+    ...), and `columns` maps each column to (its index in spelling order,
+    its 0/1 indicator row), whose entries are those of `ones`, shared.  A
+    witnessing disjunct is only iterated, by `group_steps`, and a tuple
+    iterates its literals in the order of the frozenset it is made from, in
+    about a sixth of the memory."""
 
-    disjuncts: tuple[Disjunct, ...]
+    disjuncts: tuple[tuple, ...]
     ones: tuple
     columns: dict
 
 
-# Nodes the cell walk has popped since import, over every table it built:
-# the cost meter of `canonical`'s membership queries.
+# Nodes the cell walk has popped since import, over every table it built,
+# and the count past which it raises: the cost meter of `canonical`'s
+# membership queries, set by `walk_budget`.
 walk_nodes = 0
+_walk_limit: Optional[int] = None
+
+
+@contextmanager
+def walk_budget(nodes: int) -> Iterator[None]:
+    """Let the cell walks inside the block pop at most `nodes` nodes: the
+    next pop raises `ExtensionLimitExceeded`, and the table it was building
+    is not kept.  Of nested blocks, the innermost one holds."""
+    global _walk_limit
+    outer = _walk_limit
+    _walk_limit = walk_nodes + nodes
+    try:
+        yield
+    finally:
+        _walk_limit = outer
 
 
 @lru_cache(maxsize=None)
@@ -207,11 +229,13 @@ def _cells(columns: frozenset) -> _CellTable:
     while stack:
         depth, mask, dnf = stack.pop()
         walk_nodes += 1
+        if _walk_limit is not None and walk_nodes > _walk_limit:
+            raise ExtensionLimitExceeded("the cell walk passed its node budget")
         if depth == len(bodies):
-            cells.append((mask, dnf[0]))
+            cells.append((mask, tuple(dnf[0])))
             continue
         for bit, option_dnf in options[depth]:
-            kept = list(_satisfiable_merge(dnf, option_dnf))
+            kept = list(_satisfiable(_merge(dnf, option_dnf)))
             if kept:
                 stack.append((depth + 1, mask | bit, kept))
     cells.sort(key=lambda cell: cell[0])
@@ -283,20 +307,15 @@ def _plans(disjunct: Disjunct) -> Optional[dict[int, tuple]]:
     return plans
 
 
-def _witnessing(disjuncts: list[Disjunct]) -> Optional[Disjunct]:
-    """The first disjunct whose steps are all satisfiable, or None."""
-    return next((d for d in disjuncts if _plans(d) is not None), None)
-
-
-def _satisfiable_merge(left: list[Disjunct], right: list[Disjunct]) -> Iterator[Disjunct]:
-    """The satisfiable disjuncts of the merge of two pruned DNFs, lazily."""
-    return (d for d in _merge(left, right) if _plans(d) is not None)
+def _satisfiable(disjuncts: Iterable[Disjunct]) -> Iterator[Disjunct]:
+    """The disjuncts whose steps are all satisfiable, lazily."""
+    return (d for d in disjuncts if _plans(d) is not None)
 
 
 @lru_cache(maxsize=None)
 def sat_status(f: Formula) -> bool:
     """True iff f is satisfiable in some dynamic Markov model."""
-    return _witnessing(to_disjuncts(f)) is not None
+    return next(_satisfiable(to_disjuncts(f)), None) is not None
 
 
 def clear_caches() -> None:
@@ -311,7 +330,7 @@ def conjoin(disjuncts: list[Disjunct], f: Formula) -> Iterator[Disjunct]:
     """The satisfiable disjuncts of the conjunction of f with a pruned DNF,
     lazily.  `[frozenset()]` is the DNF of the empty conjunction, and an
     empty result means the conjunction is unsatisfiable."""
-    return _satisfiable_merge(disjuncts, to_disjuncts(f))
+    return _satisfiable(_merge(disjuncts, to_disjuncts(f)))
 
 
 def sat(f: Formula) -> Verdict:
@@ -323,45 +342,29 @@ def valid(f: Formula) -> bool:
     return not sat_status(Not(f))
 
 
-class _ModelBuilder:
-    def __init__(self):
-        self.counter = 0
-        self.worlds: list[str] = []
-        self.valuation: dict[int, set[str]] = {}
-        self.kernel: dict[str, dict[str, Fraction]] = {}
-        self.successor: dict[str, str] = {}
-
-    def new_world(self) -> str:
-        w = f"w{self.counter}"
-        self.counter += 1
-        self.worlds.append(w)
-        return w
-
-    def build(self, disjunct: Disjunct) -> str:
-        """Add a sub-model satisfying a satisfiable disjunct at the returned
-        world."""
-        plans = _plans(disjunct)
-        horizon = max(plans, default=0)
-        chain = [self.new_world() for _ in range(horizon + 1)]
-        for i, w in enumerate(chain):
-            self.successor[w] = chain[i + 1] if i < horizon else w
-            props, cells = plans.get(i, ((), ()))
-            for p in props:
-                self.valuation.setdefault(p, set()).add(w)
-            # a world with no inhabited cell loops to itself
-            row = {self.build(d): mass for d, mass in cells}
-            self.kernel[w] = row or {w: Fraction(1)}
-        return chain[0]
-
-    def finish(self) -> FiniteDMM:
-        return FiniteDMM(self.worlds, self.valuation, self.kernel, self.successor)
+def _build(model: FiniteDMM, disjunct) -> str:
+    """Add to the model a sub-model satisfying a satisfiable disjunct, its
+    worlds named in the order they are made, and return the world where the
+    disjunct holds."""
+    plans = _plans(disjunct)
+    horizon = max(plans, default=0)
+    chain = [f"w{len(model.worlds) + i}" for i in range(horizon + 1)]
+    model.worlds.extend(chain)
+    for i, w in enumerate(chain):
+        model.successor[w] = chain[min(i + 1, horizon)]
+        props, cells = plans.get(i, ((), ()))
+        for p in props:
+            model.valuation.setdefault(p, set()).add(w)
+        # a world with no inhabited cell loops to itself
+        row = {_build(model, d): mass for d, mass in cells}
+        model.kernel[w] = row or {w: Fraction(1)}
+    return chain[0]
 
 
 def witness(f: Formula) -> Optional[tuple[FiniteDMM, str]]:
     """A finite model and root world satisfying f, or None when UNSAT."""
-    d = _witnessing(to_disjuncts(f))
+    d = next(_satisfiable(to_disjuncts(f)), None)
     if d is None:
         return None
-    builder = _ModelBuilder()
-    root = builder.build(d)
-    return builder.finish(), root
+    model = FiniteDMM([])
+    return model, _build(model, d)

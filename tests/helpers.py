@@ -36,6 +36,7 @@ from probnext import (
 from probnext.canonical import _bound_stack_pattern, _rebuild_stack
 from probnext.enumeration import enum_formula, enum_rational, sort_key, spelling
 from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies, solve
+from probnext.models import FiniteDMM
 from probnext.prokhorov import (
     FiniteMeasure,
     IncompatibleSupports,
@@ -912,7 +913,66 @@ def push_then_dnf(f):
 def witnessing(cell):
     """The disjunct of a cell formula that a witness is built from: the
     first satisfiable one of its DNF, or None."""
-    return decide._witnessing(decide.to_disjuncts(cell))
+    return next(decide._satisfiable(decide.to_disjuncts(cell)), None)
+
+
+# The witness path as it was while `decide` found the first satisfiable
+# disjunct with a helper of its own and built the model in a builder that
+# kept a counter, a world list and three maps, made into a `FiniteDMM` at
+# the end.  Kept as the oracle of `decide._build`.
+
+
+def first_witnessing(disjuncts):
+    """The former `decide._witnessing`: the first disjunct whose steps are
+    all satisfiable, or None."""
+    return next((d for d in disjuncts if decide._plans(d) is not None), None)
+
+
+class ModelBuilder:
+    """The former `decide._ModelBuilder`."""
+
+    def __init__(self):
+        self.counter = 0
+        self.worlds: list[str] = []
+        self.valuation: dict[int, set[str]] = {}
+        self.kernel: dict[str, dict[str, Fraction]] = {}
+        self.successor: dict[str, str] = {}
+
+    def new_world(self) -> str:
+        w = f"w{self.counter}"
+        self.counter += 1
+        self.worlds.append(w)
+        return w
+
+    def build(self, disjunct) -> str:
+        """Add a sub-model satisfying a satisfiable disjunct at the returned
+        world."""
+        plans = decide._plans(disjunct)
+        horizon = max(plans, default=0)
+        chain = [self.new_world() for _ in range(horizon + 1)]
+        for i, w in enumerate(chain):
+            self.successor[w] = chain[i + 1] if i < horizon else w
+            props, cells = plans.get(i, ((), ()))
+            for p in props:
+                self.valuation.setdefault(p, set()).add(w)
+            # a world with no inhabited cell loops to itself
+            row = {self.build(d): mass for d, mass in cells}
+            self.kernel[w] = row or {w: Fraction(1)}
+        return chain[0]
+
+    def finish(self) -> FiniteDMM:
+        return FiniteDMM(self.worlds, self.valuation, self.kernel, self.successor)
+
+
+def witness_by_builder(f):
+    """The former `decide.witness`: a finite model and root world
+    satisfying f, or None when f is unsatisfiable."""
+    d = first_witnessing(decide.to_disjuncts(f))
+    if d is None:
+        return None
+    builder = ModelBuilder()
+    root = builder.build(d)
+    return builder.finish(), root
 
 
 def clash_free(disjunct) -> bool:
@@ -997,7 +1057,7 @@ def cells_with_masks(columns) -> MaskTable:
             cells.append((mask, dnf[0]))
             continue
         for bit, option_dnf in options[depth]:
-            kept = list(decide._satisfiable_merge(dnf, option_dnf))
+            kept = list(decide._satisfiable(decide._merge(dnf, option_dnf)))
             if kept:
                 stack.append((depth + 1, mask | bit, kept))
     cells.sort(key=lambda cell: cell[0])
@@ -1071,9 +1131,9 @@ def cells_by_walk(columns):
     options = []
     for i, b in enumerate(bodies):
         without, within = decide._dnf(b, False, 0), decide._dnf(b, True, 0)
-        if decide._witnessing(without) is None:
+        if next(decide._satisfiable(without), None) is None:
             options.append([(1 << i, within)])
-        elif decide._witnessing(within) is not None:
+        elif next(decide._satisfiable(within), None) is not None:
             options.append([(0, without), (1 << i, within)])
         else:
             options.append([(0, without)])
@@ -1082,7 +1142,7 @@ def cells_by_walk(columns):
     while stack:
         depth, mask, dnf = stack.pop()
         if depth == len(bodies):
-            d = decide._witnessing(dnf)
+            d = next(decide._satisfiable(dnf), None)
             if d is not None:
                 cells.append((mask, d))
             continue

@@ -289,9 +289,10 @@ def test_stage_that_hits_a_limit_is_not_recorded(monkeypatch):
 def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypatch):
     # L[1/2] p1 is stage 261 and independent of the seed, so member runs
     # the stages up to it; from empty caches their cell walks pop far more
-    # than 8 nodes, and the first query stops at stage 60.  (At 16 nodes it
-    # stops at stage 61; one stage later the stage set refutes L[1/2] p1,
-    # and member_or would answer False.)
+    # than 8 nodes, and the first query stops inside stage 59, which is not
+    # recorded.  (At 16 nodes it stops inside stage 60; once stage 61 is
+    # built the stage set refutes L[1/2] p1, and member_or would answer
+    # False.)
     decide.clear_caches()
     monkeypatch.setattr(probnext.canonical, "_MEMBER_NODES", 8)
     w = lindenbaum(parse("p0"), 5)
@@ -303,6 +304,24 @@ def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypa
     assert w.member_or(query, default=None) is None
     assert w.extend(262).decided == lindenbaum(parse("p0"), 262).decided
     assert w.member(query) == w.decided[261]
+
+
+def test_member_meters_its_fast_path_inside_the_walk(monkeypatch):
+    # From cleared caches, the fast path's entailment check that answers
+    # L[1/5] !p2 walks 454 nodes at budget 300.  The budget covers the whole
+    # query, and the walk raises at the first pop past it.
+    w = lindenbaum(parse("L[1/2] p0 & X p1"), 300)
+    query = parse("L[1/5] !p2")
+    decide.clear_caches()
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_NODES", 100)
+    start = decide.walk_nodes
+    with pytest.raises(ExtensionLimitExceeded):
+        w.member(query)
+    assert decide.walk_nodes - start == 101
+    assert w.budget == 300
+    monkeypatch.undo()
+    assert w.member(query) is True
+    assert w.budget == 300
 
 
 def test_stage_set_depth_is_not_limited_by_the_recursion_limit():

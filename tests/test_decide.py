@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -30,6 +31,7 @@ from helpers import (
     random_nested_bounds,
     scale_bounds,
     tableau_by_constraints,
+    witness_by_builder,
     witnessed,
     world_sat_all_cells,
 )
@@ -52,6 +54,7 @@ from probnext import (
 )
 from probnext import decide, linarith
 from probnext.decide import conjoin, group_steps, to_disjuncts, world_sat
+from probnext.models import model_to_dict
 
 
 def _no_next_above_boolean(f):
@@ -531,6 +534,12 @@ def _distinct_calls(monkeypatch, name, run) -> list:
     return list(seen)
 
 
+def _as_sets(table):
+    """A cell table with each witnessing disjunct as the set of its
+    literals, the layout the oracles build."""
+    return dataclasses.replace(table, disjuncts=tuple(map(frozenset, table.disjuncts)))
+
+
 def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
     """The prefix walk keeps the cells, in the order and with the witnessing
     disjuncts, that `conj` and `sat_status` on every cell gave.  Nested
@@ -546,7 +555,7 @@ def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
         calls = _distinct_calls(monkeypatch, "_cells", lambda: list(map(sat_status, formulas)))
         assert calls
         for (columns,) in calls:
-            assert decide._cells(columns) == witnessed(cells_by_conj(columns)), columns
+            assert _as_sets(decide._cells(columns)) == witnessed(cells_by_conj(columns)), columns
     # p0..p7 and their union: every valuation of the props is one cell.
     assert [len(decide._cells(*args).disjuncts) for args in calls] == [1 << 8]
 
@@ -573,7 +582,7 @@ def test_cell_tables_agree_with_the_walk_oracle(monkeypatch):
         calls = _distinct_calls(monkeypatch, "_cells", run)
         assert calls
         for (columns,) in calls:
-            assert decide._cells(columns) == cells_by_walk(columns), columns
+            assert _as_sets(decide._cells(columns)) == cells_by_walk(columns), columns
             widest = max(widest, len(columns))
     assert widest >= 16
 
@@ -611,11 +620,66 @@ def test_cell_tables_and_rows_agree_with_the_mask_oracle(monkeypatch):
         for (columns,) in calls:
             # the disjuncts in mask order, and each column's index and row
             masked = oracles[columns] = cells_with_masks(columns)
-            assert decide._cells(columns) == as_cell_table(masked), columns
+            assert _as_sets(decide._cells(columns)) == as_cell_table(masked), columns
         assert calls and len(stated) >= len(calls)
         for table, bounds in stated:
             masked = oracles[frozenset(table.columns)]
             assert real(table, bounds) == cell_rows_by_masks(masked, bounds), bounds
+
+
+def test_cells_keep_their_witnessing_disjuncts_as_tuples(monkeypatch):
+    """Every cell table built on the first 2000 decide-mix entries, the
+    lp-bounds pool and the Lindenbaum seeds to budget 300 keeps each
+    witnessing disjunct as a tuple, whose literals are, as a set, those of
+    the mask oracle's disjunct for that cell; every `world_sat` answer hands
+    out the table's own tuples."""
+    mix = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
+    pool = [parse(text) for text in _lp_bounds_pool()]
+    expected = json.loads((BENCH / "expected" / "lindenbaum.json").read_text())
+    seeds = [parse(entry["seed"]) for entry in expected["seeds"]]
+
+    def run():
+        for kind, f in mix:
+            probnext.derives([], f) if kind == "derives" else witness(f)
+        list(map(witness, pool))
+        for seed in seeds:
+            lindenbaum(seed, 300)
+
+    calls = _distinct_calls(monkeypatch, "world_sat", run)
+    oracles = {}
+    answers = 0
+    for (bounds,) in calls:
+        columns = frozenset(bound_column(atom)[0] for _, atom in bounds)
+        table = decide._cells(columns)
+        if columns not in oracles:
+            oracles[columns] = [d for _, d in cells_with_masks(columns).cells]
+            assert all(type(d) is tuple for d in table.disjuncts), columns
+            assert list(map(frozenset, table.disjuncts)) == oracles[columns], columns
+        position = {id(d): i for i, d in enumerate(table.disjuncts)}
+        for d, _ in world_sat(bounds) or ():
+            assert frozenset(d) == oracles[columns][position[id(d)]], bounds
+            answers += 1
+    assert len(oracles) > 100 and answers > 2000, (len(oracles), answers)
+
+
+def test_witnesses_are_the_builder_oracles():
+    """`witness` writes its model straight into the `FiniteDMM`, with the
+    bytes of the former builder's model and root, on the first 2000
+    decide-mix entries and the lp-bounds pool."""
+    texts = [text for (kind, text), _ in _mix_pool(2000) if kind != "derives"]
+    texts += _lp_bounds_pool()
+    built = 0
+    for text in texts:
+        f = parse(text)
+        found, former = witness(f), witness_by_builder(f)
+        assert (found is None) == (former is None), text
+        if found is not None:
+            (model, root), (former_model, former_root) = found, former
+            assert json.dumps([model_to_dict(model), root]) == json.dumps(
+                [model_to_dict(former_model), former_root]
+            ), text
+            built += 1
+    assert built > 2000, built
 
 
 def test_cell_rows_share_the_entries_of_the_all_ones_row(monkeypatch):
@@ -663,7 +727,8 @@ def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
     assert sum(plan is not None for plan in plans.values()) > 100
     monkeypatch.setattr(decide, "_cells", lambda columns: witnessed(cells_by_conj(columns)))
     for args, plan in plans.items():
-        assert world_sat.__wrapped__(*args) == plan, args
+        as_sets = None if plan is None else tuple((frozenset(d), mass) for d, mass in plan)
+        assert world_sat.__wrapped__(*args) == as_sets, args
 
 
 # One satisfiable cell, an empty column, a one-cell column, negated columns,
