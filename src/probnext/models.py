@@ -13,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .formula import And, AtLeast, Formula, Next, Not, Prop
 
@@ -30,32 +31,40 @@ class FiniteDMM:
 
     def extension(self, f: Formula) -> frozenset[str]:
         """Worlds where f holds."""
-        return self._extension(f, frozenset(self.worlds), {})
+        return self._extension(f, frozenset(self.worlds), {}, [])
 
-    def _extension(self, f: Formula, everywhere: frozenset, cache: dict) -> frozenset[str]:
+    def _extension(
+        self, f: Formula, everywhere: frozenset, cache: dict, rows: list
+    ) -> frozenset[str]:
+        """`rows` holds each world's scaled kernel row once the first bound
+        has made them."""
         if f in cache:
             return cache[f]
-        if isinstance(f, Prop):
-            result = frozenset(self.valuation.get(f.index, set()))
-        elif isinstance(f, Not):
-            result = everywhere - self._extension(f.body, everywhere, cache)
-        elif isinstance(f, And):
-            left = self._extension(f.left, everywhere, cache)
-            result = left & self._extension(f.right, everywhere, cache)
-        elif isinstance(f, AtLeast):
-            body_ext = self._extension(f.body, everywhere, cache)
-            result = frozenset(
-                w
-                for w in self.worlds
-                if sum(
-                    (m for u, m in self.kernel.get(w, {}).items() if u in body_ext),
-                    Fraction(0),
-                )
-                >= f.bound
-            )
-        elif isinstance(f, Next):
-            body_ext = self._extension(f.body, everywhere, cache)
-            result = frozenset(w for w in self.worlds if self.successor[w] in body_ext)
+        kind = type(f)
+        if kind is Prop:
+            result = frozenset(self.valuation.get(f.index, ()))
+        elif kind is Not:
+            result = everywhere - self._extension(f.body, everywhere, cache, rows)
+        elif kind is And:
+            left = self._extension(f.left, everywhere, cache, rows)
+            result = left & self._extension(f.right, everywhere, cache, rows)
+        elif kind is AtLeast:
+            body = self._extension(f.body, everywhere, cache, rows)
+            if not rows:
+                rows.extend((w, *_scaled_row(self.kernel.get(w, {}))) for w in self.worlds)
+            num, den = f.bound.as_integer_ratio()
+            holds = []
+            for w, row_den, entries in rows:
+                mass = 0
+                for u, n in entries:
+                    if u in body:
+                        mass += n
+                if mass * den >= num * row_den:
+                    holds.append(w)
+            result = frozenset(holds)
+        elif kind is Next:
+            body = self._extension(f.body, everywhere, cache, rows)
+            result = frozenset(w for w in self.worlds if self.successor[w] in body)
         else:
             raise TypeError(f"not a formula: {f!r}")
         cache[f] = result
@@ -77,15 +86,16 @@ class FiniteDMM:
             if row is None:
                 problems.append(f"missing kernel row for {w}")
                 continue
-            mass = Fraction(0)
-            for u, m in row.items():
+            den, entries = _scaled_row(row)
+            total = 0
+            for u, n in entries:
                 if u not in world_set:
                     problems.append(f"kernel row {w} targets unknown world {u}")
-                if m < 0:
-                    problems.append(f"negative mass {m} in row {w}")
-                mass += m
-            if mass != 1:
-                problems.append(f"row mass {mass} != 1 in row {w}")
+                if n < 0:
+                    problems.append(f"negative mass {row[u]} in row {w}")
+                total += n
+            if total != den:
+                problems.append(f"row mass {Fraction(total, den)} != 1 in row {w}")
         for w in self.worlds:
             succ = self.successor.get(w)
             if succ is None:
@@ -103,6 +113,15 @@ class FiniteDMM:
         return problems
 
 
+def _scaled_row(row: dict[str, Fraction]) -> tuple[int, list[tuple[str, int]]]:
+    """A kernel row over one denominator: the lcm `den` of its masses'
+    denominators, and each entry as `(u, num)` with mass `num / den`."""
+    # One call a mass: a Fraction's numerator and denominator are each a property.
+    ratios = [(u, *m.as_integer_ratio()) for u, m in row.items()]
+    den = lcm(*[d for _, _, d in ratios])
+    return den, [(u, n * (den // d)) for u, n, d in ratios]
+
+
 def random_model(seed: int, n_worlds: int, n_props: int, denom_bound: int) -> FiniteDMM:
     """Deterministic-in-seed random model that always validates."""
     if n_worlds < 1:
@@ -115,12 +134,11 @@ def random_model(seed: int, n_worlds: int, n_props: int, denom_bound: int) -> Fi
     kernel = {}
     for w in worlds:
         denom = rng.randint(1, denom_bound)
-        counts = [0] * n_worlds
+        counts: dict[int, int] = {}
         for _ in range(denom):
-            counts[rng.randrange(n_worlds)] += 1
-        kernel[w] = {
-            worlds[i]: Fraction(c, denom) for i, c in enumerate(counts) if c
-        }
+            i = rng.randrange(n_worlds)
+            counts[i] = counts.get(i, 0) + 1
+        kernel[w] = {worlds[i]: Fraction(counts[i], denom) for i in sorted(counts)}
     successor = {w: rng.choice(worlds) for w in worlds}
     return FiniteDMM(worlds, valuation, kernel, successor)
 

@@ -1458,7 +1458,8 @@ HAND_WRITTEN_SCHEMES = {
 
 def former_extension(model, f, cache=None) -> frozenset:
     """`FiniteDMM.extension` as it was while it built the set of all worlds
-    afresh at every negation; kept as its oracle."""
+    afresh at every negation and summed each kernel row's `Fraction`s at
+    every bound; kept as its oracle."""
     if cache is None:
         cache = {}
     if f in cache:
@@ -1482,6 +1483,67 @@ def former_extension(model, f, cache=None) -> frozenset:
         result = frozenset(w for w in model.worlds if model.successor[w] in body)
     cache[f] = result
     return result
+
+
+def former_validate(model) -> list[str]:
+    """`FiniteDMM.validate` as it was while it summed each kernel row's
+    `Fraction`s; kept as the oracle of its diagnostics."""
+    problems = []
+    world_set = set(model.worlds)
+    if len(world_set) != len(model.worlds):
+        problems.append("duplicate world ids")
+    for w in model.worlds:
+        row = model.kernel.get(w)
+        if row is None:
+            problems.append(f"missing kernel row for {w}")
+            continue
+        mass = Fraction(0)
+        for u, m in row.items():
+            if u not in world_set:
+                problems.append(f"kernel row {w} targets unknown world {u}")
+            if m < 0:
+                problems.append(f"negative mass {m} in row {w}")
+            mass += m
+        if mass != 1:
+            problems.append(f"row mass {mass} != 1 in row {w}")
+    for w in model.worlds:
+        succ = model.successor.get(w)
+        if succ is None:
+            problems.append(f"missing successor for {w}")
+        elif succ not in world_set:
+            problems.append(f"successor of {w} is unknown world {succ}")
+    for w in sorted(model.kernel.keys() - world_set):
+        problems.append(f"kernel row for unknown world {w}")
+    for w in sorted(model.successor.keys() - world_set):
+        problems.append(f"successor given for unknown world {w}")
+    for p, ws in model.valuation.items():
+        for w in ws:
+            if w not in world_set:
+                problems.append(f"valuation of p{p} contains unknown world {w}")
+    return problems
+
+
+def former_random_model(seed: int, n_worlds: int, n_props: int, denom_bound: int):
+    """`random_model` as it was while it scanned a list of `n_worlds` counts
+    for every world, quadratic in the world count; kept as its oracle."""
+    if n_worlds < 1:
+        raise ValueError("need at least one world")
+    rng = random.Random(seed)
+    worlds = [f"w{i}" for i in range(n_worlds)]
+    valuation = {
+        p: {w for w in worlds if rng.random() < 0.5} for p in range(n_props)
+    }
+    kernel = {}
+    for w in worlds:
+        denom = rng.randint(1, denom_bound)
+        counts = [0] * n_worlds
+        for _ in range(denom):
+            counts[rng.randrange(n_worlds)] += 1
+        kernel[w] = {
+            worlds[i]: Fraction(c, denom) for i, c in enumerate(counts) if c
+        }
+    successor = {w: rng.choice(worlds) for w in worlds}
+    return FiniteDMM(worlds, valuation, kernel, successor)
 
 
 ONE_WORLD = {"worlds": ["w0"], "kernel": {"w0": {"w0": "1"}}, "successor": {"w0": "w0"}}

@@ -93,17 +93,27 @@ def test_huge_nested_denominator_answers():
     assert (done.returncode, done.stdout.strip()) == (0, "SAT")
 
 
+_DEEP = {
+    "negations": "!" * 1200 + "p0",
+    "nexts": "X " * 1500 + "p0",
+    "bounds": "L[1/2] " * 1500 + "p0",
+    "conjunction-chain": " & ".join(["p0"] * 3000),
+}
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "!" * 1200 + "p0",
-        "X " * 1500 + "p0",
-        " & ".join(["p0"] * 3000),
-    ],
-    ids=["negations", "nexts", "conjunction-chain"],
+    "command, text",
+    [pytest.param("sat", text, id=name) for name, text in _DEEP.items()]
+    + [pytest.param("check", text, id=f"check-{name}") for name, text in _DEEP.items()],
 )
-def test_too_deeply_nested_input_is_a_limit(text, capsys):
-    assert main(["sat", "--", text]) == 3
+def test_too_deeply_nested_input_is_a_limit(command, text, tmp_path, capsys):
+    # Exit 1 from `check` would read as "does not hold", a wrong verdict.
+    args = [command, "--", text]
+    if command == "check":
+        model_file = tmp_path / "m.json"
+        model_file.write_text(json.dumps(ONE_WORLD))
+        args = [command, str(model_file), "--", text]
+    assert main(args) == 3
     assert "recursion" in capsys.readouterr().err
 
 

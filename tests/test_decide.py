@@ -20,6 +20,7 @@ from helpers import (
     cells_by_walk,
     cells_with_masks,
     clash_free,
+    former_extension,
     fraction_valued_build,
     fraction_valued_solve,
     independent_bounds,
@@ -680,6 +681,23 @@ def test_witnesses_are_the_builder_oracles():
             ), text
             built += 1
     assert built > 2000, built
+
+
+def test_witnesses_check_as_the_former_extension():
+    """On the witness of each of the first 2000 SAT decide-mix entries and
+    of the lp-bounds pool, the checker's scaled-integer rows give every
+    subformula the extension that the former `Fraction` sums give."""
+    texts = [text for (_, text), verdict in _mix_pool(3500) if verdict == "S"][:2000]
+    assert len(texts) == 2000
+    texts += _lp_bounds_pool()
+    for text in texts:
+        f = parse(text)
+        model, root = witness(f)
+        former = {}
+        former_extension(model, f, former)
+        assert root in former[f], text
+        for g, worlds in former.items():
+            assert model.extension(g) == worlds, (text, g)
 
 
 def test_cell_rows_share_the_entries_of_the_all_ones_row(monkeypatch):

@@ -1,13 +1,25 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import MALFORMED_MODELS, ONE_WORLD, former_extension, random_formula
+from helpers import (
+    MALFORMED_MODELS,
+    ONE_WORLD,
+    former_extension,
+    former_random_model,
+    former_validate,
+    random_formula,
+)
 
 from probnext import (
+    And,
+    AtLeast,
     FiniteDMM,
+    Not,
+    Prop,
     UnknownWorld,
     model_from_dict,
     model_to_dict,
@@ -158,3 +170,159 @@ def test_check_agrees_with_the_former_extension():
             assert model.extension(f) == former
             for w in model.worlds:
                 assert model.check(w, f) is (w in former)
+
+
+def test_random_model_is_the_former_model():
+    """Counting each row's draws in a dict makes the same rng calls in the
+    same order as the former list of `n_worlds` counts, and lists each
+    row's entries in the same order."""
+    rng = random.Random(2830)
+    for seed in range(200):
+        args = (seed, rng.randint(1, 300), rng.randint(0, 4), rng.randint(1, 12))
+        model, former = random_model(*args), former_random_model(*args)
+        assert model_to_dict(model) == model_to_dict(former)
+        assert repr(model) == repr(former)
+
+
+def _mutate(model: FiniteDMM, rng: random.Random) -> None:
+    """Write into `model` one defect of a kind `validate` reports, or a row
+    of `int` masses."""
+    w = rng.choice(model.worlds)
+    row = model.kernel.get(w)
+    kind = rng.randrange(10)
+    if kind == 0 and row:  # a negated mass
+        u = rng.choice(list(row))
+        row[u] = -row[u]
+    elif kind == 1 and row:  # a scaled row
+        k = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        model.kernel[w] = {u: m * k for u, m in row.items()}
+    elif kind == 2 and row is not None:  # an unknown target
+        row[f"x{rng.randrange(3)}"] = Fraction(rng.randint(0, 2), rng.randint(1, 4))
+    elif kind == 3:  # a dropped row
+        model.kernel.pop(w, None)
+    elif kind == 4:  # a row of an unlisted world
+        model.kernel[f"z{rng.randrange(3)}"] = {w: Fraction(rng.randint(0, 3), 2)}
+    elif kind == 5:  # a successor of an unlisted world
+        model.successor[f"z{rng.randrange(3)}"] = rng.choice([w, "nowhere"])
+    elif kind == 6:  # a dropped or unknown successor
+        model.successor[w] = "nowhere"
+        if rng.random() < 0.5:
+            del model.successor[w]
+    elif kind == 7:  # a valuation naming an unknown world
+        model.valuation.setdefault(rng.randrange(3), set()).add(f"ghost{rng.randrange(2)}")
+    elif kind == 8:  # a duplicate world id
+        model.worlds.insert(rng.randrange(len(model.worlds) + 1), w)
+    else:  # int masses, summing to 1 or not
+        model.kernel[w] = {w: 1} if rng.random() < 0.5 else {w: 2, rng.choice(model.worlds): -1}
+
+
+def _mutated_models(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        model = random_model(seed + i, rng.randint(1, 6), 3, 4)
+        for _ in range(rng.randrange(4)):
+            _mutate(model, rng)
+        yield rng, model
+
+
+def test_validate_gives_the_former_diagnostics():
+    """`validate` sums each row's scaled integers, and its diagnostics are
+    the former `Fraction` loop's, byte for byte."""
+    flagged = 0
+    for _, model in _mutated_models(2831, 3000):
+        problems = model.validate()
+        assert problems == former_validate(model), model_to_dict(model)
+        flagged += bool(problems)
+    assert flagged > 1500, flagged
+
+
+def _outcome(extension, f):
+    try:
+        return extension(f)
+    except KeyError:  # a Next node met a world with no successor
+        return KeyError
+
+
+def test_extension_agrees_with_the_former_on_defective_models():
+    """Duplicate world ids, rows that target unknown worlds, missing rows,
+    valuations of unknown worlds and `int` masses read as the former
+    `Fraction` sums read them."""
+    for rng, model in _mutated_models(2832, 1000):
+        for _ in range(10):
+            f = random_formula(rng)
+            assert _outcome(model.extension, f) == _outcome(
+                lambda f: former_extension(model, f), f
+            ), (model_to_dict(model), f)
+
+
+def test_extension_compares_masses_exactly():
+    tiny, small = Fraction(1, 1000003), Fraction(1, 999983)
+    m = FiniteDMM(
+        worlds=["a", "b", "c"],
+        valuation={0: {"a"}, 1: {"b"}},
+        kernel={
+            "a": {"a": Fraction(1, 3), "b": Fraction(2, 3)},
+            "b": {"a": small, "b": tiny, "c": 1 - small - tiny},
+            "c": {"c": 1, "a": 0},
+        },
+        successor={"a": "b", "b": "c", "c": "c"},
+    )
+    p0, p1 = Prop(0), Prop(1)
+    either = Not(And(Not(p0), Not(p1)))
+    cases = {
+        AtLeast(Fraction(1, 3), p0): {"a"},  # mass exactly at the bound
+        Not(AtLeast(Fraction(1, 3), p0)): {"b", "c"},
+        AtLeast(small, p0): {"a", "b"},
+        AtLeast(small + Fraction(1, 10**15), p0): {"a"},
+        AtLeast(small + tiny, either): {"a", "b"},
+        AtLeast(small + tiny + Fraction(1, 10**15), either): {"a"},
+        AtLeast(Fraction(0), And(p0, Not(p0))): {"a", "b", "c"},
+        AtLeast(Fraction(1), Not(p0)): {"c"},
+        AtLeast(Fraction(1), either): {"a"},
+        AtLeast(Fraction(1), Not(And(p0, Not(p0)))): {"a", "b", "c"},
+    }
+    for f, holds in cases.items():
+        assert m.extension(f) == holds == former_extension(m, f), f
+
+
+def test_extension_reads_the_kernel_at_each_query(two_world_model):
+    # The model is a mutable dataclass, so its scaled rows are made per
+    # query and never kept on it.
+    m = two_world_model
+    f = parse("L[1/2] p0")
+    assert m.extension(f) == frozenset()
+    m.kernel["v"] = {"u": Fraction(1, 2), "v": Fraction(1, 2)}
+    assert m.extension(f) == {"v"} == former_extension(m, f)
+
+
+WIDE_FORMULA = "L[1/2] (p0 & X !p1) & !L[2/3] X (p1 & L[1/3] !p2) & X X L[1/4] (p0 & !p2)"
+
+
+@pytest.fixture(scope="module")
+def wide_models():
+    """Models of 10 000 and 100 000 worlds, each with its build time in seconds."""
+    built = {}
+    for n in (10_000, 100_000):
+        start = time.perf_counter()
+        model = random_model(7, n, 3, 6)
+        built[n] = model, time.perf_counter() - start
+    return built
+
+
+def test_random_model_is_linear_in_its_world_count(wide_models):
+    # The former list of counts per world took 0.16, 0.75 and 2.5 s for
+    # 2000, 4000 and 8000 worlds.
+    small, large = wide_models[10_000][1], wide_models[100_000][1]
+    assert large < 25 * small, (small, large)
+
+
+def test_extension_is_linear_in_the_world_count(wide_models):
+    # Ten times the worlds took about 11 times as long; an integer bitmask
+    # over the worlds, which copies itself at each bit, took 45 times.
+    f = parse(WIDE_FORMULA)
+    seconds = {}
+    for n, (model, _) in wide_models.items():
+        start = time.perf_counter()
+        model.extension(f)
+        seconds[n] = time.perf_counter() - start
+    assert seconds[100_000] < 25 * seconds[10_000], seconds
