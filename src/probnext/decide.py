@@ -29,8 +29,14 @@ non-negativity in bulk, builds the tableau and solves it, with no
 `LinearSystem` built, and returns the nonzero masses: the inhabited cells.
 
 A SAT answer can be turned into an explicit finite model whose root
-world the model checker accepts; each inhabited cell's sub-model is
-built from its witnessing disjunct, straight into the model.  `conjoin`
+world the model checker accepts.  One search serves the verdict and the
+witness: `_first_plans` finds the first satisfiable disjunct's plans (the
+true propositions and inhabited cells of each step), and keeps them for a
+bounded number of recent formulas, so `witness` after `sat_status` builds
+from them without expanding the formula again.  A formula no longer kept
+only repeats the same search, which finds the same plans.  Each inhabited
+cell's sub-model is built from its witnessing disjunct's plans, straight
+into the model.  `conjoin`
 extends a pruned DNF by one more conjunct and keeps only its satisfiable
 disjuncts, so a long conjunction that grows one conjunct at a time can be
 kept as that list.
@@ -312,16 +318,37 @@ def _satisfiable(disjuncts: Iterable[Disjunct]) -> Iterator[Disjunct]:
     return (d for d in disjuncts if _plans(d) is not None)
 
 
+# Formulas whose search `_first_plans` remembers: enough for a witness query
+# to follow its verdict's, with a bounded cost in memory.
+_FIRST_PLANS_KEPT = 256
+
+
+@lru_cache(maxsize=_FIRST_PLANS_KEPT)
+def _first_plans(f: Formula) -> Optional[dict[int, tuple]]:
+    """The plans of f's first satisfiable disjunct, as `_plans` gives them,
+    or None when f is unsatisfiable: the search behind both the verdict and
+    the witness.  The dict is shared by every caller and only read."""
+    for d in to_disjuncts(f):
+        plans = _plans(d)
+        if plans is not None:
+            return plans
+    return None
+
+
 @lru_cache(maxsize=None)
 def sat_status(f: Formula) -> bool:
-    """True iff f is satisfiable in some dynamic Markov model."""
-    return next(_satisfiable(to_disjuncts(f)), None) is not None
+    """True iff f is satisfiable in some dynamic Markov model.  The plans its
+    search finds are kept for `witness(f)`, for a bounded number of recent
+    formulas."""
+    return _first_plans(f) is not None
 
 
 def clear_caches() -> None:
-    """Forget every decided query: the `sat_status`, `world_sat` and cell
-    table caches.  The verdicts stay the same, only the work is redone."""
+    """Forget every decided query: the `sat_status`, `_first_plans`,
+    `world_sat` and cell table caches.  The verdicts and witnesses stay the
+    same, only the work is redone."""
     sat_status.cache_clear()
+    _first_plans.cache_clear()
     world_sat.cache_clear()
     _cells.cache_clear()
 
@@ -342,11 +369,10 @@ def valid(f: Formula) -> bool:
     return not sat_status(Not(f))
 
 
-def _build(model: FiniteDMM, disjunct) -> str:
-    """Add to the model a sub-model satisfying a satisfiable disjunct, its
-    worlds named in the order they are made, and return the world where the
-    disjunct holds."""
-    plans = _plans(disjunct)
+def _build(model: FiniteDMM, plans: dict[int, tuple]) -> str:
+    """Add to the model a sub-model satisfying a satisfiable disjunct, given
+    by its plans, its worlds named in the order they are made, and return
+    the world where the disjunct holds."""
     horizon = max(plans, default=0)
     chain = [f"w{len(model.worlds) + i}" for i in range(horizon + 1)]
     model.worlds.extend(chain)
@@ -356,15 +382,18 @@ def _build(model: FiniteDMM, disjunct) -> str:
         for p in props:
             model.valuation.setdefault(p, set()).add(w)
         # a world with no inhabited cell loops to itself
-        row = {_build(model, d): mass for d, mass in cells}
+        row = {_build(model, _plans(d)): mass for d, mass in cells}
         model.kernel[w] = row or {w: Fraction(1)}
     return chain[0]
 
 
 def witness(f: Formula) -> Optional[tuple[FiniteDMM, str]]:
-    """A finite model and root world satisfying f, or None when UNSAT."""
-    d = next(_satisfiable(to_disjuncts(f)), None)
-    if d is None:
+    """A finite model and root world satisfying f, or None when UNSAT.  It
+    is built from the plans that the verdict's search found, when
+    `sat_status(f)` ran recently; otherwise it repeats that search, and
+    builds the same model."""
+    plans = _first_plans(f)
+    if plans is None:
         return None
     model = FiniteDMM([])
-    return model, _build(model, d)
+    return model, _build(model, plans)

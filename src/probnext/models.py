@@ -201,13 +201,17 @@ def model_from_dict(data) -> FiniteDMM:
         if p in valuation:
             raise ValueError(f"valuation lists p{p} twice")
         valuation[p] = set(json_strings(ws, f"valuation of {key}"))
-    kernel = {
-        w: {
-            u: fraction_from_str(s)
-            for u, s in json_object(row, f"kernel row {w}").items()
-        }
-        for w, row in json_object(data.get("kernel", {}), "kernel").items()
-    }
+    # Wide models repeat a few spellings, so each distinct one is parsed
+    # once.  A mass that is not a string raises in `fraction_from_str`
+    # before it could be used as a key.
+    masses: dict[str, Fraction] = {}
+    kernel = {}
+    for w, row in json_object(data.get("kernel", {}), "kernel").items():
+        kernel[w] = parsed = {}
+        for u, s in json_object(row, f"kernel row {w}").items():
+            if not isinstance(s, str) or s not in masses:
+                masses[s] = fraction_from_str(s)
+            parsed[u] = masses[s]
     successor = json_object(data.get("successor", {}), "successor")
     for w, u in successor.items():
         if not isinstance(u, str):

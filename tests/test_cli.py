@@ -21,6 +21,7 @@ import probnext
 from probnext import decide, formula_index, parse, proof, render
 from probnext.cli import main
 from probnext.enumeration import _WEIGHT_LIMIT, class_count
+from probnext.models import fraction_from_str
 
 
 def test_sat_exit_codes(capsys):
@@ -210,6 +211,20 @@ def test_fraction_not_spelled_in_ascii_digits_is_an_input_error(mass, tmp_path, 
     )
     assert main(["check", str(bad), "p0"]) == 2
     assert "ASCII digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", ["1/0", " 1/2", "\u00bd", 1, None, [1]], ids=repr)
+def test_a_malformed_mass_in_a_model_file_exits_2_with_its_message(mass, tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(
+        json.dumps({"worlds": ["w0", "w1"],
+                    "kernel": {"w0": {"w1": "1"}, "w1": {"w0": "1/2", "w1": mass}},
+                    "successor": {"w0": "w1", "w1": "w1"}})
+    )
+    with pytest.raises(ValueError) as caught:
+        fraction_from_str(mass)
+    assert main(["check", str(bad), "p0"]) == 2
+    assert capsys.readouterr().err == f"error: cannot load model: {caught.value}\n"
 
 
 def test_rows_and_successors_of_unlisted_worlds_are_an_input_error(tmp_path, capsys):

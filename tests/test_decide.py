@@ -683,6 +683,75 @@ def test_witnesses_are_the_builder_oracles():
     assert built > 2000, built
 
 
+def _witness_bytes(found) -> str:
+    return json.dumps(None if found is None else [model_to_dict(found[0]), found[1]])
+
+
+def test_witnesses_do_not_depend_on_the_search_memo():
+    """`witness` builds from the plans that the verdict's search kept, or
+    repeats that search, with the builder oracle's bytes in every state of
+    the memo: from cold caches, right after `sat`, after `clear_caches`, and
+    after more other verdicts than the memo keeps.  On the first 2000 SAT
+    decide-mix entries and the lp-bounds pool."""
+    texts = [text for (_, text), verdict in _mix_pool(3500) if verdict == "S"][:2000]
+    assert len(texts) == 2000
+    formulas = list(dict.fromkeys(map(parse, texts + _lp_bounds_pool())))
+    oracle = {f: _witness_bytes(witness_by_builder(f)) for f in formulas}
+    memo = decide._first_plans.cache_info
+    for f in formulas:
+        decide.clear_caches()
+        assert _witness_bytes(witness(f)) == oracle[f]
+        decide.clear_caches()
+        assert sat(f).status == "SAT"
+        hits = memo().hits
+        assert _witness_bytes(witness(f)) == oracle[f]
+        assert _witness_bytes(witness(f)) == oracle[f]  # the plans stay as found
+        assert memo().hits == hits + 2
+        decide.clear_caches()
+        assert _witness_bytes(witness(f)) == oracle[f]
+    # each formula meets len(formulas) - 1 others between its verdict and
+    # its witness, which evicts it
+    assert len(formulas) > 2 * decide._FIRST_PLANS_KEPT
+    decide.clear_caches()
+    for f in formulas:
+        assert sat(f).status == "SAT"
+    for f in formulas:
+        misses = memo().misses
+        assert _witness_bytes(witness(f)) == oracle[f]
+        assert memo().misses == misses + 1
+
+
+def test_a_witness_after_its_verdict_repeats_no_search(monkeypatch):
+    """After `sat(f)` on an lp-bounds formula, `witness(f)` expands no DNF
+    and decides no step."""
+    decide.clear_caches()
+    calls = {"to_disjuncts": 0, "world_sat": 0}
+    for name in calls:
+        real = getattr(decide, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(decide, name, counted)
+    for text in _lp_bounds_pool()[:100]:  # distinct: each verdict searches
+        f = parse(text)
+        assert sat(f).status == "SAT"
+        assert calls["to_disjuncts"] > 0 and calls["world_sat"] > 0
+        calls.update(dict.fromkeys(calls, 0))
+        assert witness(f) is not None
+        assert calls == {"to_disjuncts": 0, "world_sat": 0}, text
+
+
+def test_clear_caches_empties_every_cache():
+    f = parse(_lp_bounds_pool()[0])
+    assert sat(f).status == "SAT" and witness(f) is not None
+    caches = (decide.sat_status, decide._first_plans, decide.world_sat, decide._cells)
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
+    decide.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]
+
+
 def test_witnesses_check_as_the_former_extension():
     """On the witness of each of the first 2000 SAT decide-mix entries and
     of the lp-bounds pool, the checker's scaled-integer rows give every

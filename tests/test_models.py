@@ -152,6 +152,59 @@ def test_malformed_model_dicts_are_refused(data):
         model_from_dict(data)
 
 
+def test_loaded_kernels_are_those_of_fraction_from_str():
+    """`model_from_dict` parses each distinct mass spelling once per load;
+    the kernels are those of parsing every entry on its own."""
+    rng = random.Random(2929)
+    for seed in range(40):
+        model = random_model(seed, rng.randint(1, 60), 3, rng.randint(1, 9))
+        data = json.loads(json.dumps(model_to_dict(model)))
+        if seed % 2:  # spellings that are equal as fractions, and signs
+            data["kernel"][model.worlds[0]] = {
+                model.worlds[0]: "2/4", model.worlds[-1]: "-1/2", "far": "1"
+            }
+        former = {
+            w: {u: fraction_from_str(s) for u, s in row.items()}
+            for w, row in data["kernel"].items()
+        }
+        assert model_from_dict(data).kernel == former
+
+
+# each malformed mass with the message `fraction_from_str` gives it
+_MALFORMED_MASSES = [
+    ("1/0", "zero denominator in '1/0'"),
+    (" 1/2", "fraction ' 1/2' is not spelled num/den in ASCII digits"),
+    ("½", "fraction '½' is not spelled num/den in ASCII digits"),
+    (1, 'fraction must be a string such as "1/2", not 1'),
+    (None, 'fraction must be a string such as "1/2", not None'),
+    ([1], 'fraction must be a string such as "1/2", not [1]'),
+    ({"n": 1}, "fraction must be a string such as \"1/2\", not {'n': 1}"),
+]
+
+
+def _model_with_mass(mass) -> dict:
+    """A two-world model whose last mass is `mass`, after three parsed ones."""
+    return {
+        "worlds": ["w0", "w1"],
+        "kernel": {"w0": {"w0": "1/2", "w1": "1/2"}, "w1": {"w0": "1/2", "w1": mass}},
+        "successor": {"w0": "w1", "w1": "w1"},
+    }
+
+
+@pytest.mark.parametrize(
+    "mass, message", _MALFORMED_MASSES, ids=[repr(m) for m, _ in _MALFORMED_MASSES]
+)
+def test_a_malformed_mass_among_parsed_ones_keeps_its_message(mass, message):
+    """A malformed mass after parsed ones, a list or an object included,
+    raises the `ValueError` that it raises read on its own."""
+    with pytest.raises(ValueError) as caught:
+        fraction_from_str(mass)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        model_from_dict(_model_with_mass(mass))
+    assert str(caught.value) == message
+
+
 def test_well_formed_one_world_model_reads_back():
     model = model_from_dict(dict(ONE_WORLD, valuation={"p0": ["w0"], "p12": []}))
     assert model.valuation == {0: {"w0"}, 12: set()}

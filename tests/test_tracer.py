@@ -32,6 +32,9 @@ def test_tracer_spans_the_step_layer_of_an_lp_bounds_query():
     assert tracer.calls["decide.world_sat"] > 0
     assert tracer.calls["decide.group_steps"] > 0
     assert tracer.calls["decide.witness"] == 1
+    # the witness builds from the plans the verdict's search found
+    assert tracer.calls["decide.to_disjuncts"] == 1
+    assert tracer.calls["decide.world_sat"] == 1
     metrics = tracer.layer_metrics(1)
     assert metrics["decide.world_sat.calls"] == tracer.calls["decide.world_sat"]
     assert metrics["models.witness_worlds"] == len(found[0].worlds)
