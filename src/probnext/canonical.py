@@ -31,9 +31,8 @@ because the stages past about 1060 walk ever larger cell tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import decide
 from .decide import conjoin, sat_status
@@ -61,14 +60,12 @@ class InconsistentSeed(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lower: Fraction
     upper: Fraction
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     index: int
     case: int  # 1 = derivable, 2 = negation added, 3 = negation + witness bound
     formula: Formula
@@ -203,8 +200,7 @@ def lindenbaum(seed: Formula, budget: int) -> SaturatedPrefix:
     return SaturatedPrefix(seed).extend(budget)
 
 
-@dataclass(frozen=True)
-class Distance:
+class Distance(NamedTuple):
     """d_c query result: exact value, or only an upper bound at this budget."""
 
     exact: bool

@@ -45,10 +45,9 @@ kept as that list.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .enumeration import ExtensionLimitExceeded, spelling
 from .formula import And, AtLeast, Formula, Next, Not, Prop
@@ -182,8 +181,7 @@ def group_steps(disjunct: Disjunct) -> list[tuple]:
 # Per-world satisfiability over measure cells
 
 
-@dataclass(frozen=True, slots=True)
-class _CellTable:
+class _CellTable(NamedTuple):
     """The LP data of the satisfiable cells over one set of columns, cell i
     being the i-th in increasing mask order: `disjuncts` holds each cell's
     witnessing disjunct as a tuple, `ones` the all-ones row ((0, 1), (1, 1),
@@ -295,8 +293,7 @@ def _cell_rows(table: _CellTable, bounds) -> list:
 # Satisfiability, validity, witness extraction
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "SAT" | "UNSAT"
 
 

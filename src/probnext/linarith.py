@@ -27,11 +27,12 @@ replaced, are the oracles the tests compare `solve` against.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .record import MutableRecord
 
 
 class Rel(Enum):
@@ -40,8 +41,7 @@ class Rel(Enum):
     EQ = "= 0"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """sum(coeff * var) + constant  relation  0; zero coefficients are not
     stored, and the others are sorted by variable."""
 
@@ -50,10 +50,12 @@ class Constraint:
     relation: Rel
 
 
-@dataclass
-class LinearSystem:
-    constraints: list[Constraint] = field(default_factory=list)
-    num_vars: int = 0
+class LinearSystem(MutableRecord):
+    _fields = ("constraints", "num_vars")
+
+    def __init__(self, constraints: list[Constraint] | None = None, num_vars: int = 0):
+        self.constraints = [] if constraints is None else constraints
+        self.num_vars = num_vars
 
 
 def _constraint(coeffs: dict[int, int | Fraction], constant, relation: Rel) -> Constraint:

@@ -11,23 +11,31 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .formula import And, AtLeast, Formula, Next, Not, Prop
+from .record import MutableRecord
 
 
 class UnknownWorld(KeyError):
     pass
 
 
-@dataclass
-class FiniteDMM:
-    worlds: list[str]
-    valuation: dict[int, set[str]] = field(default_factory=dict)
-    kernel: dict[str, dict[str, Fraction]] = field(default_factory=dict)
-    successor: dict[str, str] = field(default_factory=dict)
+class FiniteDMM(MutableRecord):
+    _fields = ("worlds", "valuation", "kernel", "successor")
+
+    def __init__(
+        self,
+        worlds: list[str],
+        valuation: dict[int, set[str]] | None = None,
+        kernel: dict[str, dict[str, Fraction]] | None = None,
+        successor: dict[str, str] | None = None,
+    ):
+        self.worlds = worlds
+        self.valuation = {} if valuation is None else valuation
+        self.kernel = {} if kernel is None else kernel
+        self.successor = {} if successor is None else successor
 
     def extension(self, f: Formula) -> frozenset[str]:
         """Worlds where f holds."""

@@ -30,12 +30,12 @@ only the answer is a `Fraction` again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .models import fraction_from_str, fraction_to_str, json_object, json_strings
+from .record import MutableRecord
 
 
 class IncompatibleSupports(ValueError):
@@ -55,21 +55,24 @@ def _dist(table: dict, a: str, b: str) -> Fraction:
         raise IncompatibleSupports(f"no distance for {a}|{b}") from None
 
 
-@dataclass
-class FiniteMeasure:
+class FiniteMeasure(MutableRecord):
     """Finitely supported probability measure over named metric points."""
 
-    points: list[str]
-    weights: dict[str, Fraction]
-    distance: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+    _fields = ("points", "weights", "distance")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        points: list[str],
+        weights: dict[str, Fraction],
+        distance: dict[tuple[str, str], Fraction] | None = None,
+    ):
+        self.points = points
+        self.weights = weights
         # one key per pair, in the order `_dist` looks it up
-        table: dict[tuple[str, str], Fraction] = {}
-        for (a, b), d in self.distance.items():
-            if table.setdefault(_pair(a, b), d) != d:
+        self.distance: dict[tuple[str, str], Fraction] = {}
+        for (a, b), d in (distance or {}).items():
+            if self.distance.setdefault(_pair(a, b), d) != d:
                 raise IncompatibleSupports(f"conflicting distances for {a}|{b}")
-        self.distance = table
 
     def mass(self, subset) -> Fraction:
         return sum((self.weights.get(x, Fraction(0)) for x in subset), Fraction(0))

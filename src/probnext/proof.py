@@ -15,9 +15,8 @@ representable as checkable steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .decide import sat_status, valid
 from .enumeration import ExtensionLimitExceeded, enum_formula
@@ -146,21 +145,18 @@ def matches_scheme(f: Formula, name: str) -> bool:
 # Derivations
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(NamedTuple):
     kind: str  # "axiom" | "mp" | "nec_l1" | "nec_next" | "hyp"
     scheme: Optional[str] = None
     refs: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     steps: tuple[tuple[Formula, Justification], ...]
     hypotheses: Optional[frozenset[Formula]] = None  # None = theorem mode
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     accepted: bool
     step: Optional[int] = None
     reason: Optional[str] = None

@@ -4,6 +4,7 @@ and the replaced algorithms kept as differential oracles."""
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import random
 import re
 import resource
@@ -12,6 +13,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import gcd, lcm
+from pathlib import Path
+from typing import Optional
 
 from probnext import (
     BOTTOM,
@@ -33,17 +36,35 @@ from probnext import (
     push_next,
     render,
 )
-from probnext.canonical import _bound_stack_pattern, _rebuild_stack
+from probnext.canonical import (
+    Distance,
+    Interval,
+    StageRecord,
+    _bound_stack_pattern,
+    _rebuild_stack,
+)
+from probnext.decide import Verdict, _CellTable
 from probnext.enumeration import enum_formula, enum_rational, sort_key, spelling
-from probnext.linarith import LinearSystem, Rel, eq, ge, gt, satisfies, solve
+from probnext.linarith import Constraint, LinearSystem, Rel, eq, ge, gt, satisfies, solve
 from probnext.models import FiniteDMM
+from probnext.proof import CheckResult, Derivation, Justification
 from probnext.prokhorov import (
     FiniteMeasure,
     IncompatibleSupports,
     _dist,
     _integers,
     _merged_table,
+    _pair,
 )
+
+
+def bench_inputs():
+    """The benchmark's input generators, `bench/inputs.py`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def cap_address_space():
@@ -1157,7 +1178,7 @@ def cells_by_walk(columns):
 def witnessed(table):
     """A `cells_by_conj` table with each cell formula replaced by its
     witnessing disjunct."""
-    return dataclasses.replace(table, disjuncts=tuple(map(witnessing, table.disjuncts)))
+    return table._replace(disjuncts=tuple(map(witnessing, table.disjuncts)))
 
 
 def cell_system(table, bounds) -> LinearSystem:
@@ -1793,3 +1814,144 @@ def distinct_distance_line(n: int):
         measure([1 + i % 7 for i in range(n)]),
         measure([1 + i * i % 5 for i in range(n)]),
     )
+
+
+# ---------------------------------------------------------------------------
+# The records as they were while each was a dataclass, kept as the oracles of
+# their `repr`, `==` and hashing: the immutable ones are NamedTuples now, and
+# the mutable ones `MutableRecord`s.  Each keeps the name its repr spells.
+
+
+def _named(name: str):
+    def rename(cls):
+        cls.__name__ = cls.__qualname__ = name
+        return cls
+
+    return rename
+
+
+@_named("FiniteDMM")
+@dataclasses.dataclass
+class DataclassFiniteDMM:
+    worlds: list[str]
+    valuation: dict[int, set[str]] = dataclasses.field(default_factory=dict)
+    kernel: dict[str, dict[str, Fraction]] = dataclasses.field(default_factory=dict)
+    successor: dict[str, str] = dataclasses.field(default_factory=dict)
+
+
+@_named("FiniteMeasure")
+@dataclasses.dataclass
+class DataclassFiniteMeasure:
+    points: list[str]
+    weights: dict[str, Fraction]
+    distance: dict[tuple[str, str], Fraction] = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        # one key per pair, in the order `_dist` looks it up
+        table: dict[tuple[str, str], Fraction] = {}
+        for (a, b), d in self.distance.items():
+            if table.setdefault(_pair(a, b), d) != d:
+                raise IncompatibleSupports(f"conflicting distances for {a}|{b}")
+        self.distance = table
+
+
+@_named("LinearSystem")
+@dataclasses.dataclass
+class DataclassLinearSystem:
+    constraints: list = dataclasses.field(default_factory=list)
+    num_vars: int = 0
+
+
+@_named("Constraint")
+@dataclasses.dataclass(frozen=True)
+class DataclassConstraint:
+    coeffs: tuple
+    constant: Fraction
+    relation: Rel
+
+
+@_named("_CellTable")
+@dataclasses.dataclass(frozen=True, slots=True)
+class DataclassCellTable:
+    disjuncts: tuple
+    ones: tuple
+    columns: dict
+
+
+@_named("Verdict")
+@dataclasses.dataclass(frozen=True)
+class DataclassVerdict:
+    status: str
+
+
+@_named("Interval")
+@dataclasses.dataclass(frozen=True)
+class DataclassInterval:
+    lower: Fraction
+    upper: Fraction
+
+
+@_named("StageRecord")
+@dataclasses.dataclass(frozen=True)
+class DataclassStageRecord:
+    index: int
+    case: int
+    formula: object
+    extra: Optional[object] = None
+
+
+@_named("Distance")
+@dataclasses.dataclass(frozen=True)
+class DataclassDistance:
+    exact: bool
+    value: Fraction
+
+
+@_named("Justification")
+@dataclasses.dataclass(frozen=True)
+class DataclassJustification:
+    kind: str
+    scheme: Optional[str] = None
+    refs: tuple[int, ...] = ()
+
+
+@_named("Derivation")
+@dataclasses.dataclass(frozen=True)
+class DataclassDerivation:
+    steps: tuple
+    hypotheses: Optional[frozenset] = None
+
+
+@_named("CheckResult")
+@dataclasses.dataclass(frozen=True)
+class DataclassCheckResult:
+    accepted: bool
+    step: Optional[int] = None
+    reason: Optional[str] = None
+
+
+DATACLASS_OF = {
+    FiniteDMM: DataclassFiniteDMM,
+    FiniteMeasure: DataclassFiniteMeasure,
+    LinearSystem: DataclassLinearSystem,
+    Constraint: DataclassConstraint,
+    _CellTable: DataclassCellTable,
+    Verdict: DataclassVerdict,
+    Interval: DataclassInterval,
+    StageRecord: DataclassStageRecord,
+    Distance: DataclassDistance,
+    Justification: DataclassJustification,
+    Derivation: DataclassDerivation,
+    CheckResult: DataclassCheckResult,
+}
+
+
+def as_dataclass(value):
+    """`value` with every record in it, itself or inside tuples and lists,
+    made the dataclass it was."""
+    former = DATACLASS_OF.get(type(value))
+    if former is not None:
+        return former(*[as_dataclass(getattr(value, name)) for name in value._fields])
+    if type(value) in (tuple, list):
+        return type(value)(map(as_dataclass, value))
+    return value

@@ -1,5 +1,3 @@
-import dataclasses
-import importlib.util
 import json
 import os
 import random
@@ -12,6 +10,7 @@ import pytest
 
 from helpers import (
     as_cell_table,
+    bench_inputs,
     bound_column,
     cell_rows_by_masks,
     cell_rows_with_masses,
@@ -439,18 +438,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 MIX_ENTRIES = 2500
 
 
-def _bench_inputs():
-    """The benchmark's input generators, `bench/inputs.py`."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
 def _mix_pool(n: int) -> list:
     """The first n entries of the decide-mix pool as ((kind, text), verdict),
     without those whose verdict the benchmark leaves unverified ("X")."""
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     verdicts = json.loads((BENCH / "expected" / "decide_mix.json").read_text())["verdicts"]
     return [(inputs.mix_entry(i), verdicts[i]) for i in range(n) if verdicts[i] != "X"]
 
@@ -538,7 +529,7 @@ def _distinct_calls(monkeypatch, name, run) -> list:
 def _as_sets(table):
     """A cell table with each witnessing disjunct as the set of its
     literals, the layout the oracles build."""
-    return dataclasses.replace(table, disjuncts=tuple(map(frozenset, table.disjuncts)))
+    return table._replace(disjuncts=tuple(map(frozenset, table.disjuncts)))
 
 
 def test_cell_tables_agree_with_the_conj_oracle(monkeypatch):
@@ -844,7 +835,7 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     formulas += [random_formula(rng) for _ in range(300)]
     formulas += [random_nested_bounds(rng) for _ in range(300)]
     # the lp-bounds shape: L[r_i] (p_i | p_{i+1}) for i < 4, & !L[s] p_c
-    lp_bounds_text = _bench_inputs().lp_bounds_text
+    lp_bounds_text = bench_inputs().lp_bounds_text
     formulas += [parse(lp_bounds_text(random.Random(f"lp-bounds/{j}"))) for j in range(100)]
     calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(witness, formulas)))
     edges = dict.fromkeys(["one cell", "empty", "one-cell", "negated", "shared"], 0)
@@ -874,7 +865,7 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
 
 def _lp_bounds_pool() -> list[str]:
     """The 1000 distinct texts of the lp-bounds workload's pool."""
-    lp_bounds_text = _bench_inputs().lp_bounds_text
+    lp_bounds_text = bench_inputs().lp_bounds_text
     texts: dict = {}
     j = 0
     while len(texts) < 1000:

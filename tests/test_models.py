@@ -339,7 +339,7 @@ def test_extension_compares_masses_exactly():
 
 
 def test_extension_reads_the_kernel_at_each_query(two_world_model):
-    # The model is a mutable dataclass, so its scaled rows are made per
+    # The model is a mutable record, so its scaled rows are made per
     # query and never kept on it.
     m = two_world_model
     f = parse("L[1/2] p0")

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import random
@@ -13,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     MALFORMED_MEASURES,
+    bench_inputs,
     distinct_distance_line,
     prokhorov_by_bisection,
     prokhorov_subset_scan,
@@ -302,17 +302,9 @@ def test_one_direction_scan_agrees_with_the_two_way_oracle():
         assert prokhorov(mu, nu) == prokhorov_two_way(mu, nu), (mu, nu)
 
 
-def _bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("n", [6, 8])
 def test_one_direction_scan_on_the_bench_instances(n):
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     for index in range(8):
         points, w1, w2, distance = inputs.prokhorov_instance(n, index)
         mu = FiniteMeasure(points, w1, distance)
@@ -342,7 +334,7 @@ def test_growing_flow_agrees_with_the_bisection(line):
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_growing_flow_agrees_with_the_bisection_on_the_bench_instances(n):
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     for index in range(8):
         points, w1, w2, distance = inputs.prokhorov_instance(n, index)
         mu = FiniteMeasure(points, w1, distance)
@@ -386,7 +378,7 @@ def test_coprime_denominators_are_scaled_exactly():
 
 
 def test_bench_expected_values_are_reproduced():
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     bench = Path(__file__).resolve().parents[1] / "bench"
     expected = json.loads((bench / "expected" / "prokhorov.json").read_text())["values"]
     assert sum(map(len, expected.values())) == 24
