@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import canonical, decide, models, proof
 from .enumeration import enum_formula
@@ -257,6 +256,10 @@ def main(argv=None) -> int:
         return 2
     except Exception:
         # Any other failure is a fault of the program, never a verdict.
+        # `traceback` is imported here so that a start that never fails does
+        # not load it and the four modules it pulls in.
+        import traceback
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 4

@@ -24,9 +24,16 @@ and raises once it passes the budget of a `walk_budget` block.  A cell
 table, which each step over the same columns reuses, keeps the cells'
 witnessing disjuncts, as tuples, and the LP's 0/1 indicator rows over them:
 the all-ones row of the masses' sum and one row per column, from which a
-step's LP selects one per bound.  `linarith.solve_rows` states the masses'
+step's LP selects one per bound, and each column's cells once more as the
+bits of an int.  A step is first tried on one cell with mass 1, the
+smallest vertex of its LP: ANDing one bitset per bound, the inside or the
+outside of its column, gives the cells that satisfy every bound alone, and
+the lowest of them is the answer.  Only a step that no one cell satisfies
+reaches the simplex: `linarith.solve_rows` states the masses'
 non-negativity in bulk, builds the tableau and solves it, with no
 `LinearSystem` built, and returns the nonzero masses: the inhabited cells.
+Either answer depends on the bounds alone, never on what was decided
+before.
 
 A SAT answer can be turned into an explicit finite model whose root
 world the model checker accepts.  One search serves the verdict and the
@@ -47,6 +54,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .enumeration import ExtensionLimitExceeded, spelling
@@ -186,10 +194,11 @@ class _CellTable(NamedTuple):
     being the i-th in increasing mask order: `disjuncts` holds each cell's
     witnessing disjunct as a tuple, `ones` the all-ones row ((0, 1), (1, 1),
     ...), and `columns` maps each column to (its index in spelling order,
-    its 0/1 indicator row), whose entries are those of `ones`, shared.  A
-    witnessing disjunct is only iterated, by `group_steps`, and a tuple
-    iterates its literals in the order of the frozenset it is made from, in
-    about a sixth of the memory."""
+    its 0/1 indicator row, the same cells as an int whose bit i is set when
+    cell i lies inside the column); the row's entries are those of `ones`,
+    shared.  A witnessing disjunct is only iterated, by `group_steps`, and a
+    tuple iterates its literals in the order of the frozenset it is made
+    from, in about a sixth of the memory."""
 
     disjuncts: tuple[tuple, ...]
     ones: tuple
@@ -215,6 +224,10 @@ def walk_budget(nodes: int) -> Iterator[None]:
         yield
     finally:
         _walk_limit = outer
+
+
+# ASCII binary digits to the bytes 0 and 1, of which only 1 is true
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=None)
@@ -244,18 +257,47 @@ def _cells(columns: frozenset) -> _CellTable:
                 stack.append((depth + 1, mask | bit, kept))
     cells.sort(key=lambda cell: cell[0])
     ones = tuple((i, 1) for i in range(len(cells)))
-    # a column's row shares the entries of `ones`: one pointer a cell
-    rows = [tuple([e for e, (m, _) in zip(ones, cells) if m >> i & 1]) for i in range(len(bodies))]
-    return _CellTable(tuple(d for _, d in cells), ones, dict(zip(bodies, enumerate(rows))))
+    # Every mask spelled in binary, w digits a cell, highest column first:
+    # column i's digits over the cells are every w-th byte from w - 1 - i,
+    # one slice that gives both its row and, reversed, its bitset, in time
+    # linear in the cells, where summing 1 << j per cell is quadratic.
+    w = len(bodies)
+    digits = "".join([bin(m | 1 << w)[3:] for m, _ in cells]).encode()
+    columns = {}
+    for i, body in enumerate(bodies):
+        inside = digits[w - 1 - i :: w]
+        # a column's row shares the entries of `ones`: one pointer a cell
+        row = tuple(compress(ones, inside.translate(_ZERO_ONE)))
+        columns[body] = i, row, int(inside[::-1], 2)
+    return _CellTable(tuple(d for _, d in cells), ones, columns)
+
+
+_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
 def world_sat(bounds: frozenset) -> Optional[tuple]:
     """Decide a step by its signed bounds, of which there is at least one:
     the inhabited cells as (witnessing disjunct, mass), or None when they
-    are unsatisfiable, reused at any step and beside any propositions."""
+    are unsatisfiable, reused at any step and beside any propositions.
+    The lowest cell that satisfies every bound with mass 1 alone is the
+    answer, when there is one; otherwise the simplex decides."""
     table = _cells(frozenset(_column(atom)[0] for _, atom in bounds))
     disjuncts = table.disjuncts
+    # The cells whose 0/1 mass satisfies every bound: at mass 1 on one cell,
+    # m(c) is 1 inside c and 0 outside, so L[r] c, r > 0, holds inside c
+    # and L[r] !c outside it, and !L[r] flips the side; L[0] holds
+    # everywhere and !L[0] nowhere.
+    fits = (1 << len(disjuncts)) - 1
+    for positive, atom in bounds:
+        column, negated = _column(atom)
+        inside = table.columns[column][2]
+        if atom.bound:
+            fits &= inside if positive != negated else ~inside
+        elif not positive:
+            fits = 0
+    if fits:
+        return ((disjuncts[(fits & -fits).bit_length() - 1], _ONE),)
     point = solve_rows(_cell_rows(table, bounds), range(len(disjuncts)))
     if point is None:
         return None
@@ -278,7 +320,7 @@ def _cell_rows(table: _CellTable, bounds) -> list:
     literals = []
     for positive, atom in bounds:
         column, negated = _column(atom)
-        b, inside = table.columns[column]
+        b, inside, _ = table.columns[column]
         literals.append((b, atom.bound, negated, positive, inside))
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
@@ -380,7 +422,7 @@ def _build(model: FiniteDMM, plans: dict[int, tuple]) -> str:
             model.valuation.setdefault(p, set()).add(w)
         # a world with no inhabited cell loops to itself
         row = {_build(model, _plans(d)): mass for d, mass in cells}
-        model.kernel[w] = row or {w: Fraction(1)}
+        model.kernel[w] = row or {w: _ONE}
     return chain[0]
 
 

@@ -45,7 +45,17 @@ from probnext.canonical import (
 )
 from probnext.decide import Verdict, _CellTable
 from probnext.enumeration import enum_formula, enum_rational, sort_key, spelling
-from probnext.linarith import Constraint, LinearSystem, Rel, eq, ge, gt, satisfies, solve
+from probnext.linarith import (
+    Constraint,
+    LinearSystem,
+    Rel,
+    eq,
+    ge,
+    gt,
+    satisfies,
+    solve,
+    solve_rows,
+)
 from probnext.models import FiniteDMM
 from probnext.proof import CheckResult, Derivation, Justification
 from probnext.prokhorov import (
@@ -584,7 +594,7 @@ def cell_rows_with_masses(table, bounds) -> list:
     literals = []
     for positive, atom in bounds:
         column, negated = bound_column(atom)
-        b, row = table.columns[column]
+        b, row, _ = table.columns[column]
         literals.append((b, atom.bound, negated, positive, [i for i, _ in row]))
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
@@ -1045,6 +1055,31 @@ def world_sat_all_cells(bounds):
     )
 
 
+def world_sat_by_simplex(bounds):
+    """The former `decide.world_sat`, kept as its oracle: the simplex on
+    the cell LP of every step, with no one-cell check before it."""
+    table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
+    disjuncts = table.disjuncts
+    point = solve_rows(decide._cell_rows(table, bounds), range(len(disjuncts)))
+    if point is None:
+        return None
+    return tuple((disjuncts[i], mass) for i, mass in point.items())
+
+
+def one_cell_points(system: LinearSystem) -> list[int]:
+    """The variables of a `cell_system` whose 0/1 point, 1 on that cell's
+    mass and 0 on every other, satisfies every constraint, by exact
+    substitution: at that point a constraint's left side is its constant
+    plus its coefficient of that cell."""
+    tests = {Rel.GE: Fraction.__ge__, Rel.GT: Fraction.__gt__, Rel.EQ: Fraction.__eq__}
+    rows = [(dict(c.coeffs), c.constant, tests[c.relation]) for c in system.constraints]
+    return [
+        i
+        for i in range(system.num_vars)
+        if all(holds(constant + coeffs.get(i, 0), 0) for coeffs, constant, holds in rows)
+    ]
+
+
 # The cell step as it was while a cell table kept each cell as its mask
 # over the columns and its witnessing disjunct, and `_cell_rows` read each
 # literal's row off the masks on every call.  Kept as the oracle of the
@@ -1104,13 +1139,13 @@ def cell_rows_by_masks(table: MaskTable, bounds) -> list:
 
 def as_cell_table(table: MaskTable):
     """A mask table in the layout `decide._cells` keeps: the disjuncts in
-    mask order, the all-ones row, and each column's index and indicator
-    row, read off the masks."""
+    mask order, the all-ones row, and each column's index, indicator row
+    and bitset of the cells inside it, each read off the masks."""
     ones = tuple((i, 1) for i in range(len(table.cells)))
-    columns = {
-        c: (b, tuple(entry for entry, (mask, _) in zip(ones, table.cells) if mask >> b & 1))
-        for c, b in table.column_of.items()
-    }
+    columns = {}
+    for c, b in table.column_of.items():
+        inside = [i for i, (mask, _) in enumerate(table.cells) if mask >> b & 1]
+        columns[c] = b, tuple(ones[i] for i in inside), sum(2**i for i in inside)
     return decide._CellTable(tuple(d for _, d in table.cells), ones, columns)
 
 
@@ -1196,7 +1231,7 @@ def cell_system(table, bounds) -> LinearSystem:
     literals = []
     for positive, atom in bounds:
         c, negated = bound_column(atom)
-        b, row = table.columns[c]
+        b, row, _ = table.columns[c]
         literals.append((b, atom.bound, negated, 1 if positive else -1, [i for i, _ in row]))
     for b, bound, negated, polarity, inside in sorted(literals):
         sign, constant = (-1, 1 - bound) if negated else (1, -bound)

@@ -52,6 +52,24 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
     assert main(["sat", "p0"]) == 4
     err = capsys.readouterr().err
     assert "internal error" in err and "broken decision procedure" in err
+    assert "Traceback (most recent call last)" in err
+
+
+def test_cli_import_loads_no_traceback_module():
+    """`traceback` pulls in `linecache`, `tokenize`, `token` and `textwrap`;
+    the CLI imports it only for an internal error."""
+    package_parent = os.path.dirname(os.path.dirname(probnext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    code = (
+        "import sys; before = set(sys.modules); import probnext.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env
+    )
+    added = set(done.stdout.split())
+    assert "probnext.cli" in added, done.stderr
+    assert not added & {"traceback", "linecache", "tokenize", "token", "textwrap"}, added
 
 
 def test_heavy_nested_bound_answers():

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from helpers import (
     independent_bounds,
     lp_chain,
     nonzero_coordinates,
+    one_cell_points,
     push_then_dnf,
     random_bound_conjunction,
     random_formula,
@@ -34,6 +36,7 @@ from helpers import (
     witness_by_builder,
     witnessed,
     world_sat_all_cells,
+    world_sat_by_simplex,
 )
 import probnext
 from probnext import (
@@ -295,7 +298,7 @@ def _tables_built(monkeypatch, run) -> list:
     for (columns,) in _distinct_calls(monkeypatch, "_cells", run):
         table = decide._cells(columns)
         inside = [set() for _ in table.disjuncts]
-        for c, (_, row) in table.columns.items():
+        for c, (_, row, _) in table.columns.items():
             for i, _ in row:
                 inside[i].add(c)
         tables.append((set(table.columns), set(map(frozenset, inside))))
@@ -584,7 +587,8 @@ def test_cell_tables_and_rows_agree_with_the_mask_oracle(monkeypatch):
     nested bounds, the lp-bounds pool and the Lindenbaum seeds to budget 300
     holds, in order, the witnessing disjuncts of the former table that kept
     each cell's mask, and each column's row is the one read off those masks.
-    Every `_cell_rows` call gives the rows the former mask scan gave."""
+    `_cell_rows` gives, for every step `world_sat` is asked, the rows the
+    former mask scan gave."""
     rng = random.Random(2727)
     mix = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
     nested = [random_nested_bounds(rng) for _ in range(300)]
@@ -597,26 +601,22 @@ def test_cell_tables_and_rows_agree_with_the_mask_oracle(monkeypatch):
         lambda: list(map(witness, pool)),
         lambda: [lindenbaum(seed, 300) for seed in seeds],
     ]
-    real = decide._cell_rows
     for run in runs:
-        stated = []
-
-        def record(table, bounds):
-            stated.append((table, bounds))
-            return real(table, bounds)
-
-        monkeypatch.setattr(decide, "_cell_rows", record)
-        calls = _distinct_calls(monkeypatch, "_cells", run)
-        monkeypatch.setattr(decide, "_cell_rows", real)
+        # every table is built for a step `world_sat` is asked, and each
+        # step has its rows, whether one cell or the simplex decides it
+        steps = {
+            bounds: frozenset(bound_column(atom)[0] for _, atom in bounds)
+            for (bounds,) in _distinct_calls(monkeypatch, "world_sat", run)
+        }
         oracles = {}
-        for (columns,) in calls:
+        for columns in dict.fromkeys(steps.values()):
             # the disjuncts in mask order, and each column's index and row
             masked = oracles[columns] = cells_with_masks(columns)
             assert _as_sets(decide._cells(columns)) == as_cell_table(masked), columns
-        assert calls and len(stated) >= len(calls)
-        for table, bounds in stated:
-            masked = oracles[frozenset(table.columns)]
-            assert real(table, bounds) == cell_rows_by_masks(masked, bounds), bounds
+        assert oracles
+        for bounds, columns in steps.items():
+            rows = decide._cell_rows(decide._cells(columns), bounds)
+            assert rows == cell_rows_by_masks(oracles[columns], bounds), bounds
 
 
 def test_cells_keep_their_witnessing_disjuncts_as_tuples(monkeypatch):
@@ -784,13 +784,13 @@ def test_cell_rows_share_the_entries_of_the_all_ones_row(monkeypatch):
     largest = 0
     for (columns,) in calls:
         table = decide._cells(columns)
-        for _, row in table.columns.values():
+        for _, row, _ in table.columns.values():
             assert all(entry is table.ones[entry[0]] for entry in row), columns
         largest = max(largest, len(table.columns) * len(table.ones))
     assert largest >= 26 * 192  # budget 1070's widest table: 192 cells over 26 columns
     for table, rows in stated:
         assert rows[0][0] is table.ones
-        stored = {id(row) for _, row in table.columns.values()}
+        stored = {id(row) for _, row, _ in table.columns.values()}
         assert all(id(inside) in stored for inside, *_ in rows[1:])
 
 
@@ -827,8 +827,9 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     """The tableau `linarith` builds from the cell rows and the masses'
     non-negativity is the one the former constraint front end built from
     the former `LinearSystem` of the cells, slack ids included, with every
-    bound times the tableau's scale, and `world_sat` answers with the
-    masses `solve` finds for that system."""
+    bound times the tableau's scale.  Where no one cell satisfies that
+    system alone, `world_sat` answers with the masses `solve` finds for
+    it."""
     rng = random.Random(1717)
     formulas = [parse(text) for text in CELL_TABLEAU_EDGES]
     formulas += [parse(lp_chain(k)) for k in range(2, 7)]
@@ -838,18 +839,20 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
     lp_bounds_text = bench_inputs().lp_bounds_text
     formulas += [parse(lp_bounds_text(random.Random(f"lp-bounds/{j}"))) for j in range(100)]
     calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(witness, formulas)))
-    edges = dict.fromkeys(["one cell", "empty", "one-cell", "negated", "shared"], 0)
+    edges = dict.fromkeys(["one cell", "empty", "one-cell", "negated", "shared", "simplex"], 0)
     for (bounds,) in calls:
         table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
         system = cell_system(table, bounds)
         tableau = linarith._build(decide._cell_rows(table, bounds), range(len(table.disjuncts)))
         scale = tableau[4] if tableau else None
         assert tableau == scale_bounds(tableau_by_constraints(system), scale), bounds
-        point = linarith.solve(system)
-        cells = None if point is None else tuple(
-            (d, point[i]) for i, d in enumerate(table.disjuncts) if point[i] > 0
-        )
-        assert world_sat(bounds) == cells, bounds
+        if not one_cell_points(system):
+            point = linarith.solve(system)
+            cells = None if point is None else tuple(
+                (d, point[i]) for i, d in enumerate(table.disjuncts) if point[i] > 0
+            )
+            assert world_sat(bounds) == cells, bounds
+            edges["simplex"] += 1
         # the all-ones row, then the literal rows, as sets of cells
         sums = [tuple(v for v, _ in c.coeffs) for c in system.constraints]
         del sums[1 : 1 + len(table.disjuncts)]
@@ -861,6 +864,69 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
         edges["shared"] += len(set(longer)) < len(longer)
     assert len(calls) > 300
     assert all(edges.values()), edges
+
+
+def test_world_sat_is_the_simplex_oracle_but_for_one_cell_points(monkeypatch):
+    """On the tableau edge cases, lp chains, random formulas, nested
+    bounds, 100 lp-bounds pool entries and every step the Lindenbaum seeds
+    ask to budget 300, `world_sat` gives the verdict of the former
+    simplex-only step.  Where some cell's 0/1 masses satisfy every row, by
+    exact substitution, it answers with the lowest such cell at mass 1;
+    every other answer is the oracle's."""
+    rng = random.Random(3131)
+    formulas = [parse(text) for text in CELL_TABLEAU_EDGES + _lp_bounds_pool()[:100]]
+    formulas += [parse(lp_chain(k)) for k in range(2, 7)]
+    formulas += [random_formula(rng) for _ in range(300)]
+    formulas += [random_nested_bounds(rng) for _ in range(300)]
+    expected = json.loads((BENCH / "expected" / "lindenbaum.json").read_text())
+    seeds = [parse(entry["seed"]) for entry in expected["seeds"]]
+
+    def run():
+        list(map(witness, formulas))
+        for seed in seeds:
+            lindenbaum(seed, 300)
+
+    answers = dict.fromkeys(["one cell", "simplex", "unsat"], 0)
+    for (bounds,) in _distinct_calls(monkeypatch, "world_sat", run):
+        table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
+        answer, oracle = world_sat(bounds), world_sat_by_simplex(bounds)
+        assert (answer is None) == (oracle is None), bounds
+        one_cell = one_cell_points(cell_system(table, bounds))
+        if one_cell:
+            assert answer == ((table.disjuncts[one_cell[0]], 1),), bounds
+            answers["one cell"] += 1
+        else:
+            assert answer == oracle, bounds
+            answers["simplex" if answer else "unsat"] += 1
+    assert min(answers.values()) > 50, answers
+
+
+def test_one_cell_steps_make_no_witness_larger(monkeypatch):
+    """On the first 6000 SAT `sat` entries of the decide-mix pool and 1500
+    nested bounds, every witness is a model of its formula with at most as
+    many worlds as the simplex-only step gives, and the total falls."""
+    texts = [text for (kind, text), verdict in _mix_pool(9762) if (kind, verdict) == ("sat", "S")]
+    assert len(texts) == 6000
+    rng = random.Random(5)
+    formulas = [parse(text) for text in texts] + [random_nested_bounds(rng) for _ in range(1500)]
+    decide.clear_caches()
+    found = list(map(witness, formulas))
+    monkeypatch.setattr(decide, "world_sat", lru_cache(maxsize=None)(world_sat_by_simplex))
+    decide.clear_caches()
+    former = list(map(witness, formulas))
+    monkeypatch.undo()
+    decide.clear_caches()
+    sizes = []
+    for f, now, then in zip(formulas, found, former):
+        assert (now is None) == (then is None), f
+        if now is not None:
+            (model, root), (former_model, _) = now, then
+            assert model.validate() == [] and model.check(root, f), f
+            sizes.append((len(model.worlds), len(former_model.worlds)))
+    assert len(sizes) > 6500
+    assert all(size <= former_size for size, former_size in sizes)
+    now, then = zip(*sizes)
+    assert sum(now) < sum(then) and max(now) < max(then)
 
 
 def _lp_bounds_pool() -> list[str]:
@@ -902,10 +968,11 @@ def test_cell_points_are_the_fraction_valued_points(monkeypatch):
 
 
 def test_a_cell_lp_makes_fractions_only_for_its_nonzero_masses(monkeypatch):
-    """Solving an lp-bounds cell LP builds, pivots and fixes delta on
-    integers: `linarith` makes one `Fraction` per inhabited cell, and no
-    other.  The tableau edge cases and nested bounds add LPs that inhabit
-    several cells."""
+    """Solving a cell LP builds, pivots and fixes delta on integers:
+    `linarith` makes one `Fraction` per inhabited cell, and no other.  A
+    step that one cell satisfies alone, as every lp-bounds step is, calls
+    no `linarith` at all.  The tableau edge cases and nested bounds add LPs
+    that inhabit several cells."""
     rng = random.Random(2626)
     formulas = [parse(text) for text in _lp_bounds_pool()[:100] + CELL_TABLEAU_EDGES]
     formulas += [random_nested_bounds(rng) for _ in range(300)]
@@ -916,11 +983,24 @@ def test_a_cell_lp_makes_fractions_only_for_its_nonzero_masses(monkeypatch):
         made.append(args)
         return Fraction(*args)
 
+    solved = []
+
+    def solve_rows(*args):
+        solved.append(args)
+        return linarith.solve_rows(*args)
+
     monkeypatch.setattr(linarith, "Fraction", counted)
+    monkeypatch.setattr(decide, "solve_rows", solve_rows)
     inhabited = []
     for (bounds,) in calls:
+        table = decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds))
+        one_cell = one_cell_points(cell_system(table, bounds))
         made.clear()
+        solved.clear()
         cells = world_sat.__wrapped__(bounds) or ()
-        assert len(made) == len(cells), bounds
-        inhabited.append(len(cells))
+        if one_cell:
+            assert (solved, made) == ([], []), bounds
+        else:
+            assert len(solved) == 1 and len(made) == len(cells), bounds
+            inhabited.append(len(cells))
     assert len(calls) > 100 and max(inhabited) > 1, inhabited

@@ -9,6 +9,7 @@ from probnext.decide import group_steps, to_disjuncts, world_sat
 from probnext.linarith import LinearSystem, Rel, eq, feasible, ge, gt, satisfies, solve
 
 from helpers import (
+    bound_column,
     canonical,
     cell_system,
     eliminate,
@@ -291,23 +292,28 @@ def test_fractional_generator_mixes_coefficient_types():
 
 
 def _world_systems(monkeypatch, formulas) -> list[LinearSystem]:
-    """The system of every cell LP `world_sat` states on the steps of the
-    formulas' disjuncts, from cold caches, stated as `cell_system`."""
-    systems = []
-    real = decide._cell_rows
+    """The cell system of every step `world_sat` is asked on the steps of
+    the formulas' disjuncts, from cold caches, stated as `cell_system`,
+    whether one cell or the simplex decides it."""
+    asked = {}
+    real = decide.world_sat
 
-    def record(table, bounds):
-        systems.append(cell_system(table, bounds))
-        return real(table, bounds)
+    def record(bounds):
+        asked.setdefault(bounds)
+        return real(bounds)
 
     decide.clear_caches()
-    monkeypatch.setattr(decide, "_cell_rows", record)
+    monkeypatch.setattr(decide, "world_sat", record)
     for f in formulas:
         for disjunct in to_disjuncts(push_next(f)):
             for _, _, bounds in group_steps(disjunct):
                 if bounds:
-                    world_sat(bounds)
-    monkeypatch.setattr(decide, "_cell_rows", real)
+                    record(bounds)
+    monkeypatch.setattr(decide, "world_sat", real)
+    systems = [
+        cell_system(decide._cells(frozenset(bound_column(atom)[0] for _, atom in bounds)), bounds)
+        for bounds in asked
+    ]
     decide.clear_caches()
     return systems
 
