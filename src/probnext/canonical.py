@@ -23,9 +23,9 @@ the current stage set already entails the formula or its negation (this
 provably agrees with the staged bit), and otherwise by actually running
 the remaining stages one at a time -- but only within two limits: a cap
 on the number of stages, because stage indices grow exponentially with
-formula size, and a budget of cell-walk nodes over the whole query
-(`decide.walk_budget`, each node a merge checked against the theory),
-because the stages past about 1060 walk ever larger cell tables.
+formula size, and a work budget over the whole query (`decide.work_budget`,
+one unit per cell-walk node and per LP cell), because the stages past
+about 1060 walk and solve ever larger cell tables.
 """
 
 from __future__ import annotations
@@ -46,14 +46,14 @@ from .formula import And, AtLeast, Formula, Next, Not
 from .parser import parse, render
 
 
-# Stages one membership query may run past the built budget, and nodes of
-# the cell walk it may pop, fast path included (`decide.walk_budget`),
-# before it gives up, as `proof._TAUT_SPLITS` bounds the tautology check.
-# Each node checks its disjuncts against the theory: from budget 1000 of
-# L[1/2] p0 & X p1, member(L[1] X !X p0) stops inside stage 1089 after
-# about 0.6 s (Python 3.11, 2 vCPU).
+# Stages one membership query may run past the built budget, and units of
+# work it may spend, fast path included (`decide.work_budget`), before it
+# gives up, as `proof._TAUT_SPLITS` bounds the tautology check.  A walk
+# node and an LP cell each take about 20 us: from budget 1000 of
+# L[1/2] p0 & X p1, member(L[1] X !X p0) stops inside stage 1080 after
+# about 0.4 s, 14 913 nodes and 17 856 cells (Python 3.11, 2 vCPU).
 _MAX_EXTENSION = 4096
-_MEMBER_NODES = 1 << 15
+_MEMBER_WORK = 1 << 15
 
 
 class InconsistentSeed(ValueError):
@@ -102,9 +102,9 @@ class SaturatedPrefix:
 
     `extend` runs as many stages as asked.  `member` runs at most
     `_MAX_EXTENSION` stages past the built budget, and stops as soon as its
-    query, fast path included, pops more than `_MEMBER_NODES` nodes of the
-    cell walk; both raise `ExtensionLimitExceeded`, and `member_or` maps
-    that to its default."""
+    query, fast path included, spends more than `_MEMBER_WORK` units of
+    walk nodes and LP cells; both raise `ExtensionLimitExceeded`, and
+    `member_or` maps that to its default."""
 
     def __init__(self, seed: Formula):
         self.seed = seed
@@ -170,7 +170,7 @@ class SaturatedPrefix:
 
     def member(self, f: Formula) -> bool:
         """Whether f belongs to the saturated set this prefix approximates."""
-        with decide.walk_budget(_MEMBER_NODES):
+        with decide.work_budget(_MEMBER_WORK):
             # fast path: agreement with the staged bit is guaranteed whenever
             # the current stage set decides f
             if self._entails(f):
@@ -187,7 +187,7 @@ class SaturatedPrefix:
         return self.decided[idx]
 
     def member_or(self, f: Formula, default: bool = False) -> bool:
-        """member(), with queries past the stage cap or the walk budget
+        """member(), with queries past the stage cap or the work budget
         mapped to default."""
         try:
             return self.member(f)
@@ -223,7 +223,7 @@ def kernel_bounds(w: SaturatedPrefix, f: Formula, grid: int) -> Interval:
     """Rational-grid bracket of the canonical kernel value of [f] at w.
 
     Queries the prefix on the grid bounds m/grid; queries that cannot be
-    decided within the stage cap and the walk budget are treated as
+    decided within the stage cap and the work budget are treated as
     non-members, which can only widen the bracket (the true value always
     lies inside it).
     """

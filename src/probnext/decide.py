@@ -18,9 +18,9 @@ The satisfiable cells of a column set are found once, by one walk over the
 columns in the order of their prefix spellings (`enumeration.spelling`)
 that merges each prefix's DNF with the DNF of one column or of its
 negation, keeps only the satisfiable disjuncts of the merge, as `conjoin`
-does, and cuts every prefix left with none.  The walk counts the nodes it
-pops in `walk_nodes`, the cost meter of `canonical`'s membership queries,
-and raises once it passes the budget of a `walk_budget` block.  A cell
+does, and cuts every prefix left with none.  In a `work_budget` block, the
+meter of `canonical`'s membership queries, each node the walk pops costs
+one unit and each LP its cell count, up to the block's budget.  A cell
 table, which each step over the same columns reuses, keeps the cells'
 witnessing disjuncts, as tuples, and the LP's 0/1 indicator rows over them:
 the all-ones row of the masses' sum and one row per column, from which a
@@ -205,25 +205,34 @@ class _CellTable(NamedTuple):
     columns: dict
 
 
-# Nodes the cell walk has popped since import, over every table it built,
-# and the count past which it raises: the cost meter of `canonical`'s
-# membership queries, set by `walk_budget`.
-walk_nodes = 0
-_walk_limit: Optional[int] = None
+# The meter of the innermost `work_budget` block, or None outside every
+# block, where nothing is counted.
+_meter: Optional[list] = None
 
 
 @contextmanager
-def walk_budget(nodes: int) -> Iterator[None]:
-    """Let the cell walks inside the block pop at most `nodes` nodes: the
-    next pop raises `ExtensionLimitExceeded`, and the table it was building
-    is not kept.  Of nested blocks, the innermost one holds."""
-    global _walk_limit
-    outer = _walk_limit
-    _walk_limit = walk_nodes + nodes
+def work_budget(units: int) -> Iterator[list]:
+    """Yield the block's meter [nodes, cells, units]: the walk charges 1 per
+    popped node, `world_sat` an LP its cell count before it starts it, and
+    the first charge past `units` raises `ExtensionLimitExceeded`, leaving
+    the table or step being built uncached.  Cached work is free, so a
+    query that answers from cleared memos answers the same once they are
+    warm, and only one that raises from cleared memos may answer warm.  Of
+    nested blocks the innermost holds, and the outer one is not charged."""
+    global _meter
+    outer, _meter = _meter, [0, 0, units]
     try:
-        yield
+        yield _meter
     finally:
-        _walk_limit = outer
+        _meter = outer
+
+
+def _charge(kind: int, amount: int) -> None:
+    """Charge `amount` nodes (kind 0) or cells (1) to the innermost block."""
+    if _meter is not None:
+        _meter[kind] += amount
+        if _meter[0] + _meter[1] > _meter[2]:
+            raise ExtensionLimitExceeded("the query passed its work budget")
 
 
 # ASCII binary digits to the bytes 0 and 1, of which only 1 is true
@@ -242,12 +251,9 @@ def _cells(columns: frozenset) -> _CellTable:
     # them.  A leaf's first kept disjunct is its witnessing disjunct.
     cells = []
     stack = [(0, 0, [frozenset()])]  # (bodies chosen, mask, kept disjuncts)
-    global walk_nodes
     while stack:
         depth, mask, dnf = stack.pop()
-        walk_nodes += 1
-        if _walk_limit is not None and walk_nodes > _walk_limit:
-            raise ExtensionLimitExceeded("the cell walk passed its node budget")
+        _charge(0, 1)
         if depth == len(bodies):
             cells.append((mask, tuple(dnf[0])))
             continue
@@ -285,19 +291,16 @@ def world_sat(bounds: frozenset) -> Optional[tuple]:
     table = _cells(frozenset(_column(atom)[0] for _, atom in bounds))
     disjuncts = table.disjuncts
     # The cells whose 0/1 mass satisfies every bound: at mass 1 on one cell,
-    # m(c) is 1 inside c and 0 outside, so L[r] c, r > 0, holds inside c
-    # and L[r] !c outside it, and !L[r] flips the side; L[0] holds
-    # everywhere and !L[0] nowhere.
+    # m(c) is 1 inside c and 0 outside, so L[r] c holds inside c and L[r] !c
+    # outside it, r > 0 as the DNF settles L[0], and !L[r] flips the side.
     fits = (1 << len(disjuncts)) - 1
     for positive, atom in bounds:
         column, negated = _column(atom)
         inside = table.columns[column][2]
-        if atom.bound:
-            fits &= inside if positive != negated else ~inside
-        elif not positive:
-            fits = 0
+        fits &= inside if positive != negated else ~inside
     if fits:
         return ((disjuncts[(fits & -fits).bit_length() - 1], _ONE),)
+    _charge(1, len(disjuncts))
     point = solve_rows(_cell_rows(table, bounds), range(len(disjuncts)))
     if point is None:
         return None

@@ -1099,7 +1099,8 @@ class MaskTable:
 def cells_with_masks(columns) -> MaskTable:
     """The former `decide._cells`: the walk over the columns in spelling
     order that keeps each prefix's satisfiable disjuncts, and each leaf's
-    first one, with the leaf's mask.  It leaves `walk_nodes` as it is."""
+    first one, with the leaf's mask.  It charges a `decide.work_budget`
+    block no node."""
     bodies = sorted(columns, key=spelling)
     options = [
         [(0, decide._dnf(b, False, 0)), (1 << i, decide._dnf(b, True, 0))]

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -288,13 +289,13 @@ def test_stage_that_hits_a_limit_is_not_recorded(monkeypatch):
 
 def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypatch):
     # L[1/2] p1 is stage 261 and independent of the seed, so member runs
-    # the stages up to it; from empty caches their cell walks pop far more
-    # than 8 nodes, and the first query stops inside stage 59, which is not
-    # recorded.  (At 16 nodes it stops inside stage 60; once stage 61 is
-    # built the stage set refutes L[1/2] p1, and member_or would answer
-    # False.)
+    # the stages up to it; from empty caches their cell walks and LPs cost
+    # far more than 8 units, and the first query stops inside stage 58,
+    # which is not recorded.  (At 16 units it stops inside stage 59; once
+    # stage 61 is built the stage set refutes L[1/2] p1, and member_or
+    # would answer False.)
     decide.clear_caches()
-    monkeypatch.setattr(probnext.canonical, "_MEMBER_NODES", 8)
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 8)
     w = lindenbaum(parse("p0"), 5)
     query = parse("L[1/2] p1")
     with pytest.raises(ExtensionLimitExceeded):
@@ -306,22 +307,85 @@ def test_member_stops_at_the_cell_budget_and_leaves_a_consistent_prefix(monkeypa
     assert w.member(query) == w.decided[261]
 
 
+def _member_meters(monkeypatch) -> list:
+    """The meter of every `decide.work_budget` block opened from now on, in
+    the order they open."""
+    meters = []
+    real = decide.work_budget
+
+    @contextmanager
+    def recording(units):
+        with real(units) as meter:
+            meters.append(meter)
+            yield meter
+
+    monkeypatch.setattr(decide, "work_budget", recording)
+    return meters
+
+
 def test_member_meters_its_fast_path_inside_the_walk(monkeypatch):
     # From cleared caches, the fast path's entailment check that answers
-    # L[1/5] !p2 walks 454 nodes at budget 300.  The budget covers the whole
-    # query, and the walk raises at the first pop past it.
+    # L[1/5] !p2 walks 454 nodes and solves LPs over 196 cells at budget
+    # 300.  The budget covers the whole query, and the first charge past it
+    # raises: an LP over 2 cells after 99 nodes.
     w = lindenbaum(parse("L[1/2] p0 & X p1"), 300)
     query = parse("L[1/5] !p2")
     decide.clear_caches()
-    monkeypatch.setattr(probnext.canonical, "_MEMBER_NODES", 100)
-    start = decide.walk_nodes
+    meters = _member_meters(monkeypatch)
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 100)
     with pytest.raises(ExtensionLimitExceeded):
         w.member(query)
-    assert decide.walk_nodes - start == 101
+    assert meters == [[99, 2, 100]]
     assert w.budget == 300
     monkeypatch.undo()
     assert w.member(query) is True
     assert w.budget == 300
+
+
+def test_member_charges_an_lp_its_cells_before_it_starts(monkeypatch):
+    # With the tables of budget 300 warm, the fast path's entailment check
+    # for L[1/5] !p2 pops no node and solves one LP over 192 cells, which a
+    # meter of walk nodes alone let through under any budget.
+    decide.clear_caches()
+    w = lindenbaum(parse("L[1/2] p0 & X p1"), 300)
+    query = parse("L[1/5] !p2")
+    meters = _member_meters(monkeypatch)
+    solved = []
+    real_solve = decide.solve_rows
+    monkeypatch.setattr(decide, "solve_rows", lambda *args: solved.append(1) or real_solve(*args))
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 100)
+    with pytest.raises(ExtensionLimitExceeded):
+        w.member(query)
+    assert (meters, solved) == ([[0, 192, 100]], [])
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 200)
+    assert w.member(query) is True
+    assert (meters[1:], solved) == ([[0, 192, 200]], [1])
+    assert w.budget == 300
+
+
+def test_warm_memos_keep_every_answer_that_cleared_ones_give(monkeypatch):
+    """Cached work is free, so a query costs no more once the memos are
+    warm: each query answered from cleared memos is answered the same, at
+    no cost, when repeated, and a query that raises from cleared memos
+    answers once other work has warmed them."""
+    seed = parse("L[1/2] p0 & X p1")
+    meters = _member_meters(monkeypatch)
+    for text in ("L[1/5] !p2", "L[2/3] p1", "L[1/2] (p0 | p1)", "L[1/4] X p0"):
+        w = lindenbaum(seed, 300)
+        decide.clear_caches()
+        cold = w.member(parse(text))
+        assert w.member(parse(text)) == cold, text
+        assert meters[-2][0] + meters[-2][1] > 0 and meters[-1][:2] == [0, 0], text
+    # From cleared memos L[1/5] !p2 costs 454 nodes and 196 cells; after
+    # the build has warmed them, 192 cells.
+    monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 300)
+    w = lindenbaum(seed, 300)
+    decide.clear_caches()
+    with pytest.raises(ExtensionLimitExceeded):
+        w.member(parse("L[1/5] !p2"))
+    w = lindenbaum(seed, 300)
+    assert w.member(parse("L[1/5] !p2")) is True
+    assert meters[-1] == [0, 192, 300]
 
 
 def test_stage_set_depth_is_not_limited_by_the_recursion_limit():
@@ -407,11 +471,11 @@ def test_canonical_columns_keep_the_cells_to_stage_1000_few():
     # over the canonical columns.  The cell walks popped 2034 nodes while
     # they cut a prefix only at a propositional clash; cutting every prefix
     # with no satisfiable disjunct, they pop 1667, and 1290 with the columns
-    # in spelling order.
+    # in spelling order.  Their LPs span 4034 cells.
     decide.clear_caches()
-    start = decide.walk_nodes
-    lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
-    assert decide.walk_nodes - start < 2000
+    with decide.work_budget(10**12) as meter:
+        lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
+    assert meter[0] < 2000
 
 
 def test_budget_1070_agrees_with_the_walk_oracle(monkeypatch):
@@ -429,10 +493,11 @@ def test_budget_1070_agrees_with_the_walk_oracle(monkeypatch):
         decide.clear_caches()
 
 
-def test_member_past_stage_1060_answers_within_the_walk_budget():
-    # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 2118 walk nodes in
-    # about 0.3 s, where the former meter of 2^k cells per set of bounds
-    # passed 2^18 at stage 1063 and refused the query.
+def test_member_past_stage_1060_answers_within_the_work_budget():
+    # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 2118 walk nodes and
+    # solve LPs over 9408 cells in about 0.1 s, 11 526 units of the 2^15,
+    # where the former meter of 2^k cells per set of bounds passed 2^18 at
+    # stage 1063 and refused the query.
     decide.clear_caches()
     w = lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
     assert w.member(parse("L[1] !p2")) is False

@@ -50,6 +50,7 @@ from probnext import (
     parse,
     push_next,
     random_model,
+    render,
     sat,
     sat_status,
     valid,
@@ -864,6 +865,29 @@ def test_cell_tableau_is_the_tableau_of_the_cell_system(monkeypatch):
         edges["shared"] += len(set(longer)) < len(longer)
     assert len(calls) > 300
     assert all(edges.values()), edges
+
+
+def test_every_bound_that_reaches_world_sat_is_positive(monkeypatch):
+    """The DNF settles L[0] b and !L[0] b before it makes an atom, at the
+    top and inside the columns the walk expands, so `world_sat`'s one-cell
+    check meets no zero bound."""
+    rng = random.Random(3232)
+    formulas = [random_formula(rng) for _ in range(300)]
+    formulas += [
+        parse(text)
+        for text in (
+            "L[0] p0 & !L[0] p1 & L[1/2] (L[0] p2 & p3)",
+            "L[1/3] !L[0] X p1 | X L[0] p0 & L[1/4] (p0 | L[0] !p2)",
+            "!L[1/2] X (L[0] p0 & !L[0] L[1/2] p1) & L[0] L[0] p2",
+        )
+    ]
+    formulas += [Not(f) for f in formulas]
+    assert sum("L[0]" in render(f) for f in formulas) > 100
+    calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(sat_status, formulas)))
+    atoms = [atom for (bounds,) in calls for _, atom in bounds]
+    assert len(atoms) > 200
+    assert all(atom.bound > 0 for atom in atoms)
+    assert any("L[0]" in render(atom) for atom in atoms)
 
 
 def test_world_sat_is_the_simplex_oracle_but_for_one_cell_points(monkeypatch):
