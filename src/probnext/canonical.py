@@ -11,8 +11,10 @@ existence is guaranteed by the generalized Archimedean rule).
 The stage set is kept only as its pruned DNF (`decide.conjoin`): each
 stage merges the DNF of the formula or negation it adds, and drops the
 disjuncts that become unsatisfiable, the rule by which the cell walk keeps
-each prefix's DNF.  An entailment query merges only the DNF of the negated
-query, so no traversal walks the whole stage set.
+each prefix's DNF.  A special-case stage merges only its witness refutation,
+which entails the negation beside it (L_r theta entails L_s theta for s < r,
+and L and X keep entailment).  An entailment query merges only the DNF of
+the negated query, so no traversal walks the whole stage set.
 
 The construction is deterministic: the enumeration is fixed, and each
 cell table orders its columns by their prefix spellings, never by a hash,
@@ -50,8 +52,8 @@ from .parser import parse, render
 # work it may spend, fast path included (`decide.work_budget`), before it
 # gives up, as `proof._TAUT_SPLITS` bounds the tautology check.  A walk
 # node and an LP cell each take about 20 us: from budget 1000 of
-# L[1/2] p0 & X p1, member(L[1] X !X p0) stops inside stage 1080 after
-# about 0.4 s, 14 913 nodes and 17 856 cells (Python 3.11, 2 vCPU).
+# L[1/2] p0 & X p1, member(L[1] X !X p0) stops inside stage 1084 after
+# about 0.35 s, 17 601 nodes and 15 168 cells (Python 3.11, 2 vCPU).
 _MAX_EXTENSION = 4096
 _MEMBER_WORK = 1 << 15
 
@@ -138,7 +140,7 @@ class SaturatedPrefix:
                 else:
                     extra = Not(self._witness_refutation(*pattern))
                     record = StageRecord(l, 3, f, extra)
-                    dnf = list(conjoin(refuting, extra))
+                    dnf = list(conjoin(self._dnf, extra))
             self.decided.append(record.case == 1)
             self.stage_log.append(record)
             if record.extra is not None:

@@ -22,16 +22,16 @@ does, and cuts every prefix left with none.  In a `work_budget` block, the
 meter of `canonical`'s membership queries, each node the walk pops costs
 one unit and each LP its cell count, up to the block's budget.  A cell
 table, which each step over the same columns reuses, keeps the cells'
-witnessing disjuncts, as tuples, and the LP's 0/1 indicator rows over them:
-the all-ones row of the masses' sum and one row per column, from which a
-step's LP selects one per bound, and each column's cells once more as the
-bits of an int.  A step is first tried on one cell with mass 1, the
-smallest vertex of its LP: ANDing one bitset per bound, the inside or the
-outside of its column, gives the cells that satisfy every bound alone, and
-the lowest of them is the answer.  Only a step that no one cell satisfies
-reaches the simplex: `linarith.solve_rows` states the masses'
-non-negativity in bulk, builds the tableau and solves it, with no
-`LinearSystem` built, and returns the nonzero masses: the inhabited cells.
+witnessing disjuncts, as tuples, the all-ones row of the masses' sum, and
+each column's cells once, as the bits of an int.  A step is first tried on
+one cell with mass 1, the smallest vertex of its LP: ANDing one bitset per
+bound, the inside or the outside of its column, gives the cells that
+satisfy every bound alone, and the lowest of them is the answer.  Only a
+step that no one cell satisfies reaches the simplex: its LP reads each
+bound's 0/1 indicator row off its column's bitset, and
+`linarith.solve_rows` states the masses' non-negativity in bulk, builds
+the tableau and solves it, with no `LinearSystem` built, and returns the
+nonzero masses: the inhabited cells.
 Either answer depends on the bounds alone, never on what was decided
 before.
 
@@ -194,11 +194,11 @@ class _CellTable(NamedTuple):
     being the i-th in increasing mask order: `disjuncts` holds each cell's
     witnessing disjunct as a tuple, `ones` the all-ones row ((0, 1), (1, 1),
     ...), and `columns` maps each column to (its index in spelling order,
-    its 0/1 indicator row, the same cells as an int whose bit i is set when
-    cell i lies inside the column); the row's entries are those of `ones`,
-    shared.  A witnessing disjunct is only iterated, by `group_steps`, and a
-    tuple iterates its literals in the order of the frozenset it is made
-    from, in about a sixth of the memory."""
+    an int whose bit i is set when cell i lies inside the column), off which
+    the simplex reads the column's row, sharing the entries of `ones`.  A
+    witnessing disjunct is only iterated, by `group_steps`, and a tuple
+    iterates its literals in the order of the frozenset it is made from, in
+    about a sixth of the memory."""
 
     disjuncts: tuple[tuple, ...]
     ones: tuple
@@ -235,10 +235,6 @@ def _charge(kind: int, amount: int) -> None:
             raise ExtensionLimitExceeded("the query passed its work budget")
 
 
-# ASCII binary digits to the bytes 0 and 1, of which only 1 is true
-_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
-
-
 @lru_cache(maxsize=None)
 def _cells(columns: frozenset) -> _CellTable:
     # Ordered by their spellings, which no interpreter run changes, so that
@@ -265,16 +261,11 @@ def _cells(columns: frozenset) -> _CellTable:
     ones = tuple((i, 1) for i in range(len(cells)))
     # Every mask spelled in binary, w digits a cell, highest column first:
     # column i's digits over the cells are every w-th byte from w - 1 - i,
-    # one slice that gives both its row and, reversed, its bitset, in time
-    # linear in the cells, where summing 1 << j per cell is quadratic.
+    # one slice that gives, reversed, its bitset, in time linear in the
+    # cells, where summing 1 << j per cell is quadratic.
     w = len(bodies)
     digits = "".join([bin(m | 1 << w)[3:] for m, _ in cells]).encode()
-    columns = {}
-    for i, body in enumerate(bodies):
-        inside = digits[w - 1 - i :: w]
-        # a column's row shares the entries of `ones`: one pointer a cell
-        row = tuple(compress(ones, inside.translate(_ZERO_ONE)))
-        columns[body] = i, row, int(inside[::-1], 2)
+    columns = {body: (i, int(digits[w - 1 - i :: w][::-1], 2)) for i, body in enumerate(bodies)}
     return _CellTable(tuple(d for _, d in cells), ones, columns)
 
 
@@ -296,7 +287,7 @@ def world_sat(bounds: frozenset) -> Optional[tuple]:
     fits = (1 << len(disjuncts)) - 1
     for positive, atom in bounds:
         column, negated = _column(atom)
-        inside = table.columns[column][2]
+        inside = table.columns[column][1]
         fits &= inside if positive != negated else ~inside
     if fits:
         return ((disjuncts[(fits & -fits).bit_length() - 1], _ONE),)
@@ -313,22 +304,28 @@ def _column(atom: AtLeast) -> tuple[Formula, bool]:
     return (body.body, True) if isinstance(body, Not) else (body, False)
 
 
+# ASCII binary digits to the bytes 0 and 1, of which only 1 is true
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
 def _cell_rows(table: _CellTable, bounds) -> list:
     """The LP of a step over the masses m_i of the table's cells, as rows
     for `solve_rows`, which states m_i >= 0 itself: sum(m_i) = 1, then one
     row per literal, sorted.  A row sums the masses of some cells, so it is
-    their 0/1 indicator, already primitive with a positive lead: the table's
-    row of the literal's column, selected, not built."""
+    their 0/1 indicator, already primitive with a positive lead: the entries
+    of `ones` that the bits of the literal's column select, lowest first."""
     rows = [(table.ones, 1, Rel.EQ, True)]
     literals = []
     for positive, atom in bounds:
         column, negated = _column(atom)
-        b, inside, _ = table.columns[column]
-        literals.append((b, atom.bound, negated, positive, inside))
+        b, bits = table.columns[column]
+        literals.append((b, atom.bound, negated, positive, bits))
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
     # The first four keys tell every two literals apart.
-    for b, r, negated, positive, inside in sorted(literals):
+    for b, r, negated, positive, bits in sorted(literals):
+        # the bits spelled lowest first, one byte a cell: 1 selects the entry
+        inside = tuple(compress(table.ones, bin(bits)[:1:-1].encode().translate(_ZERO_ONE)))
         relation = Rel.GE if positive else Rel.GT
         rows.append((inside, 1 - r if negated else r, relation, positive != negated))
     return rows

@@ -594,8 +594,8 @@ def cell_rows_with_masses(table, bounds) -> list:
     literals = []
     for positive, atom in bounds:
         column, negated = bound_column(atom)
-        b, row, _ = table.columns[column]
-        literals.append((b, atom.bound, negated, positive, [i for i, _ in row]))
+        b, bits = table.columns[column]
+        literals.append((b, atom.bound, negated, positive, bit_indices(bits)))
     # With m(c) the mass of the cells inside column c, L[r] c reads
     # m(c) >= r and L[r] !c reads m(c) <= 1 - r; !L is strict the other way.
     for b, r, negated, positive, cells in sorted(literals):
@@ -1083,7 +1083,7 @@ def one_cell_points(system: LinearSystem) -> list[int]:
 # The cell step as it was while a cell table kept each cell as its mask
 # over the columns and its witnessing disjunct, and `_cell_rows` read each
 # literal's row off the masks on every call.  Kept as the oracle of the
-# table that states each column's row once.
+# table that states each column once, as its bitset.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1140,14 +1140,19 @@ def cell_rows_by_masks(table: MaskTable, bounds) -> list:
 
 def as_cell_table(table: MaskTable):
     """A mask table in the layout `decide._cells` keeps: the disjuncts in
-    mask order, the all-ones row, and each column's index, indicator row
-    and bitset of the cells inside it, each read off the masks."""
+    mask order, the all-ones row, and each column's index and bitset of the
+    cells inside it, read off the masks."""
     ones = tuple((i, 1) for i in range(len(table.cells)))
     columns = {}
     for c, b in table.column_of.items():
         inside = [i for i, (mask, _) in enumerate(table.cells) if mask >> b & 1]
-        columns[c] = b, tuple(ones[i] for i in inside), sum(2**i for i in inside)
+        columns[c] = b, sum(2**i for i in inside)
     return decide._CellTable(tuple(d for _, d in table.cells), ones, columns)
+
+
+def bit_indices(bits: int) -> list[int]:
+    """The cells a column's bitset holds, lowest first, one bit at a time."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def cells_by_conj(columns):
@@ -1232,8 +1237,8 @@ def cell_system(table, bounds) -> LinearSystem:
     literals = []
     for positive, atom in bounds:
         c, negated = bound_column(atom)
-        b, row, _ = table.columns[c]
-        literals.append((b, atom.bound, negated, 1 if positive else -1, [i for i, _ in row]))
+        b, bits = table.columns[c]
+        literals.append((b, atom.bound, negated, 1 if positive else -1, bit_indices(bits)))
     for b, bound, negated, polarity, inside in sorted(literals):
         sign, constant = (-1, 1 - bound) if negated else (1, -bound)
         relation = ge if polarity > 0 else gt

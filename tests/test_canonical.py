@@ -28,6 +28,7 @@ from probnext import (
     conj,
     derives,
     enum_formula,
+    implies,
     kernel_bounds,
     lindenbaum,
     metric_dc,
@@ -37,6 +38,7 @@ from probnext import (
     render,
     sat_function,
     sat_status,
+    valid,
 )
 from probnext import decide
 from probnext.canonical import _bound_stack_pattern
@@ -325,9 +327,9 @@ def _member_meters(monkeypatch) -> list:
 
 def test_member_meters_its_fast_path_inside_the_walk(monkeypatch):
     # From cleared caches, the fast path's entailment check that answers
-    # L[1/5] !p2 walks 454 nodes and solves LPs over 196 cells at budget
+    # L[1/5] !p2 walks 306 nodes and solves LPs over 128 cells at budget
     # 300.  The budget covers the whole query, and the first charge past it
-    # raises: an LP over 2 cells after 99 nodes.
+    # raises: the 101st node, before any LP.
     w = lindenbaum(parse("L[1/2] p0 & X p1"), 300)
     query = parse("L[1/5] !p2")
     decide.clear_caches()
@@ -335,7 +337,7 @@ def test_member_meters_its_fast_path_inside_the_walk(monkeypatch):
     monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 100)
     with pytest.raises(ExtensionLimitExceeded):
         w.member(query)
-    assert meters == [[99, 2, 100]]
+    assert meters == [[101, 0, 100]]
     assert w.budget == 300
     monkeypatch.undo()
     assert w.member(query) is True
@@ -344,7 +346,7 @@ def test_member_meters_its_fast_path_inside_the_walk(monkeypatch):
 
 def test_member_charges_an_lp_its_cells_before_it_starts(monkeypatch):
     # With the tables of budget 300 warm, the fast path's entailment check
-    # for L[1/5] !p2 pops no node and solves one LP over 192 cells, which a
+    # for L[1/5] !p2 pops no node and solves one LP over 128 cells, which a
     # meter of walk nodes alone let through under any budget.
     decide.clear_caches()
     w = lindenbaum(parse("L[1/2] p0 & X p1"), 300)
@@ -356,10 +358,10 @@ def test_member_charges_an_lp_its_cells_before_it_starts(monkeypatch):
     monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 100)
     with pytest.raises(ExtensionLimitExceeded):
         w.member(query)
-    assert (meters, solved) == ([[0, 192, 100]], [])
+    assert (meters, solved) == ([[0, 128, 100]], [])
     monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 200)
     assert w.member(query) is True
-    assert (meters[1:], solved) == ([[0, 192, 200]], [1])
+    assert (meters[1:], solved) == ([[0, 128, 200]], [1])
     assert w.budget == 300
 
 
@@ -376,8 +378,8 @@ def test_warm_memos_keep_every_answer_that_cleared_ones_give(monkeypatch):
         cold = w.member(parse(text))
         assert w.member(parse(text)) == cold, text
         assert meters[-2][0] + meters[-2][1] > 0 and meters[-1][:2] == [0, 0], text
-    # From cleared memos L[1/5] !p2 costs 454 nodes and 196 cells; after
-    # the build has warmed them, 192 cells.
+    # From cleared memos L[1/5] !p2 costs 306 nodes and 128 cells; after
+    # the build has warmed them, 128 cells.
     monkeypatch.setattr(probnext.canonical, "_MEMBER_WORK", 300)
     w = lindenbaum(seed, 300)
     decide.clear_caches()
@@ -385,7 +387,7 @@ def test_warm_memos_keep_every_answer_that_cleared_ones_give(monkeypatch):
         w.member(parse("L[1/5] !p2"))
     w = lindenbaum(seed, 300)
     assert w.member(parse("L[1/5] !p2")) is True
-    assert meters[-1] == [0, 192, 300]
+    assert meters[-1] == [0, 128, 300]
 
 
 def test_stage_set_depth_is_not_limited_by_the_recursion_limit():
@@ -457,6 +459,23 @@ def test_lindenbaum_agrees_with_the_and_chain_oracle():
         assert (w.decided, extras) == and_chain_lindenbaum(seed, budget), render(seed)
 
 
+def test_every_witness_refutation_entails_the_negated_stack():
+    """A special-case stage adds only its witness refutation to the stage
+    set's DNF, which is exact because the refutation of the s-stack entails
+    the negation of the r-stack it stands beside (s < r): checked for every
+    such stage of the four benchmark seeds to budget 300, and of
+    L[1/2] p0 & X p1 to budget 1100."""
+    seeds = [entry["seed"] for entry in json.loads(BENCH_EXPECTED.read_text())["seeds"]]
+    runs = [(seed, 300) for seed in seeds] + [("L[1/2] p0 & X p1", 1100)]
+    checked = 0
+    for seed, budget in runs:
+        for record in lindenbaum(parse(seed), budget).stage_log:
+            if record.case == 3:
+                assert valid(implies(record.extra, Not(record.formula))), render(record.formula)
+                checked += 1
+    assert checked == 18 + 18 + 17 + 17 + 54
+
+
 def test_lindenbaum_seeds_reproduce_the_benchmark_bits():
     expected = json.loads(BENCH_EXPECTED.read_text())
     for entry in expected["seeds"]:
@@ -471,7 +490,9 @@ def test_canonical_columns_keep_the_cells_to_stage_1000_few():
     # over the canonical columns.  The cell walks popped 2034 nodes while
     # they cut a prefix only at a propositional clash; cutting every prefix
     # with no satisfiable disjunct, they pop 1667, and 1290 with the columns
-    # in spelling order.  Their LPs span 4034 cells.
+    # in spelling order, their LPs spanning 4034 cells.  A case-3 stage that
+    # merges only its witness refutation leaves a later case-1 stage to add
+    # back the negation it implied: 1368 nodes and 5448 cells.
     decide.clear_caches()
     with decide.work_budget(10**12) as meter:
         lindenbaum(parse("L[1/2] p0 & X p1"), 1000)
@@ -495,7 +516,7 @@ def test_budget_1070_agrees_with_the_walk_oracle(monkeypatch):
 
 def test_member_past_stage_1060_answers_within_the_work_budget():
     # L[1] !p2 is stage 1063.  Stages 1000-1063 pop 2118 walk nodes and
-    # solve LPs over 9408 cells in about 0.1 s, 11 526 units of the 2^15,
+    # solve LPs over 7104 cells in about 0.1 s, 9222 units of the 2^15,
     # where the former meter of 2^k cells per set of bounds passed 2^18 at
     # stage 1063 and refused the query.
     decide.clear_caches()

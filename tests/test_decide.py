@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     as_cell_table,
     bench_inputs,
+    bit_indices,
     bound_column,
     cell_rows_by_masks,
     cell_rows_with_masses,
@@ -299,8 +300,8 @@ def _tables_built(monkeypatch, run) -> list:
     for (columns,) in _distinct_calls(monkeypatch, "_cells", run):
         table = decide._cells(columns)
         inside = [set() for _ in table.disjuncts]
-        for c, (_, row, _) in table.columns.items():
-            for i, _ in row:
+        for c, (_, bits) in table.columns.items():
+            for i in bit_indices(bits):
                 inside[i].add(c)
         tables.append((set(table.columns), set(map(frozenset, inside))))
     return tables
@@ -561,7 +562,7 @@ def test_cell_tables_agree_with_the_walk_oracle(monkeypatch):
     cells, in the order and with the witnessing disjuncts, that the former
     walk kept, which cut a prefix only at a propositional clash and checked
     each leaf.  The Lindenbaum seeds reach tables past what `cells_by_conj`
-    can enumerate."""
+    can enumerate: 16 columns by budget 500 (at budget 300, 15)."""
     rng = random.Random(2121)
     mix = [parse(text) for (_, text), _ in _mix_pool(MIX_ENTRIES)]
     nested = [random_nested_bounds(rng) for _ in range(300)]
@@ -571,7 +572,7 @@ def test_cell_tables_agree_with_the_walk_oracle(monkeypatch):
         lambda: list(map(sat_status, mix)),
         lambda: list(map(sat_status, nested)),
         lambda: sat_status(parse(independent_bounds(8))),
-        lambda: [lindenbaum(parse(seed), 300) for seed in seeds],
+        lambda: [lindenbaum(parse(seed), 500) for seed in seeds],
     ]
     widest = 0
     for run in runs:
@@ -587,9 +588,9 @@ def test_cell_tables_and_rows_agree_with_the_mask_oracle(monkeypatch):
     """Every cell table built on the first 2000 decide-mix entries, 300
     nested bounds, the lp-bounds pool and the Lindenbaum seeds to budget 300
     holds, in order, the witnessing disjuncts of the former table that kept
-    each cell's mask, and each column's row is the one read off those masks.
-    `_cell_rows` gives, for every step `world_sat` is asked, the rows the
-    former mask scan gave."""
+    each cell's mask, and each column's bitset is the one read off those
+    masks.  `_cell_rows` gives, for every step `world_sat` is asked, the
+    rows the former mask scan gave."""
     rng = random.Random(2727)
     mix = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
     nested = [random_nested_bounds(rng) for _ in range(300)]
@@ -762,37 +763,38 @@ def test_witnesses_check_as_the_former_extension():
 
 
 def test_cell_rows_share_the_entries_of_the_all_ones_row(monkeypatch):
-    """Each column's row holds the all-ones row's own (cell, 1) entries, so
-    a row costs one pointer a cell: rows of fresh tuples took budget 1100
-    from 53 MB to 142 MB.  `_cell_rows` selects the table's rows, and makes
-    none."""
+    """Each row `_cell_rows` returns holds the all-ones row's own (cell, 1)
+    entries, those its column's bits select, so a row costs one pointer a
+    cell: rows of fresh tuples took budget 1100 from 53 MB to 142 MB.  A
+    table stores no row but the all-ones one."""
     formulas = [parse(text) for text in CELL_TABLEAU_EDGES]
     real = decide._cell_rows
     stated = []
 
     def record(table, bounds):
         rows = real(table, bounds)
-        stated.append((table, rows))
+        stated.append((table, bounds, rows))
         return rows
 
     def run():
         list(map(witness, formulas))
         lindenbaum(parse("L[1/2] p0 & X p1"), 1070)
 
+    decide.clear_caches()
     monkeypatch.setattr(decide, "_cell_rows", record)
-    calls = _distinct_calls(monkeypatch, "_cells", run)
+    run()
     monkeypatch.setattr(decide, "_cell_rows", real)
     largest = 0
-    for (columns,) in calls:
-        table = decide._cells(columns)
-        for _, row, _ in table.columns.values():
-            assert all(entry is table.ones[entry[0]] for entry in row), columns
-        largest = max(largest, len(table.columns) * len(table.ones))
-    assert largest >= 26 * 192  # budget 1070's widest table: 192 cells over 26 columns
-    for table, rows in stated:
+    for table, bounds, rows in stated:
+        assert all(type(bits) is int for _, bits in table.columns.values())
         assert rows[0][0] is table.ones
-        stored = {id(row) for _, row, _ in table.columns.values()}
-        assert all(id(inside) in stored for inside, *_ in rows[1:])
+        selected = sorted(table.columns[bound_column(atom)[0]] for _, atom in bounds)
+        assert len(rows) == 1 + len(selected), bounds
+        for (_, bits), (inside, *_) in zip(selected, rows[1:]):
+            assert [i for i, _ in inside] == bit_indices(bits), bounds
+            assert all(entry is table.ones[entry[0]] for entry in inside), bounds
+        largest = max(largest, len(table.columns) * len(table.ones))
+    assert largest >= 26 * 192  # the widest LP's table by budget 1070: 192 cells, 26 columns
 
 
 def test_world_plans_agree_with_the_conj_oracle(monkeypatch):
