@@ -13,6 +13,11 @@ Grammar (whitespace-insensitive)::
     rational := digits "/" digits | digits
     digits  := [0-9]+                  (ASCII digits only)
 
+One `findall` reads the tokens as strings, and any other non-space character
+as a one-character stray token.  Only a failed parse scans again, for token
+positions: a stray token anywhere is then the error, before any grammar or
+bound error that the parse met first.
+
 Derived connectives are desugared during parsing; `render` emits only the
 core grammar, so `parse(render(f)) == f` holds structurally.
 """
@@ -47,108 +52,103 @@ class FormulaSyntaxError(ValueError):
 
 
 # [0-9], not \d: \d matches every Unicode digit, which int() would read.
+# The last alternative makes every other non-space character a stray token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<prop>p[0-9]+)|(?P<lbound>[LM]\[\s*[0-9]+(?:\s*/\s*[0-9]+)?\s*\])"
-    r"|(?P<op><->|->|[!&|XTF()]))"
+    r"(p[0-9]+|[LM]\[\s*[0-9]+(?:\s*/\s*[0-9]+)?\s*\]|<->|->|[!&|XTF()]|\S)"
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaSyntaxError(at, "a token", repr(stripped[0]))
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _position(text: str, index: int) -> tuple:
+    """Where token `index` of `text` starts, and the token ("" for the end);
+    but a stray token anywhere in `text` raises its error instead."""
+    found = len(text), ""
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        token = m[0]
+        if len(token) == 1 and token not in "!&|XTF()":
+            raise FormulaSyntaxError(m.start(), "a token", repr(token))
+        if j == index:
+            found = m.start(), token
+    return found
 
 
-def _fail(token, expected: str):
-    kind, value, pos = token
-    found = "end of input" if kind == "end" else repr(value)
-    raise FormulaSyntaxError(pos, expected, found)
+def _fail(text: str, index: int, expected: str):
+    pos, token = _position(text, index)
+    raise FormulaSyntaxError(pos, expected, repr(token) if token else "end of input")
 
 
-def _bound_prefix(value: str, pos: int) -> list:
-    """The prefixes an `L[r]` or `M[r]` token stands for: the AtLeast
+def _push_bound(stack: list, token: str, text: str, index: int) -> None:
+    """Push the prefixes an `L[r]` or `M[r]` token stands for: the AtLeast
     bound, and for `M[r]`, which is `L[1-r]` of the negation, a Not."""
-    num, _, den = value[2:-1].replace(" ", "").partition("/")
-    n, d = int(num), int(den or 1)
-    if d == 0:
-        raise FormulaSyntaxError(pos, "a nonzero denominator", repr(value))
+    num, _, den = token[2:-1].partition("/")
+    n, d = int(num), int(den or 1)  # int() strips the spaces
+    if not d:
+        _fail(text, index, "a nonzero denominator")
     if n > d:
         raise IndexOutOfRange(
-            f"at position {pos}: probability index {Fraction(n, d)} outside [0, 1]"
+            f"at position {_position(text, index)[0]}: "
+            f"probability index {Fraction(n, d)} outside [0, 1]"
         )
-    if value[0] == "L":
-        return [Fraction(n, d)]
-    return [Fraction(d - n, d), Not]
+    stack += (Fraction(n, d),) if token[0] == "L" else (Fraction(d - n, d), Not)
 
 
 # Binary connectives by binding power; "->" alone is right associative.
 _BINARY = {"<->": (1, iff), "->": (2, implies), "|": (3, lor), "&": (4, And)}
 _OPEN = (0, None, None)
+_PREFIXES = {"!": Not, "X": Next, "(": _OPEN}
+_ATOMS = {"T": TOP, "F": BOTTOM}
 
 
 def parse(text: str) -> Formula:
-    tokens = _tokenize(text)
+    tokens = [*_TOKEN_RE.findall(text), ""]  # "" is the end
     # The pending operators, innermost last.  A prefix (Not, Next, or the
     # Fraction bound of an AtLeast) waits for its operand; a triple
     # (power, connective, left) for its right operand; _OPEN for the ")"
     # of a parenthesis, or, at the bottom, for the end of the input.
     stack = [_OPEN]
     i = 0
-    while True:
-        token = kind, value, pos = tokens[i]
-        i += 1
-        if kind == "prop":
-            f = Prop(int(value[1:]))
-        elif value == "T":
-            f = TOP
-        elif value == "F":
-            f = BOTTOM
-        else:
-            if value == "!":
-                stack.append(Not)
-            elif value == "X":
-                stack.append(Next)
-            elif value == "(":
-                stack.append(_OPEN)
-            elif kind == "lbound":
-                stack += _bound_prefix(value, pos)
-            else:
-                _fail(token, "a formula")
-            continue
-        while True:  # f is a complete operand
-            while stack[-1].__class__ is not tuple:
-                prefix = stack.pop()
-                f = AtLeast(prefix, f) if prefix.__class__ is Fraction else prefix(f)
+    try:
+        while True:
             token = tokens[i]
             i += 1
-            power, connective = _BINARY.get(token[1], (0, None))
-            # Close the operators that bind at least as tightly as this one
-            # (all of them before a ")" or the end); "->" leaves its equals.
-            floor = power + (connective is implies) or 1
-            while stack[-1][0] >= floor:
-                _, build, left = stack.pop()
-                f = build(left, f)
-            if power:
-                stack.append((power, connective, f))
-                break
-            stack.pop()
-            if not stack:
-                if token[0] != "end":
-                    _fail(token, "end of input")
-                return f
-            if token[1] != ")":
-                _fail(token, "')'")
+            if token[1:2].isdigit():  # no other token has a digit second
+                f = Prop(int(token[1:]))
+            elif token in _PREFIXES:
+                stack.append(_PREFIXES[token])
+                continue
+            elif token in _ATOMS:
+                f = _ATOMS[token]
+            elif token[1:2] == "[":
+                _push_bound(stack, token, text, i - 1)
+                continue
+            else:
+                _fail(text, i - 1, "a formula")
+            while True:  # f is a complete operand
+                while stack[-1].__class__ is not tuple:
+                    prefix = stack.pop()
+                    f = AtLeast(prefix, f) if prefix.__class__ is Fraction else prefix(f)
+                token = tokens[i]
+                i += 1
+                power, connective = _BINARY.get(token, (0, None))
+                # Close the operators that bind at least as tightly as this one
+                # (all of them before a ")" or the end); "->" leaves its equals.
+                floor = power + (connective is implies) or 1
+                while stack[-1][0] >= floor:
+                    _, build, left = stack.pop()
+                    f = build(left, f)
+                if power:
+                    stack.append((power, connective, f))
+                    break
+                stack.pop()
+                if not stack:
+                    if token:
+                        _fail(text, i - 1, "end of input")
+                    return f
+                if token != ")":
+                    _fail(text, i - 1, "')'")
+    except ValueError as exc:
+        if exc.__class__ is ValueError:  # int() of a numeral past its digit limit
+            _position(text, 0)  # a stray token is the error before it
+        raise
 
 
 def _render_bound(bound: Fraction) -> str:

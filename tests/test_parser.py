@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import parse_by_descent, random_formula
+from helpers import bench_inputs, parse_by_descent, random_formula
 from probnext import (
     And,
     AtLeast,
@@ -186,3 +186,33 @@ def test_precedence_loop_agrees_with_recursive_descent():
             kinds[want[0]] = kinds.get(want[0], 0) + 1
     # every outcome is well represented: nodes, syntax and range errors
     assert min(kinds[k] for k in (Formula, FormulaSyntaxError, IndexOutOfRange)) > 500, kinds
+
+
+# A stray token is the error wherever it stands: before a grammar error met
+# earlier, a zero denominator, a bound out of range, or a numeral too long
+# for int(); and the errors of the last two texts follow tabs, newlines and
+# tokens of several characters.
+@pytest.mark.parametrize("text, error", [
+    ("& p0 @", (FormulaSyntaxError, 5, "a token", "'@'")),
+    ("L[1/0] p0 ?", (FormulaSyntaxError, 10, "a token", "'?'")),
+    ("L[3/2] p0 q", (FormulaSyntaxError, 10, "a token", "'q'")),
+    ("p" + "1" * 5000 + " @", (FormulaSyntaxError, 5002, "a token", "'@'")),
+    ("p12 <->\t\n)", (FormulaSyntaxError, 9, "a formula", "')'")),
+    ("M[ 2 / 3 ] )", (FormulaSyntaxError, 11, "a formula", "')'")),
+], ids=["grammar", "denominator", "range", "numeral", "tab-newline", "spaced-bound"])
+def test_error_precedence_matches_recursive_descent(text, error):
+    got = _outcome(parse, text)
+    assert got == _outcome(parse_by_descent, text)
+    assert got[:4] == error
+
+
+def test_bench_texts_parse_to_the_descent_nodes():
+    inputs = bench_inputs()
+    texts = [inputs.mix_entry(i)[1] for i in range(5000)]
+    lp_texts = {}  # the lp-bounds pool, built as the benchmark builds it
+    j = 0
+    while len(lp_texts) < 1000:
+        lp_texts.setdefault(inputs.lp_bounds_text(random.Random(f"lp-bounds/{j}")))
+        j += 1
+    for text in texts + list(lp_texts):
+        assert parse(text) is parse_by_descent(text), text
