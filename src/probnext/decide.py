@@ -134,7 +134,7 @@ def _merge(left: list[Disjunct], right: list[Disjunct]) -> list[Disjunct]:
             clash = any((not pol, step, atom) in a for pol, step, atom in b)
             if not clash:
                 out.append(a | b)
-    return _antichain(out)
+    return _antichain(out) if len(out) > 1 else out  # one disjunct is an antichain
 
 
 def _dnf(f: Formula, polarity: bool, step: int) -> list[Disjunct]:
@@ -239,7 +239,7 @@ def _charge(kind: int, amount: int) -> None:
 def _cells(columns: frozenset) -> _CellTable:
     # Ordered by their spellings, which no interpreter run changes, so that
     # a column set always yields the same cells.
-    bodies = sorted(columns, key=spelling)
+    bodies = sorted(columns, key=spelling) if len(columns) > 1 else [*columns]
     # each body's options: (bit, DNF of its negation or of itself)
     options = [[(0, _dnf(b, False, 0)), (1 << i, _dnf(b, True, 0))] for i, b in enumerate(bodies)]
     # A prefix keeps the satisfiable disjuncts of its merged DNF, and one

@@ -10,6 +10,9 @@ The core is hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): equal formulas are one node, so equality is
 identity and a node hashes by identity too.  The unique table holds
 its nodes weakly, so a node that nothing else references leaves it.
+The parser and the derived connectives build through `prop`, `not_`,
+`and_`, `at_least` and `next_`, which probe the table first and call the
+constructor only on a miss: `at_least` takes its bound as reduced ints.
 `prefix` walks a formula's nodes in its prefix (Polish) spelling, and
 the depths walk a stack of nodes, with no recursion, so no nesting is
 too deep for them.
@@ -132,16 +135,41 @@ BOTTOM = And(Prop(0), Not(Prop(0)))
 TOP = Not(BOTTOM)
 
 
+def prop(index: int) -> Prop:
+    entry = _TABLE.get((Prop, index))
+    return entry and entry() or Prop(index)
+
+
+def not_(body: Formula) -> Not:
+    entry = _TABLE.get((Not, body))
+    return entry and entry() or Not(body)
+
+
+def and_(left: Formula, right: Formula) -> And:
+    entry = _TABLE.get((And, left, right))
+    return entry and entry() or And(left, right)
+
+
+def at_least(num: int, den: int, body: Formula) -> AtLeast:
+    entry = _TABLE.get((AtLeast, num, den, body))
+    return entry and entry() or AtLeast(Fraction(num, den), body)
+
+
+def next_(body: Formula) -> Next:
+    entry = _TABLE.get((Next, body))
+    return entry and entry() or Next(body)
+
+
 def lor(a: Formula, b: Formula) -> Formula:
-    return Not(And(Not(a), Not(b)))
+    return not_(and_(not_(a), not_(b)))
 
 
 def implies(a: Formula, b: Formula) -> Formula:
-    return Not(And(a, Not(b)))
+    return not_(and_(a, not_(b)))
 
 
 def iff(a: Formula, b: Formula) -> Formula:
-    return And(implies(a, b), implies(b, a))
+    return and_(implies(a, b), implies(b, a))
 
 
 def at_most(bound, body: Formula) -> Formula:

@@ -26,21 +26,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from .formula import (
-    And,
-    AtLeast,
-    BOTTOM,
-    Formula,
-    IndexOutOfRange,
-    Next,
-    Not,
-    Prop,
-    TOP,
-    iff,
-    implies,
-    lor,
-)
+from .formula import BOTTOM, TOP, And, AtLeast, Formula, IndexOutOfRange, Next, Not, Prop
+from .formula import and_, at_least, iff, implies, lor, next_, not_, prop
 
 
 class FormulaSyntaxError(ValueError):
@@ -76,56 +65,55 @@ def _fail(text: str, index: int, expected: str):
     raise FormulaSyntaxError(pos, expected, repr(token) if token else "end of input")
 
 
-def _push_bound(stack: list, token: str, text: str, index: int) -> None:
-    """Push the prefixes an `L[r]` or `M[r]` token stands for: the AtLeast
-    bound, and for `M[r]`, which is `L[1-r]` of the negation, a Not."""
-    num, _, den = token[2:-1].partition("/")
-    n, d = int(num), int(den or 1)  # int() strips the spaces
-    if not d:
-        _fail(text, index, "a nonzero denominator")
-    if n > d:
-        raise IndexOutOfRange(
-            f"at position {_position(text, index)[0]}: "
-            f"probability index {Fraction(n, d)} outside [0, 1]"
-        )
-    stack += (Fraction(n, d),) if token[0] == "L" else (Fraction(d - n, d), Not)
-
-
 # Binary connectives by binding power; "->" alone is right associative.
-_BINARY = {"<->": (1, iff), "->": (2, implies), "|": (3, lor), "&": (4, And)}
+_BINARY = {"<->": (1, iff), "->": (2, implies), "|": (3, lor), "&": (4, and_)}
 _OPEN = (0, None, None)
-_PREFIXES = {"!": Not, "X": Next, "(": _OPEN}
+_PREFIXES = {"!": not_, "X": next_, "(": _OPEN}
 _ATOMS = {"T": TOP, "F": BOTTOM}
 
 
 def parse(text: str) -> Formula:
     tokens = [*_TOKEN_RE.findall(text), ""]  # "" is the end
-    # The pending operators, innermost last.  A prefix (Not, Next, or the
-    # Fraction bound of an AtLeast) waits for its operand; a triple
-    # (power, connective, left) for its right operand; _OPEN for the ")"
-    # of a parenthesis, or, at the bottom, for the end of the input.
+    # The pending operators, innermost last.  A prefix (a builder, or a bound
+    # as its denominator, numerator and `at_least`) waits for its operand; a
+    # triple (power, connective, left) for its right operand; _OPEN for the
+    # ")" of a parenthesis, or, at the bottom, for the end of the input.
     stack = [_OPEN]
     i = 0
     try:
         while True:
             token = tokens[i]
             i += 1
-            if token[1:2].isdigit():  # no other token has a digit second
-                f = Prop(int(token[1:]))
-            elif token in _PREFIXES:
-                stack.append(_PREFIXES[token])
+            first = token[:1]
+            if first == "p":
+                f = prop(int(token[1:]))
+            elif prefix := _PREFIXES.get(first):
+                stack.append(prefix)
                 continue
-            elif token in _ATOMS:
-                f = _ATOMS[token]
-            elif token[1:2] == "[":
-                _push_bound(stack, token, text, i - 1)
+            elif first == "L" or first == "M":
+                num, _, den = token[2:-1].partition("/")
+                n, d = int(num), int(den or 1)  # int() strips the spaces
+                if not d:
+                    _fail(text, i - 1, "a nonzero denominator")
+                if n > d:
+                    raise IndexOutOfRange(
+                        f"at position {_position(text, i - 1)[0]}: "
+                        f"probability index {Fraction(n, d)} outside [0, 1]"
+                    )
+                g = gcd(n, d)
+                n, d = n // g, d // g
+                # M[r] is L[1-r] of the negation
+                stack += (d, n, at_least) if first == "L" else (d, d - n, at_least, not_)
                 continue
+            elif first in _ATOMS:
+                f = _ATOMS[first]
             else:
                 _fail(text, i - 1, "a formula")
             while True:  # f is a complete operand
                 while stack[-1].__class__ is not tuple:
-                    prefix = stack.pop()
-                    f = AtLeast(prefix, f) if prefix.__class__ is Fraction else prefix(f)
+                    build = stack.pop()
+                    # an AtLeast's numerator lies on top of its denominator
+                    f = at_least(stack.pop(), stack.pop(), f) if build is at_least else build(f)
                 token = tokens[i]
                 i += 1
                 power, connective = _BINARY.get(token, (0, None))
@@ -146,7 +134,8 @@ def parse(text: str) -> Formula:
                 if token != ")":
                     _fail(text, i - 1, "')'")
     except ValueError as exc:
-        if exc.__class__ is ValueError:  # int() of a numeral past its digit limit
+        # int() of a stray "p", "L" or "M", or of a numeral past its digit limit
+        if exc.__class__ is ValueError:
             _position(text, 0)  # a stray token is the error before it
         raise
 

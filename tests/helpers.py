@@ -77,6 +77,17 @@ def bench_inputs():
     return inputs
 
 
+def lp_bounds_pool() -> list[str]:
+    """The 1000 distinct texts of the lp-bounds workload's pool."""
+    lp_bounds_text = bench_inputs().lp_bounds_text
+    texts: dict = {}
+    j = 0
+    while len(texts) < 1000:
+        texts.setdefault(lp_bounds_text(random.Random(f"lp-bounds/{j}")))
+        j += 1
+    return list(texts)
+
+
 def cap_address_space():
     """Run in a child process before it starts: a 1 GiB address-space cap."""
     limit = 1 << 30
@@ -939,6 +950,18 @@ def push_then_dnf(f):
         return [frozenset({(polarity, step, atom)})]
 
     return dnf(push_next(f), True)
+
+
+def merge_by_antichain(left, right):
+    """The former `decide._merge`, kept as its oracle: every clash-free union
+    of a left and a right disjunct, pruned by `decide._antichain` however
+    many there are."""
+    out = []
+    for a in left:
+        for b in right:
+            if not any((not pol, step, atom) in a for pol, step, atom in b):
+                out.append(a | b)
+    return decide._antichain(out)
 
 
 def witnessing(cell):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -25,7 +26,9 @@ from helpers import (
     fraction_valued_build,
     fraction_valued_solve,
     independent_bounds,
+    lp_bounds_pool,
     lp_chain,
+    merge_by_antichain,
     nonzero_coordinates,
     one_cell_points,
     push_then_dnf,
@@ -483,6 +486,42 @@ def test_disjuncts_and_conjoined_disjuncts_are_clash_free():
         before = dnf
 
 
+def _random_dnf(rng: random.Random) -> list:
+    """Up to three random clash-free disjuncts over three propositions at
+    steps 0 and 1, some of them empty, equal or each other's subsets."""
+    dnf = []
+    for _ in range(rng.randint(0, 3)):
+        literals = {(rng.randrange(2), Prop(rng.randrange(3))): rng.random() < 0.5
+                    for _ in range(rng.randint(0, 3))}
+        dnf.append(frozenset((pol, step, atom) for (step, atom), pol in literals.items()))
+    return dnf
+
+
+def test_merge_agrees_with_the_antichain_merge():
+    """`_merge` skips `_antichain` when at most one union survives, which
+    one disjunct leaves as it is; every other merge prunes as before."""
+    a = frozenset({(True, 0, Prop(0)), (False, 1, Prop(1))})
+    b = frozenset({(True, 1, Prop(2))})
+    clash = frozenset({(False, 0, Prop(0))})
+    one_by_one = [
+        ([a], [clash], []),
+        ([a], [a], [a]),  # a duplicate
+        ([frozenset()], [b], [b]),  # an empty disjunct on either side
+        ([a], [frozenset()], [a]),
+        ([a], [b], [a | b]),
+    ]
+    for left, right, merged in one_by_one:
+        assert decide._merge(left, right) == merge_by_antichain(left, right) == merged
+    rng = random.Random(20261022)
+    sizes = Counter()
+    for _ in range(5000):
+        left, right = _random_dnf(rng), _random_dnf(rng)
+        merged = decide._merge(left, right)
+        assert merged == merge_by_antichain(left, right), (left, right)
+        sizes[min(len(merged), 2)] += 1
+    assert min(sizes[n] for n in range(3)) > 500, sizes
+
+
 def test_deciding_from_warm_step_caches_hashes_no_fraction(monkeypatch):
     """A literal's atom is an interned node, which hashes by identity: once
     the steps' LPs are cached, deciding and witnessing again hashes no
@@ -594,7 +633,7 @@ def test_cell_tables_and_rows_agree_with_the_mask_oracle(monkeypatch):
     rng = random.Random(2727)
     mix = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
     nested = [random_nested_bounds(rng) for _ in range(300)]
-    pool = [parse(text) for text in _lp_bounds_pool()]
+    pool = [parse(text) for text in lp_bounds_pool()]
     expected = json.loads((BENCH / "expected" / "lindenbaum.json").read_text())
     seeds = [parse(entry["seed"]) for entry in expected["seeds"]]
     runs = [
@@ -628,7 +667,7 @@ def test_cells_keep_their_witnessing_disjuncts_as_tuples(monkeypatch):
     the mask oracle's disjunct for that cell; every `world_sat` answer hands
     out the table's own tuples."""
     mix = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
-    pool = [parse(text) for text in _lp_bounds_pool()]
+    pool = [parse(text) for text in lp_bounds_pool()]
     expected = json.loads((BENCH / "expected" / "lindenbaum.json").read_text())
     seeds = [parse(entry["seed"]) for entry in expected["seeds"]]
 
@@ -661,7 +700,7 @@ def test_witnesses_are_the_builder_oracles():
     bytes of the former builder's model and root, on the first 2000
     decide-mix entries and the lp-bounds pool."""
     texts = [text for (kind, text), _ in _mix_pool(2000) if kind != "derives"]
-    texts += _lp_bounds_pool()
+    texts += lp_bounds_pool()
     built = 0
     for text in texts:
         f = parse(text)
@@ -688,7 +727,7 @@ def test_witnesses_do_not_depend_on_the_search_memo():
     decide-mix entries and the lp-bounds pool."""
     texts = [text for (_, text), verdict in _mix_pool(3500) if verdict == "S"][:2000]
     assert len(texts) == 2000
-    formulas = list(dict.fromkeys(map(parse, texts + _lp_bounds_pool())))
+    formulas = list(dict.fromkeys(map(parse, texts + lp_bounds_pool())))
     oracle = {f: _witness_bytes(witness_by_builder(f)) for f in formulas}
     memo = decide._first_plans.cache_info
     for f in formulas:
@@ -727,7 +766,7 @@ def test_a_witness_after_its_verdict_repeats_no_search(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(decide, name, counted)
-    for text in _lp_bounds_pool()[:100]:  # distinct: each verdict searches
+    for text in lp_bounds_pool()[:100]:  # distinct: each verdict searches
         f = parse(text)
         assert sat(f).status == "SAT"
         assert calls["to_disjuncts"] > 0 and calls["world_sat"] > 0
@@ -737,7 +776,7 @@ def test_a_witness_after_its_verdict_repeats_no_search(monkeypatch):
 
 
 def test_clear_caches_empties_every_cache():
-    f = parse(_lp_bounds_pool()[0])
+    f = parse(lp_bounds_pool()[0])
     assert sat(f).status == "SAT" and witness(f) is not None
     caches = (decide.sat_status, decide._first_plans, decide.world_sat, decide._cells)
     assert all(cache.cache_info().currsize > 0 for cache in caches)
@@ -751,7 +790,7 @@ def test_witnesses_check_as_the_former_extension():
     subformula the extension that the former `Fraction` sums give."""
     texts = [text for (_, text), verdict in _mix_pool(3500) if verdict == "S"][:2000]
     assert len(texts) == 2000
-    texts += _lp_bounds_pool()
+    texts += lp_bounds_pool()
     for text in texts:
         f = parse(text)
         model, root = witness(f)
@@ -900,7 +939,7 @@ def test_world_sat_is_the_simplex_oracle_but_for_one_cell_points(monkeypatch):
     exact substitution, it answers with the lowest such cell at mass 1;
     every other answer is the oracle's."""
     rng = random.Random(3131)
-    formulas = [parse(text) for text in CELL_TABLEAU_EDGES + _lp_bounds_pool()[:100]]
+    formulas = [parse(text) for text in CELL_TABLEAU_EDGES + lp_bounds_pool()[:100]]
     formulas += [parse(lp_chain(k)) for k in range(2, 7)]
     formulas += [random_formula(rng) for _ in range(300)]
     formulas += [random_nested_bounds(rng) for _ in range(300)]
@@ -955,23 +994,12 @@ def test_one_cell_steps_make_no_witness_larger(monkeypatch):
     assert sum(now) < sum(then) and max(now) < max(then)
 
 
-def _lp_bounds_pool() -> list[str]:
-    """The 1000 distinct texts of the lp-bounds workload's pool."""
-    lp_bounds_text = bench_inputs().lp_bounds_text
-    texts: dict = {}
-    j = 0
-    while len(texts) < 1000:
-        texts.setdefault(lp_bounds_text(random.Random(f"lp-bounds/{j}")))
-        j += 1
-    return list(texts)
-
-
 def test_cell_points_are_the_fraction_valued_points(monkeypatch):
     """On every cell LP `world_sat` states for the tableau edge cases, the
     lp-bounds pool and the first 2000 decide-mix entries, the integer-valued
     pivot loop returns, in cell order, the nonzero masses of the point the
     `Fraction`-valued loop finds for the former rows, one per mass."""
-    formulas = [parse(text) for text in CELL_TABLEAU_EDGES + _lp_bounds_pool()]
+    formulas = [parse(text) for text in CELL_TABLEAU_EDGES + lp_bounds_pool()]
     entries = [(kind, parse(text)) for (kind, text), _ in _mix_pool(2000)]
 
     def run():
@@ -1000,7 +1028,7 @@ def test_a_cell_lp_makes_fractions_only_for_its_nonzero_masses(monkeypatch):
     no `linarith` at all.  The tableau edge cases and nested bounds add LPs
     that inhabit several cells."""
     rng = random.Random(2626)
-    formulas = [parse(text) for text in _lp_bounds_pool()[:100] + CELL_TABLEAU_EDGES]
+    formulas = [parse(text) for text in lp_bounds_pool()[:100] + CELL_TABLEAU_EDGES]
     formulas += [random_nested_bounds(rng) for _ in range(300)]
     calls = _distinct_calls(monkeypatch, "world_sat", lambda: list(map(witness, formulas)))
     made = []

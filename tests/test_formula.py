@@ -3,6 +3,7 @@ import gc
 import pickle
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from probnext import (
     at_most,
     conj,
     dyn_depth,
+    parse,
     prob_depth,
     profile,
     props_of,
@@ -156,6 +158,21 @@ def test_unreferenced_nodes_leave_the_table():
     gc.collect()
     assert ref() is None
     assert (Prop, 987_654) not in formula._TABLE  # the whole chain went
+
+
+def test_a_parse_after_its_nodes_died_builds_one_live_node():
+    # The builders' probes find the dead nodes' entries gone, and their
+    # constructors enter the new nodes; every entry left is a live node's.
+    text = "L[3/6] (p515151 | X p515152) -> M[1/9] !p515153 <-> !X p515151"
+    ref = weakref.ref(parse(text))
+    gc.collect()
+    assert ref() is None
+    assert not {(Prop, i) for i in range(515151, 515154)} & formula._TABLE.keys()
+    f = parse(text)
+    assert f is parse(text)
+    live = Counter(entry() for entry in formula._TABLE.values())
+    assert None not in live
+    assert all(live[g] == 1 for g in formula.prefix(f))
 
 
 def test_an_entry_made_after_its_node_died_survives_the_stale_callback():

@@ -1,9 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import bench_inputs, parse_by_descent, random_formula
+from helpers import bench_inputs, lp_bounds_pool, parse_by_descent, random_formula
 from probnext import (
     And,
     AtLeast,
@@ -81,6 +82,40 @@ def test_syntax_error_reports_position():
 def test_digits_outside_ascii_are_a_syntax_error(text):
     with pytest.raises(FormulaSyntaxError):
         parse(text)
+
+
+# Each spelling parses to the node of its reduced bound, on a body that is
+# already interned (a table hit) and on a fresh one (a miss).
+@pytest.mark.parametrize("text, reduced", [
+    ("L[2/4] {}", "L[1/2] {}"),
+    ("L[0/7] {}", "L[0] {}"),
+    ("M[3/6] {}", "L[1/2] !{}"),
+    ("L[ 4 / 4 ] {}", "L[1] {}"),
+    ("M[0] {}", "L[1] !{}"),
+])
+@pytest.mark.parametrize("body", ["p0", "p808080"])
+def test_bound_spellings_parse_to_the_reduced_node(text, reduced, body):
+    f = parse(text.format(body))
+    assert f is parse_by_descent(reduced.format(body))
+    num, _, den = reduced[2:reduced.index("]")].partition("/")
+    assert f.bound.__class__ is Fraction and f.bound == Fraction(int(num), int(den or 1))
+
+
+def test_warm_parse_constructs_no_fraction(monkeypatch):
+    texts = lp_bounds_pool()
+    kept = [parse(text) for text in texts]
+    made = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    again = [parse(text) for text in texts]
+    monkeypatch.undo()
+    assert made == []
+    assert all(map(operator.is_, again, kept))
 
 
 def test_bound_out_of_range_rejected():
@@ -209,10 +244,5 @@ def test_error_precedence_matches_recursive_descent(text, error):
 def test_bench_texts_parse_to_the_descent_nodes():
     inputs = bench_inputs()
     texts = [inputs.mix_entry(i)[1] for i in range(5000)]
-    lp_texts = {}  # the lp-bounds pool, built as the benchmark builds it
-    j = 0
-    while len(lp_texts) < 1000:
-        lp_texts.setdefault(inputs.lp_bounds_text(random.Random(f"lp-bounds/{j}")))
-        j += 1
-    for text in texts + list(lp_texts):
+    for text in texts + lp_bounds_pool():
         assert parse(text) is parse_by_descent(text), text
