@@ -17,14 +17,15 @@ the answer lies in the first interval that admits its gap.
 The intervals are visited in increasing order, and their graphs only gain
 edges, so one flow grows through all of them: a flow that is maximum at one
 level is feasible at the next (the monotone case of parametric max flow;
-Gallo, Grigoriadis & Tarjan 1989).  The residual search that failed is kept,
-and a new edge i -> j extends it from j when it already reaches i; a search
-starts afresh only after an augmenting path.  On n support points the setup
-sorts the n(n-1)/2 distances, each augmenting path costs one search of
-O(n^2), and the failed searches between two paths share O(n^2) in all.  The
-masses and the distances are each scaled once to integers by the lcm of
-their denominators, so the flow and the comparisons run on exact ints, and
-only the answer is a `Fraction` again.
+Gallo, Grigoriadis & Tarjan 1989).  Level 0 links each point to itself
+only, a matching, so moving the common mass min(mu(x), nu(x)) at each x is
+its maximum flow.  The pairs are sorted by distance once, and a level's
+edges are linked only when the flow reaches it; they extend the residual
+search that failed, which starts afresh only after an augmenting path, of
+O(n^2) on n support points, and a gap that falls to the level's distance
+ends the flow.  Masses and distances are scaled to ints by one
+`as_integer_ratio()` each and the lcm of their kind's denominators, so the
+flow and the comparisons run on exact ints; the answer is one `Fraction`.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _merged_table(mu: FiniteMeasure, nu: FiniteMeasure) -> dict:
     table = dict(mu.distance)
     for pair, d in nu.distance.items():
         if pair in table and table[pair] != d:
-            raise IncompatibleSupports(f"conflicting distances for {pair}")
+            raise IncompatibleSupports(f"conflicting distances for {'|'.join(pair)}")
         table[pair] = d
     return table
 
@@ -160,47 +161,52 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
     table = _merged_table(mu, nu)
     points = sorted(set(mu.support()) | set(nu.support()))
     n = len(points)
-    masses, mass_scale = _integers(
-        [mu.weights.get(x, Fraction(0)) for x in points]
-        + [nu.weights.get(x, Fraction(0)) for x in points]
-    )
+    ratios = [m.weights.get(x, 0).as_integer_ratio() for m in (mu, nu) for x in points]
+    mass_scale = lcm(*[q for _, q in ratios])
+    masses = [p * (mass_scale // q) for p, q in ratios]
     spare, need = masses[:n], masses[n:]  # supply i and demand j left
     if sum(spare) != sum(need):  # the one-way gap stands for both only then
         raise ValueError("the measures have different total masses")
-    pairs = list(combinations(range(n), 2))  # keyed as `_pair` keys them
-    try:
-        dists = [table[points[i], points[j]] for i, j in pairs]
+    try:  # keyed as `_pair` keys them
+        ratios = [table[pair].as_integer_ratio() for pair in combinations(points, 2)]
     except KeyError:
-        for i, j in pairs:  # the first missing pair raises
-            _dist(table, points[i], points[j])
+        for a, b in combinations(points, 2):  # the first missing pair raises
+            _dist(table, a, b)
         raise
-    flat, dist_scale = _integers(dists)
-    lows = sorted({0}.union(flat))  # 0, then the pairwise distances
-    rank = {lo: k for k, lo in enumerate(lows)}
-    edges = [[] for _ in lows]  # level k: the edges i -> j with d(i, j) = lows[k]
-    edges[rank[0]] = [(i, i) for i in range(n)]
-    for (i, j), d in zip(pairs, flat):
-        edges[rank[d]] += ((i, j), (j, i))
+    dist_scale = lcm(*[q for _, q in ratios])
+    flat = [p * (dist_scale // q) for p, q in ratios]
+    pairs = list(combinations(range(n), 2))
+    order = sorted(range(len(flat)), key=flat.__getitem__)  # pairs by distance
 
     # One maximum flow from supply i to demand j along the uncapped edges
     # i -> j of `linked[i]`, grown level by level: node i < n is supply i,
     # node n + j is demand j.  `parent` and `queue[:head]` are the last
     # breadth-first search of the residual graph from the supplies left;
-    # once it fails, new edges only extend it, and it starts afresh only
-    # after an augmenting path.
-    linked: list[list[int]] = [[] for _ in range(n)]
+    # once it fails, the next level's edges only extend it, and it starts
+    # afresh only after an augmenting path.
+    linked = [[i] for i in range(n)]  # level 0: the self-edges, a matching
     carried: list[dict[int, int]] = [{} for _ in range(n)]  # j: {i: flow > 0}
+    for i, common in enumerate(map(min, spare, need)):  # its maximum flow
+        if common:
+            carried[i][i] = common
+            spare[i] -= common
+            need[i] -= common
     parent = {i: None for i in range(n) if spare[i]}
     queue, head = list(parent), 0
-    for k, level in enumerate(edges):
+    gap = sum(spare)
+    lo, at = 0, 0  # the level's distance, and its first pair in `order`
+    while True:
         found = None
-        for i, j in level:
-            linked[i].append(j)
-            if i in parent and n + j not in parent:  # the search reaches j now
-                parent[n + j] = i
-                queue.append(n + j)
-                if need[j]:
-                    found = n + j
+        while at < len(order) and flat[order[at]] <= lo:
+            i, j = pairs[order[at]]
+            at += 1
+            for i, j in (i, j), (j, i):
+                linked[i].append(j)
+                if i in parent and n + j not in parent:  # the search reaches j now
+                    parent[n + j] = i
+                    queue.append(n + j)
+                    if need[j]:
+                        found = n + j
         while True:
             while found is None and head < len(queue):
                 v = queue[head]
@@ -235,15 +241,18 @@ def prokhorov(mu: FiniteMeasure, nu: FiniteMeasure) -> Fraction:
                     del carried[j][i]
             spare[first] -= amount
             need[last] -= amount
+            gap -= amount
+            if gap * dist_scale <= lo * mass_scale:  # then this level admits lo
+                return Fraction(lo, dist_scale)
             parent = {i: None for i in range(n) if spare[i]}
             queue, head, found = list(parent), 0, None
-        # for eps in (lows[k], lows[k + 1]]:  A^eps = { x | d(x, A) <= lows[k] },
+        # for eps in (lo, hi], hi the next distance:  A^eps = { x | d(x, A) <= lo },
         # and the worst gap is the supply left; the last interval always
-        # admits it, and gap / mass_scale <= lows[k + 1] / dist_scale is
-        # compared in integers
-        gap = sum(spare)
-        if k + 1 == len(lows) or gap * dist_scale <= lows[k + 1] * mass_scale:
-            return max(Fraction(gap, mass_scale), Fraction(lows[k], dist_scale))
+        # admits it, and gap / mass_scale <= hi / dist_scale is compared in
+        # integers.  A gap that fell to lo returned lo, so here it is the answer.
+        if at == len(order) or gap * dist_scale <= flat[order[at]] * mass_scale:
+            return Fraction(gap, mass_scale)
+        lo = flat[order[at]]
 
 
 def measure_to_dict(m: FiniteMeasure) -> dict:

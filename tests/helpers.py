@@ -1793,6 +1793,100 @@ def prokhorov_by_bisection(mu, nu) -> Fraction:
     return max(Fraction(gap(k), mass_scale), Fraction(lows[k], dist_scale))
 
 
+def prokhorov_by_growing_flow(mu, nu) -> Fraction:
+    """The former growing-flow `prokhorov`, which builds every level's edge
+    list up front and finds each augmenting path of level 0 by its own
+    search, kept as the oracle of the lazily built levels and the level-0
+    matching."""
+    table = _merged_table(mu, nu)
+    points = sorted(set(mu.support()) | set(nu.support()))
+    n = len(points)
+    masses, mass_scale = _integers(
+        [mu.weights.get(x, Fraction(0)) for x in points]
+        + [nu.weights.get(x, Fraction(0)) for x in points]
+    )
+    spare, need = masses[:n], masses[n:]  # supply i and demand j left
+    if sum(spare) != sum(need):  # the one-way gap stands for both only then
+        raise ValueError("the measures have different total masses")
+    pairs = list(combinations(range(n), 2))  # keyed as `_pair` keys them
+    try:
+        dists = [table[points[i], points[j]] for i, j in pairs]
+    except KeyError:
+        for i, j in pairs:  # the first missing pair raises
+            _dist(table, points[i], points[j])
+        raise
+    flat, dist_scale = _integers(dists)
+    lows = sorted({0}.union(flat))  # 0, then the pairwise distances
+    rank = {lo: k for k, lo in enumerate(lows)}
+    edges = [[] for _ in lows]  # level k: the edges i -> j with d(i, j) = lows[k]
+    edges[rank[0]] = [(i, i) for i in range(n)]
+    for (i, j), d in zip(pairs, flat):
+        edges[rank[d]] += ((i, j), (j, i))
+
+    # One maximum flow from supply i to demand j along the uncapped edges
+    # i -> j of `linked[i]`, grown level by level: node i < n is supply i,
+    # node n + j is demand j.  `parent` and `queue[:head]` are the last
+    # breadth-first search of the residual graph from the supplies left;
+    # once it fails, new edges only extend it, and it starts afresh only
+    # after an augmenting path.
+    linked: list[list[int]] = [[] for _ in range(n)]
+    carried: list[dict[int, int]] = [{} for _ in range(n)]  # j: {i: flow > 0}
+    parent = {i: None for i in range(n) if spare[i]}
+    queue, head = list(parent), 0
+    for k, level in enumerate(edges):
+        found = None
+        for i, j in level:
+            linked[i].append(j)
+            if i in parent and n + j not in parent:  # the search reaches j now
+                parent[n + j] = i
+                queue.append(n + j)
+                if need[j]:
+                    found = n + j
+        while True:
+            while found is None and head < len(queue):
+                v = queue[head]
+                head += 1
+                if v >= n:  # back along the edges that carry flow into v
+                    for i in carried[v - n]:
+                        if i not in parent:
+                            parent[i] = v
+                            queue.append(i)
+                    continue
+                for j in linked[v]:  # forward along the edges out of v
+                    if n + j not in parent:
+                        parent[n + j] = v
+                        if need[j]:
+                            found = n + j
+                            break
+                        queue.append(n + j)
+            if found is None:
+                break
+            path = [found]  # demand, supply, demand, ..., supply
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            ahead = [(i, j - n) for i, j in zip(path[1::2], path[0::2])]
+            back = [(i, j - n) for i, j in zip(path[1::2], path[2::2])]
+            first, last = path[-1], path[0] - n
+            amount = min([spare[first], need[last]] + [carried[j][i] for i, j in back])
+            for i, j in ahead:
+                carried[j][i] = carried[j].get(i, 0) + amount
+            for i, j in back:
+                carried[j][i] -= amount
+                if not carried[j][i]:
+                    del carried[j][i]
+            spare[first] -= amount
+            need[last] -= amount
+            parent = {i: None for i in range(n) if spare[i]}
+            queue, head, found = list(parent), 0, None
+        # for eps in (lows[k], lows[k + 1]]:  A^eps = { x | d(x, A) <= lows[k] },
+        # and the worst gap is the supply left; the last interval always
+        # admits it, and gap / mass_scale <= lows[k + 1] / dist_scale is
+        # compared in integers
+        gap = sum(spare)
+        if k + 1 == len(lows) or gap * dist_scale <= lows[k + 1] * mass_scale:
+            return max(Fraction(gap, mass_scale), Fraction(lows[k], dist_scale))
+
+
 def triangle_scan(table: dict) -> list[str]:
     """The former triangle check of `FiniteMeasure.validate`, with three
     `Fraction` lookups per triple of named points, kept as the oracle of the

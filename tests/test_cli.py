@@ -556,6 +556,19 @@ def test_dist_prokhorov_pair_listed_both_ways_is_an_input_error(tmp_path, capsys
     assert "conflicting distances" in capsys.readouterr().err
 
 
+def test_dist_prokhorov_tables_that_disagree_name_the_pair_as_a_bar_b(tmp_path, capsys):
+    # each file validates alone; only the merged table sees the conflict
+    paths = []
+    for name, weight_on, d in (("mu", "a", "1/2"), ("nu", "b", "1/3")):
+        path = tmp_path / f"{name}.json"
+        data = {"points": ["a", "b"], "weights": {weight_on: "1"}, "distance": {"a|b": d}}
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    for pair in (paths, paths[::-1]):
+        assert main(["dist", "prokhorov", *pair]) == 2
+        assert capsys.readouterr() == ("", "error: conflicting distances for a|b\n")
+
+
 def test_dist_prokhorov_weight_on_unlisted_point_is_an_input_error(tmp_path, capsys):
     # z is not among the points: support() would drop its mass and the two
     # argument orders would disagree

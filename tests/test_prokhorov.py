@@ -15,6 +15,7 @@ from helpers import (
     bench_inputs,
     distinct_distance_line,
     prokhorov_by_bisection,
+    prokhorov_by_growing_flow,
     prokhorov_subset_scan,
     prokhorov_two_way,
     random_distance_table,
@@ -268,10 +269,10 @@ def test_a_conflict_outside_the_joint_support_is_refused():
     mu = FiniteMeasure(points, {"a": F(1)}, table)
     nu = FiniteMeasure(points, {"b": F(1)}, {**table, ("c", "d"): F(2)})
     assert prokhorov(mu, mu) == 0
-    with pytest.raises(IncompatibleSupports, match="conflicting distances"):
-        prokhorov(mu, nu)
-    with pytest.raises(IncompatibleSupports, match="conflicting distances"):
-        prokhorov(nu, mu)
+    for pair in (mu, nu), (nu, mu):
+        with pytest.raises(IncompatibleSupports) as caught:
+            prokhorov(*pair)
+        assert str(caught.value) == "conflicting distances for c|d"
 
 
 def test_a_missing_pair_names_the_first_one_missing():
@@ -339,16 +340,84 @@ def test_growing_flow_agrees_with_the_bisection_on_the_bench_instances(n):
         points, w1, w2, distance = inputs.prokhorov_instance(n, index)
         mu = FiniteMeasure(points, w1, distance)
         nu = FiniteMeasure(points, w2, distance)
-        assert prokhorov(mu, nu) == prokhorov_by_bisection(mu, nu), index
+        d = prokhorov(mu, nu)
+        assert d == prokhorov_by_bisection(mu, nu), index
+        assert d == prokhorov_by_growing_flow(mu, nu), index
 
 
 def test_growing_flow_agrees_with_the_bisection_on_300_distinct_distances():
-    # 44 851 levels, of which the flow grows through the first 500
+    # 44 851 levels, of which the flow grows through the first 500: the
+    # levels past those are never linked, and the eager oracle links them all
     mu, nu = distinct_distance_line(300)
     assert len(set(mu.distance.values())) == 300 * 299 // 2
     d = prokhorov(mu, nu)
     assert d == prokhorov_by_bisection(mu, nu)
+    assert d == prokhorov_by_growing_flow(mu, nu) == prokhorov_by_growing_flow(nu, mu)
     assert d == prokhorov(nu, mu)
+
+
+@pytest.mark.parametrize("line", [True, False], ids=["line", "shortest-paths"])
+def test_lazy_levels_agree_with_the_eager_growing_flow_and_the_bisection(line):
+    # the level-0 matching, the levels linked as the flow reaches them and
+    # the early answer at a level's own distance, against both former flows
+    rng = random.Random(36 if line else 37)
+    for k in range(1500):
+        mu, nu = random_metric_measures(rng, 1 + k % 14, line)
+        for a, b in (mu, nu), (nu, mu):
+            d = prokhorov(a, b)
+            assert d == prokhorov_by_growing_flow(a, b), (a, b)
+            assert d == prokhorov_by_bisection(a, b), (a, b)
+
+
+def _three_points(weights: dict) -> FiniteMeasure:
+    table = {("a", "b"): F(1, 3), ("a", "c"): F(1, 2), ("b", "c"): F(1, 4)}
+    return FiniteMeasure(["a", "b", "c"], weights, table)
+
+
+@pytest.mark.parametrize(
+    "weights, same",
+    [
+        ({"a": 1}, {"a": F(1)}),
+        ({"a": 0, "b": 1}, {"b": F(1)}),
+        ({"a": F(0), "b": F(1, 2), "c": F(1, 2)}, {"b": F(1, 2), "c": F(1, 2)}),
+        ({"a": F(1, 2), "c": F(1, 2), "b": 0}, {"a": F(1, 2), "c": F(1, 2)}),
+    ],
+    ids=["int-weight", "int-zero", "fraction-zero", "zero-and-missing"],
+)
+def test_int_zero_and_missing_weights_answer_as_fractions(weights, same):
+    # weights are scaled to integers without a Fraction: an int weight, an
+    # explicit zero and a weight missing for a point of the joint support
+    # each answer as the Fraction weights that mean the same
+    others = [{"a": F(1)}, {"b": F(1)}, {"c": F(1)}, {"a": F(1, 4), "c": F(3, 4)}]
+    for other in map(_three_points, others):
+        for pair, same_pair in [
+            ((_three_points(weights), other), (_three_points(same), other)),
+            ((other, _three_points(weights)), (other, _three_points(same))),
+        ]:
+            assert prokhorov(*pair) == prokhorov(*same_pair)
+            assert prokhorov(*pair) == prokhorov_by_growing_flow(*same_pair)
+
+
+def test_int_distances_answer_as_fractions():
+    mu = FiniteMeasure(["a", "b"], {"a": F(1)}, {("a", "b"): 2})
+    nu = FiniteMeasure(["a", "b"], {"b": F(1)}, {("a", "b"): 2})
+    d = prokhorov(mu, nu)
+    assert type(d) is Fraction and d == 1
+
+
+def test_an_empty_support_is_at_distance_zero():
+    for points in ([], ["a"], ["a", "b"]):
+        empty = FiniteMeasure(points, {x: F(0) for x in points}, {})
+        d = prokhorov(empty, empty)
+        assert type(d) is Fraction and d == 0
+
+
+def test_one_point_support():
+    dirac = FiniteMeasure(["a"], {"a": F(1)}, {})
+    assert prokhorov(dirac, dirac) == 0
+    # a second point without mass is outside the support: no distance needed
+    wide = FiniteMeasure(["a", "b"], {"a": 1, "b": 0}, {})
+    assert prokhorov(dirac, wide) == prokhorov(wide, dirac) == 0
 
 
 def test_coprime_denominators_are_scaled_exactly():
